@@ -31,7 +31,7 @@ from .audio_io import (
     resample_samples,
     rms_normalize,
 )
-from .dsp import FilterSpec, butterworth_filter, frame_rms, frame_signal, nco_synthesize, pitch_shift
+from .dsp import FilterSpec, butterworth_filter, frame_rms, nco_synthesize, pitch_shift
 from .errors import DegenerateSignalError, SchemaError
 
 CONVERTER_TAGS = ("plm", "fshift", "pitch", "hapticgen")
@@ -190,11 +190,11 @@ def normalize_vibration(raw: np.ndarray, strategy: str, cfg: ConverterConfig, *,
     else:
         if segment_len is None:
             segment_len = max(1, int(round(0.010 * cfg.output_rate)))
-        edges = np.arange(0, len(samples), segment_len)
-        seg_rms = np.array([
-            np.sqrt(np.mean(np.square(samples[s:s + segment_len]))) for s in edges
-        ])
-        peak_rms = float(seg_rms.max())
+        n_full = len(samples) - len(samples) % segment_len
+        seg_ms = np.mean(np.square(samples[:n_full]).reshape(-1, segment_len), axis=1)
+        if n_full < len(samples):
+            seg_ms = np.append(seg_ms, np.mean(np.square(samples[n_full:])))
+        peak_rms = float(np.sqrt(seg_ms.max()))
         if peak_rms < _SILENCE_RMS:
             raise DegenerateSignalError("degenerate signal: silent converter output")
         scaled = samples * (cfg.target_segment_rms / peak_rms)
@@ -213,21 +213,31 @@ def _frame_centers(n_frames: int, frame_size: int, hop: int, rate: int) -> np.nd
     return (np.arange(n_frames) * hop + frame_size / 2.0) / rate
 
 
+def _carrier_vibration(freqs: np.ndarray, amps: np.ndarray, clip: AudioClip, window: int,
+                       hop: int, segment_ms: float, cfg: ConverterConfig,
+                       algorithm_tag: str) -> VibrationSignal:
+    """One carrier on per-frame (frequency, amplitude) tracks, normalized per segment_ms."""
+    centers = _frame_centers(len(freqs), window, hop, clip.sample_rate)
+    n_out = _output_length(len(clip.samples), clip.sample_rate, cfg.output_rate)
+    raw = nco_synthesize(_interp_tracks(freqs, centers, n_out, cfg.output_rate),
+                         _interp_tracks(amps, centers, n_out, cfg.output_rate), cfg.output_rate)
+    segment = max(1, int(round(segment_ms * cfg.output_rate / 1000.0)))
+    return normalize_vibration(raw, "segment_max", cfg, algorithm_tag=algorithm_tag,
+                               segment_len=segment)
+
+
 def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig,
                        psycho_config: psycho.PsychoConfig = psycho.DEFAULT_PSYCHO_CONFIG,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (intensity, roughness) tracks for the perceptual mapping."""
     frame_size = cfg.plm.frame_size
-    frames = frame_signal(clip.samples, frame_size, frame_size)
+    loudness, raw_rough = psycho.loudness_roughness_frames(
+        clip.samples, frame_size, frame_size, clip.sample_rate, psycho_config)
     a0, a1 = cfg.plm.intensity_map
     b0, b1, b2 = cfg.plm.roughness_map
-    intensity = np.empty(len(frames))
-    vib_rough = np.empty(len(frames))
-    for i, frame in enumerate(frames):
-        loudness = psycho.frame_loudness(frame, clip.sample_rate, psycho_config)
-        raw_rough = psycho.frame_roughness(frame, clip.sample_rate, psycho_config)
-        intensity[i] = max(0.0, a0 + a1 * np.log1p(loudness))
-        vib_rough[i] = max(0.0, b0 + b1 * raw_rough ** b2)
+    # fmax, not maximum: a NaN feature maps to 0 rather than propagating
+    intensity = np.fmax(0.0, a0 + a1 * np.log1p(loudness))
+    vib_rough = np.fmax(0.0, b0 + b1 * raw_rough ** b2)
     return intensity, vib_rough
 
 
@@ -285,19 +295,14 @@ def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig,
     pc = cfg.pitch
     window = max(1, int(round(pc.window_ms * clip.sample_rate / 1000.0)))
     hop = max(1, int(round(window * (1.0 - pc.overlap))))
-    frames = frame_signal(clip.samples, window, hop)
-
-    coeffs = np.asarray(pc.regression_coeffs[:-1])
-    intercept = pc.regression_coeffs[-1]
-    freqs = np.empty(len(frames))
-    amps = np.empty(len(frames))
-    for i, frame in enumerate(frames):
-        specific = psycho.specific_loudness_bark(frame, clip.sample_rate, psycho_config)
-        total = float(specific.sum())
-        features = specific / total if (pc.normalize_features and total > 0) else specific
-        freqs[i] = float(np.clip(intercept + features @ coeffs, pc.f_min_hz, pc.f_max_hz))
-        amps[i] = total
-    return freqs, amps
+    specific = psycho.specific_loudness_frames(clip.samples, window, hop, clip.sample_rate,
+                                               psycho_config)
+    totals = specific.sum(axis=1, keepdims=True)
+    features = np.divide(specific, totals, out=specific.copy(),
+                         where=(totals > 0) & pc.normalize_features)
+    freqs = np.clip(pc.regression_coeffs[-1] + features @ np.asarray(pc.regression_coeffs[:-1]),
+                    pc.f_min_hz, pc.f_max_hz)
+    return freqs, totals[:, 0]
 
 
 def convert_pitch(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
@@ -307,15 +312,7 @@ def convert_pitch(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vibrat
 
     window = max(1, int(round(cfg.pitch.window_ms * clip.sample_rate / 1000.0)))
     hop = max(1, int(round(window * (1.0 - cfg.pitch.overlap))))
-    centers = _frame_centers(len(freqs), window, hop, clip.sample_rate)
-    n_out = _output_length(len(clip.samples), clip.sample_rate, cfg.output_rate)
-    freq_track = _interp_tracks(freqs, centers, n_out, cfg.output_rate)
-    amp_track = _interp_tracks(amps, centers, n_out, cfg.output_rate)
-
-    raw = nco_synthesize(freq_track, amp_track, cfg.output_rate)
-    segment = max(1, int(round(cfg.pitch.window_ms * cfg.output_rate / 1000.0)))
-    return normalize_vibration(raw, "segment_max", cfg, algorithm_tag="pitch",
-                               segment_len=segment)
+    return _carrier_vibration(freqs, amps, clip, window, hop, cfg.pitch.window_ms, cfg, "pitch")
 
 
 def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
@@ -330,15 +327,7 @@ def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vi
 
     freqs = hc.f_center_hz - hc.f_dev_hz + 2.0 * hc.f_dev_hz * r_norm
     window = max(1, int(round(hc.window_ms * clip.sample_rate / 1000.0)))
-    centers = _frame_centers(len(rms), window, window, clip.sample_rate)
-    n_out = _output_length(len(clip.samples), clip.sample_rate, cfg.output_rate)
-    freq_track = _interp_tracks(freqs, centers, n_out, cfg.output_rate)
-    amp_track = _interp_tracks(r_norm, centers, n_out, cfg.output_rate)
-
-    raw = nco_synthesize(freq_track, amp_track, cfg.output_rate)
-    segment = max(1, int(round(hc.window_ms * cfg.output_rate / 1000.0)))
-    return normalize_vibration(raw, "segment_max", cfg, algorithm_tag="hapticgen",
-                               segment_len=segment)
+    return _carrier_vibration(freqs, r_norm, clip, window, window, hc.window_ms, cfg, "hapticgen")
 
 
 _CONVERTERS = {

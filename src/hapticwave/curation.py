@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .audio_io import AudioClip
-from .dsp import hann_window, mel_filterbank, pitch_shift
+from .dsp import frame_signal, frame_spectra, hann_window, mel_filterbank, pitch_shift
 from .errors import SchemaError
 
 N_FEATURES = 31
@@ -59,12 +59,6 @@ class FeatureVector:
         }
 
 
-def _spectra(samples: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
-    n_frames = 1 + (len(samples) - fft_size) // hop
-    idx = np.arange(fft_size)[None, :] + hop * np.arange(n_frames)[:, None]
-    return np.abs(np.fft.rfft(samples[idx] * hann_window(fft_size)[None, :], axis=1))
-
-
 def _tempo_bpm(onset_env: np.ndarray, frame_rate: float) -> float:
     """Tempo from the autocorrelation of the onset envelope, clamped to range."""
     env = onset_env - onset_env.mean()
@@ -96,7 +90,7 @@ def extract_features(clip: AudioClip, fft_size: int = 2048, hop: int = 512) -> F
     if clip.duration < 1.0:
         raise ValueError("feature extraction needs at least 1 s of audio")
     samples = np.asarray(clip.samples, dtype=np.float64)
-    spectra = _spectra(samples, fft_size, hop)
+    spectra = frame_spectra(samples, hann_window(fft_size), hop)
     freqs = np.fft.rfftfreq(fft_size, 1.0 / clip.sample_rate)
     mag_sum = np.maximum(spectra.sum(axis=1), 1e-12)
 
@@ -107,9 +101,7 @@ def extract_features(clip: AudioClip, fft_size: int = 2048, hop: int = 512) -> F
     spread = (freqs[None, :] - centroid_t[:, None]) ** 2
     bandwidth_t = np.sqrt(np.sum(spectra * spread, axis=1) / mag_sum)
 
-    n_frames = spectra.shape[0]
-    idx = np.arange(fft_size)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = samples[idx]
+    frames = frame_signal(samples, fft_size, hop)
     rms_t = np.sqrt(np.mean(frames * frames, axis=1))
     zcr_t = np.mean(np.abs(np.diff(np.signbit(frames), axis=1)), axis=1)
 

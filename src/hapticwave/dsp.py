@@ -22,14 +22,19 @@ def frame_signal(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     """Slice a signal into (n_frames, frame_size) with no padding.
 
     n_frames = floor((len - frame_size) / hop) + 1, so a trailing partial
-    frame is dropped.
+    frame is dropped. The result is a read-only strided view of the signal,
+    not a copy.
     """
     n = len(signal)
     if n < frame_size:
         raise ValueError(f"signal of {n} samples is shorter than one {frame_size}-sample frame")
-    n_frames = 1 + (n - frame_size) // hop
-    idx = np.arange(frame_size)[None, :] + hop * np.arange(n_frames)[:, None]
-    return signal[idx]
+    return np.lib.stride_tricks.sliding_window_view(signal, frame_size)[::hop]
+
+
+def frame_spectra(signal: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
+    """Magnitude rfft of every windowed frame, (n_frames, len(window) // 2 + 1); square for power."""
+    frames = frame_signal(np.asarray(signal, dtype=np.float64), len(window), hop)
+    return np.abs(np.fft.rfft(frames * window, axis=1))
 
 
 @dataclass
@@ -74,8 +79,7 @@ def stft(signal: np.ndarray, fft_size: int, hop: int, sample_rate: int) -> Spect
         raise ValueError("fft_size must be a power of two")
     if not 0 < hop <= fft_size:
         raise ValueError("hop must be in (0, fft_size]")
-    frames = frame_signal(np.asarray(signal, dtype=np.float64), fft_size, hop)
-    mags = np.abs(np.fft.rfft(frames * hann_window(fft_size)[None, :], axis=1))
+    mags = frame_spectra(signal, hann_window(fft_size), hop)
     return Spectrogram(magnitudes=mags, fft_size=fft_size, hop=hop, sample_rate=sample_rate)
 
 

@@ -7,17 +7,21 @@ bands, and each band is compressed with a Stevens power law before summing.
 It is monotone in input level and contour-weighted, which is what the
 converters rely on. Roughness follows the Vassilakis pairwise spectral-peak
 model.
+
+The *_frames functions analyse a whole signal with one batched FFT and
+cached per-(frame size, rate) tables; the single-frame functions wrap them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import hann_window
+from .dsp import frame_spectra, hann_window
 from .errors import SchemaError
 
 N_BARK_BANDS = 24
@@ -77,19 +81,6 @@ def load_psycho_config(path: str | Path) -> PsychoConfig:
     return PsychoConfig(**kwargs)
 
 
-@dataclass
-class PsychoFrame:
-    """Loudness, roughness, and per-band specific loudness for one frame."""
-
-    loudness: float
-    roughness: float
-    specific_loudness: np.ndarray  # 24 Bark-band values
-
-    def __post_init__(self) -> None:
-        if len(self.specific_loudness) != N_BARK_BANDS:
-            raise ValueError(f"specific loudness must have {N_BARK_BANDS} entries")
-
-
 def hz_to_bark(freq_hz: np.ndarray | float) -> np.ndarray | float:
     """Analytic critical-band rate (Terhardt-style arctangent form)."""
     f = np.asarray(freq_hz, dtype=np.float64)
@@ -106,16 +97,6 @@ def bark_band_index(freq_hz: np.ndarray) -> np.ndarray:
     return np.clip(np.ceil(z).astype(int), 1, N_BARK_BANDS)
 
 
-def _power_spectrum(frame: np.ndarray, sample_rate: int, min_len: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(frame, dtype=np.float64)
-    if len(x) < min_len:
-        raise ValueError(f"frame of {len(x)} samples is too short (need >= {min_len})")
-    windowed = x * hann_window(len(x))
-    spectrum = np.abs(np.fft.rfft(windowed)) ** 2
-    freqs = np.fft.rfftfreq(len(x), 1.0 / sample_rate)
-    return spectrum, freqs
-
-
 def equal_loudness_weight(freqs: np.ndarray, config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> np.ndarray:
     """Power-domain sensitivity weights from the contour table."""
     safe = np.maximum(np.asarray(freqs, dtype=np.float64), 1.0)
@@ -127,27 +108,85 @@ def equal_loudness_weight(freqs: np.ndarray, config: PsychoConfig = DEFAULT_PSYC
     return 10.0 ** (gains_db / 10.0)
 
 
+def _band_matrix(freqs: np.ndarray) -> np.ndarray:
+    """(n_bins, 24) 0/1 matrix that sends each bin to its Bark band."""
+    return (bark_band_index(freqs)[:, None] == np.arange(1, N_BARK_BANDS + 1)).astype(np.float64)
+
+
 def bark_band_powers(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Pool a power spectrum into the 24 critical bands (pure partition)."""
-    bands = bark_band_index(freqs)
-    out = np.zeros(N_BARK_BANDS)
-    np.add.at(out, bands - 1, power)
-    return out
+    """Pool power spectra (last axis) into the 24 critical bands (pure partition)."""
+    return np.asarray(power, dtype=np.float64) @ _band_matrix(freqs)
+
+
+@lru_cache(maxsize=64)
+def analysis_tables(n_fft: int, sample_rate: int, contour_freqs: tuple = _CONTOUR_FREQS,
+                    contour_gains_db: tuple = _CONTOUR_GAINS_DB) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (Hann window, (n_bins, 24) contour-weighted Bark pooling) for n_fft frames."""
+    freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
+    contour = PsychoConfig(contour_freqs=contour_freqs, contour_gains_db=contour_gains_db)
+    tables = (hann_window(n_fft), equal_loudness_weight(freqs, contour)[:, None] * _band_matrix(freqs))
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
+def _analyse(samples: np.ndarray, frame_size: int, hop: int, sample_rate: int,
+             config: PsychoConfig, min_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude spectra and specific loudness of every frame, from one batched FFT."""
+    if frame_size < min_len:
+        raise ValueError(f"frame of {frame_size} samples is too short (need >= {min_len})")
+    window, bands = analysis_tables(frame_size, sample_rate, tuple(config.contour_freqs),
+                                    tuple(config.contour_gains_db))
+    mags = frame_spectra(samples, window, hop)
+    return mags, config.loudness_scale * (mags ** 2 @ bands) ** config.loudness_exponent
+
+
+def specific_loudness_frames(samples: np.ndarray, frame_size: int, hop: int, sample_rate: int,
+                             config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> np.ndarray:
+    """Specific loudness (n_frames, 24) of every frame_size-sample frame, hop apart."""
+    return _analyse(samples, frame_size, hop, sample_rate, config, min_len=256)[1]
+
+
+def loudness_roughness_frames(samples: np.ndarray, frame_size: int, hop: int, sample_rate: int,
+                              config: PsychoConfig = DEFAULT_PSYCHO_CONFIG,
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Total loudness and roughness per frame, both read from one spectrum per frame."""
+    mags, specific = _analyse(samples, frame_size, hop, sample_rate, config, min_len=1024)
+    return specific.sum(axis=1), _roughness(*_peaks(mags, sample_rate / frame_size, config), config)
 
 
 def specific_loudness_bark(frame: np.ndarray, sample_rate: int,
                            config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> np.ndarray:
     """Per-band specific loudness over the 24 Bark bands."""
-    power, freqs = _power_spectrum(frame, sample_rate, min_len=256)
-    weighted = power * equal_loudness_weight(freqs, config)
-    band_power = bark_band_powers(weighted, freqs)
-    return config.loudness_scale * band_power ** config.loudness_exponent
+    return specific_loudness_frames(frame, len(frame), len(frame), sample_rate, config)[0]
 
 
 def frame_loudness(frame: np.ndarray, sample_rate: int,
                    config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> float:
     """Total loudness (model sones): sum of the specific loudness bands."""
     return float(np.sum(specific_loudness_bark(frame, sample_rate, config)))
+
+
+def _peaks(mags: np.ndarray, bin_hz: float, config: PsychoConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Strongest local maxima of each magnitude row, refined by parabolic interpolation.
+
+    Returns (freqs, amps), each (n_rows, config.max_peaks) in ascending bin
+    order; slots past a row's last peak hold NaN.
+    """
+    inner = mags[:, 1:-1]
+    floor = mags.max(axis=1, keepdims=True) * 10.0 ** (config.peak_floor_db / 20.0)
+    is_peak = (inner > mags[:, :-2]) & (inner >= mags[:, 2:]) & (inner >= floor)
+    score = np.where(is_peak, inner, -np.inf)
+    k = min(config.max_peaks, score.shape[1])
+    top = np.sort(np.argpartition(-score, k - 1, axis=1)[:, :k], axis=1)
+    valid = np.take_along_axis(score, top, axis=1) > -np.inf
+    bins = top + 1
+    a, b, c = (np.where(valid, np.log(np.take_along_axis(mags, bins + o, axis=1) + 1e-30), np.nan)
+               for o in (-1, 0, 1))
+    denom = a - 2.0 * b + c
+    flat = np.abs(denom) <= 1e-12
+    delta = np.where(flat, 0.0, 0.5 * (a - c) / np.where(flat, 1.0, denom))
+    return (bins + delta) * bin_hz, np.exp(b - 0.25 * (a - c) * delta)
 
 
 def spectral_peaks(frame: np.ndarray, sample_rate: int,
@@ -157,56 +196,31 @@ def spectral_peaks(frame: np.ndarray, sample_rate: int,
     Keeps at most config.max_peaks peaks above config.peak_floor_db relative
     to the frame maximum; each is refined by parabolic interpolation.
     """
-    x = np.asarray(frame, dtype=np.float64)
-    if len(x) < 1024:
-        raise ValueError(f"frame of {len(x)} samples is too short (need >= 1024)")
-    mag = np.abs(np.fft.rfft(x * hann_window(len(x))))
-    top = mag.max()
-    if top <= 0.0:
-        return []
-    threshold = top * 10.0 ** (config.peak_floor_db / 20.0)
-    candidates = np.flatnonzero((mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:])) + 1
-    candidates = candidates[mag[candidates] >= threshold]
-    candidates = candidates[np.argsort(mag[candidates])[::-1][:config.max_peaks]]
-
-    bin_hz = sample_rate / len(x)
-    peaks = []
-    for i in sorted(candidates):
-        a, b, c = np.log(mag[i - 1 : i + 2] + 1e-30)
-        denom = a - 2.0 * b + c
-        delta = 0.5 * (a - c) / denom if abs(denom) > 1e-12 else 0.0
-        freq = (i + delta) * bin_hz
-        amp = float(np.exp(b - 0.25 * (a - c) * delta))
-        peaks.append((freq, amp))
-    return peaks
+    mags, _ = _analyse(frame, len(frame), len(frame), sample_rate, config, min_len=1024)
+    (freqs,), (amps,) = _peaks(mags, sample_rate / len(frame), config)
+    found = ~np.isnan(freqs)
+    return list(zip(freqs[found].tolist(), amps[found].tolist()))
 
 
-def _pair_roughness(f1: float, a1: float, f2: float, a2: float, config: PsychoConfig) -> float:
+def _pair_roughness(f1: np.ndarray, a1: np.ndarray, f2: np.ndarray, a2: np.ndarray,
+                    config: PsychoConfig) -> np.ndarray:
     amplitude = (a1 * a2) ** config.amplitude_exponent
-    fluctuation = 0.5 * (2.0 * min(a1, a2) / (a1 + a2)) ** config.fluctuation_exponent
-    s = config.kernel_scale / (config.kernel_s1 * min(f1, f2) + config.kernel_s2)
-    df = abs(f1 - f2)
+    fluctuation = 0.5 * (2.0 * np.minimum(a1, a2) / (a1 + a2)) ** config.fluctuation_exponent
+    s = config.kernel_scale / (config.kernel_s1 * np.minimum(f1, f2) + config.kernel_s2)
+    df = np.abs(f1 - f2)
     separation = np.exp(config.kernel_b1 * s * df) - np.exp(config.kernel_b2 * s * df)
     return amplitude * fluctuation * separation
+
+
+def _roughness(freqs: np.ndarray, amps: np.ndarray, config: PsychoConfig) -> np.ndarray:
+    """Per-row sum of the pair terms over every two peaks; NaN slots add nothing."""
+    i, j = np.triu_indices(freqs.shape[-1], k=1)
+    return np.nansum(_pair_roughness(freqs[..., i], amps[..., i], freqs[..., j], amps[..., j],
+                                     config), axis=-1)
 
 
 def frame_roughness(frame: np.ndarray, sample_rate: int,
                     config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> float:
     """Roughness as the sum of pairwise peak interactions; 0 below two peaks."""
-    peaks = spectral_peaks(frame, sample_rate, config)
-    total = 0.0
-    for i in range(len(peaks)):
-        for j in range(i + 1, len(peaks)):
-            total += _pair_roughness(*peaks[i], *peaks[j], config=config)
-    return float(total)
-
-
-def analyze_frame(frame: np.ndarray, sample_rate: int,
-                  config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> PsychoFrame:
-    """Convenience bundle of all three frame features."""
-    specific = specific_loudness_bark(frame, sample_rate, config)
-    return PsychoFrame(
-        loudness=float(np.sum(specific)),
-        roughness=frame_roughness(frame, sample_rate, config),
-        specific_loudness=specific,
-    )
+    freqs, amps = np.array(spectral_peaks(frame, sample_rate, config)).T.reshape(2, 1, -1)
+    return float(_roughness(freqs, amps, config)[0])

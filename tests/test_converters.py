@@ -23,7 +23,8 @@ from hapticwave.converters import (
     pitch_frequency_track,
     plm_feature_tracks,
 )
-from hapticwave.dsp import instantaneous_frequency
+from hapticwave.dsp import frame_signal, instantaneous_frequency
+from hapticwave.psychoacoustics import frame_loudness, frame_roughness, specific_loudness_bark
 from hapticwave.errors import DegenerateSignalError, SchemaError
 
 from conftest import SR, sine_clip
@@ -122,6 +123,63 @@ class TestPitch:
         assert np.ptp(freqs) <= 1.0
 
 
+def _test_signal(kind: str, sr: int) -> AudioClip:
+    rng = np.random.default_rng(sr)
+    n = sr  # 1 s
+    t = np.arange(n) / sr
+    if kind == "noise":
+        x = 0.3 * rng.standard_normal(n)
+    elif kind == "tones":
+        x = 0.4 * np.sin(2 * np.pi * 440 * t) + 0.3 * np.sin(2 * np.pi * 470 * t) \
+            + 0.2 * np.sin(2 * np.pi * 1500 * t)
+    else:  # silence with a noise burst in the middle
+        x = np.where((t > 0.4) & (t < 0.6), 0.8 * rng.standard_normal(n), 0.0)
+    return AudioClip(x, sr, kind)
+
+
+BATCH_CASES = [(sr, kind) for sr in (32000, 44100, 48000, 96000)
+               for kind in ("noise", "tones", "burst")]
+
+
+class TestBatchedTracks:
+    """The frame-batched tracks against per-frame references from the public frame functions."""
+
+    @pytest.mark.parametrize("sr,kind", BATCH_CASES)
+    def test_pitch_track_matches_per_frame(self, sr, kind):
+        clip, cfg = _test_signal(kind, sr), default_config()
+        pc = cfg.pitch
+        window = int(round(pc.window_ms * sr / 1000.0))
+        hop = int(round(window * (1.0 - pc.overlap)))
+        coeffs = np.asarray(pc.regression_coeffs[:-1])
+        ref_f, ref_a = [], []
+        for frame in frame_signal(clip.samples, window, hop):
+            specific = specific_loudness_bark(frame, sr)
+            total = float(specific.sum())
+            features = specific / total if total > 0 else specific
+            ref_f.append(np.clip(pc.regression_coeffs[-1] + features @ coeffs,
+                                 pc.f_min_hz, pc.f_max_hz))
+            ref_a.append(total)
+        freqs, amps = pitch_frequency_track(clip, cfg)
+        np.testing.assert_allclose(freqs, ref_f, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(amps, ref_a, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("sr,kind", BATCH_CASES)
+    def test_plm_tracks_match_per_frame(self, sr, kind):
+        clip, cfg = _test_signal(kind, sr), default_config()
+        a0, a1 = cfg.plm.intensity_map
+        b0, b1, b2 = cfg.plm.roughness_map
+        frames = frame_signal(clip.samples, cfg.plm.frame_size, cfg.plm.frame_size)
+        ref_i = [max(0.0, a0 + a1 * np.log1p(frame_loudness(f, sr))) for f in frames]
+        ref_r = [max(0.0, b0 + b1 * frame_roughness(f, sr) ** b2) for f in frames]
+        intensity, roughness = plm_feature_tracks(clip, cfg)
+        np.testing.assert_allclose(intensity, ref_i, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(roughness, ref_r, rtol=1e-9, atol=0)
+
+    def test_pitch_still_rejects_16k(self):
+        with pytest.raises(ValueError, match="need >= 256"):
+            convert_pitch(_test_signal("noise", 16000))
+
+
 class TestHapticgen:
     def test_frequency_bounds(self, am_clip):
         out = convert_hapticgen(am_clip)
@@ -166,6 +224,15 @@ class TestNormalizeVibration:
         quiet = out.samples[seg * 4:]
         assert np.sqrt(np.mean(loud**2)) == pytest.approx(0.15, abs=1e-9)
         assert np.sqrt(np.mean(quiet**2)) == pytest.approx(0.0375, abs=1e-9)
+
+    def test_segment_peak_counts_partial_tail(self):
+        rng = np.random.default_rng(6)
+        x = 0.1 * rng.standard_normal(250)
+        x[-10:] *= 8.0  # loudest samples sit in the trailing partial segment
+        out = normalize_vibration(x, "segment_max", default_config(), algorithm_tag="pitch",
+                                  input_rate=8000, segment_len=80)
+        peak = max(np.sqrt(np.mean(np.square(x[s:s + 80]))) for s in range(0, 250, 80))
+        np.testing.assert_array_equal(out.samples, np.clip(x * (0.15 / peak), -1.0, 1.0))
 
     def test_global_strategy_sets_rms(self):
         cfg = default_config()

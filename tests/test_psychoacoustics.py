@@ -8,15 +8,23 @@ import numpy as np
 import pytest
 
 from hapticwave.errors import SchemaError
+from hapticwave.dsp import frame_signal, hann_window
 from hapticwave.psychoacoustics import (
+    DEFAULT_PSYCHO_CONFIG,
     N_BARK_BANDS,
     PsychoConfig,
+    analysis_tables,
+    bark_band_index,
     bark_band_powers,
+    equal_loudness_weight,
     frame_loudness,
     frame_roughness,
     hz_to_bark,
     load_psycho_config,
+    loudness_roughness_frames,
+    spectral_peaks,
     specific_loudness_bark,
+    specific_loudness_frames,
 )
 
 SR = 44100
@@ -109,6 +117,84 @@ class TestSpecificLoudness:
         freqs = np.fft.rfftfreq(4096, 1 / SR)
         bands = bark_band_powers(power, freqs)
         assert abs(bands.sum() - power.sum()) <= 0.05 * power.sum()
+
+
+def _scalar_pair_roughness(f1, a1, f2, a2, c=DEFAULT_PSYCHO_CONFIG):
+    # the Vassilakis pair term written out on Python floats
+    amplitude = (a1 * a2) ** c.amplitude_exponent
+    fluctuation = 0.5 * (2.0 * min(a1, a2) / (a1 + a2)) ** c.fluctuation_exponent
+    s = c.kernel_scale / (c.kernel_s1 * min(f1, f2) + c.kernel_s2)
+    df = abs(f1 - f2)
+    return amplitude * fluctuation * (np.exp(c.kernel_b1 * s * df) - np.exp(c.kernel_b2 * s * df))
+
+
+class TestBatchedCore:
+    def test_tables_cached_and_read_only(self):
+        tables = analysis_tables(441, SR)
+        assert analysis_tables(441, SR) is tables
+        window, bands = tables
+        assert window.shape == (441,) and bands.shape == (221, N_BARK_BANDS)
+        for array in tables:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_specific_loudness_matches_direct_formula(self):
+        x = np.random.default_rng(7).standard_normal(1024)
+        power = np.abs(np.fft.rfft(x * hann_window(1024))) ** 2
+        freqs = np.fft.rfftfreq(1024, 1 / SR)
+        pooled = np.zeros(N_BARK_BANDS)
+        np.add.at(pooled, bark_band_index(freqs) - 1, power * equal_loudness_weight(freqs))
+        cfg = DEFAULT_PSYCHO_CONFIG
+        np.testing.assert_allclose(specific_loudness_bark(x, SR),
+                                   cfg.loudness_scale * pooled ** cfg.loudness_exponent, rtol=1e-12)
+
+    def test_peaks_keep_the_strongest(self):
+        x = sum(tone(200.0 * k, 8192 / SR, amp=1.0 - 0.05 * k) for k in range(1, 13))
+        peaks = spectral_peaks(x, SR)
+        assert len(peaks) == DEFAULT_PSYCHO_CONFIG.max_peaks == 10
+        np.testing.assert_allclose([f for f, _ in peaks], 200.0 * np.arange(1, 11), atol=1.0)
+
+    def test_pair_sum_matches_double_loop(self):
+        rng = np.random.default_rng(3)
+        signals = [tone(300.0, 0.1) + tone(330.0, 0.1, amp=0.3) + tone(1100.0, 0.1, amp=0.2),
+                   rng.standard_normal(4096), sum(tone(220.0 * k, 0.1, amp=0.5 / k) for k in range(1, 8))]
+        for x in signals:
+            peaks = spectral_peaks(x, SR)
+            assert len(peaks) >= 2
+            expected = 0.0
+            for i in range(len(peaks)):
+                for j in range(i + 1, len(peaks)):
+                    expected += _scalar_pair_roughness(*peaks[i], *peaks[j])
+            assert frame_roughness(x, SR) == pytest.approx(expected, rel=1e-12)
+
+    def test_frames_match_single_frame_functions(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(SR // 2) * np.linspace(0.0, 1.0, SR // 2)
+        specific = specific_loudness_frames(x, 441, 220, SR)
+        frames = frame_signal(x, 441, 220)
+        expected = np.array([specific_loudness_bark(f, SR) for f in frames])
+        np.testing.assert_allclose(specific, expected, rtol=1e-9, atol=0)
+        loudness, roughness = loudness_roughness_frames(x, 2048, 1024, SR)
+        frames = frame_signal(x, 2048, 1024)
+        np.testing.assert_allclose(loudness, [frame_loudness(f, SR) for f in frames], rtol=1e-9)
+        np.testing.assert_allclose(roughness, [frame_roughness(f, SR) for f in frames], rtol=1e-9)
+
+    def test_band_powers_pool_each_row(self):
+        rng = np.random.default_rng(5)
+        power = rng.random((3, 1025))
+        freqs = np.fft.rfftfreq(2048, 1 / SR)
+        batched = bark_band_powers(power, freqs)
+        assert batched.shape == (3, N_BARK_BANDS)
+        for row, pooled in zip(power, batched):
+            np.testing.assert_allclose(pooled, bark_band_powers(row, freqs), rtol=1e-12)
+            assert pooled.sum() == pytest.approx(row.sum(), rel=1e-12)
+
+    def test_window_minimums_kept(self):
+        with pytest.raises(ValueError, match="need >= 256"):
+            specific_loudness_frames(np.zeros(SR), 255, 128, SR)
+        with pytest.raises(ValueError, match="need >= 1024"):
+            loudness_roughness_frames(np.zeros(SR), 1023, 1023, SR)
 
 
 class TestConfig:
