@@ -258,16 +258,15 @@ def _as_samples(signal) -> np.ndarray:
     return np.asarray(signal, dtype=np.float64)
 
 
-def _padded_stft_mag(x: np.ndarray, fft_size: int, sample_rate: int) -> np.ndarray:
+def _padded_stft_mag(x: np.ndarray, fft_size: int) -> np.ndarray:
     if len(x) < fft_size:
         x = np.pad(x, (0, fft_size - len(x)))
-    return stft(x, fft_size, fft_size // 4, sample_rate).magnitudes
+    return stft(x, fft_size, fft_size // 4)
 
 
-def _stft_resolution_loss(pred: np.ndarray, target: np.ndarray, fft_size: int,
-                          sample_rate: int) -> float:
-    mag_p = _padded_stft_mag(pred, fft_size, sample_rate)
-    mag_t = _padded_stft_mag(target, fft_size, sample_rate)
+def _stft_resolution_loss(pred: np.ndarray, target: np.ndarray, fft_size: int) -> float:
+    mag_p = _padded_stft_mag(pred, fft_size)
+    mag_t = _padded_stft_mag(target, fft_size)
     norm_t = np.linalg.norm(mag_t)
     convergence = np.linalg.norm(mag_t - mag_p) / max(norm_t, _LOG_EPS)
     log_l1 = float(np.mean(np.abs(np.log(mag_t + _LOG_EPS) - np.log(mag_p + _LOG_EPS))))
@@ -300,13 +299,13 @@ def reconstruction_metrics(pred, target, sample_rate: int = 8000,
     amp_loss = float(abs(np.sqrt(np.mean(p * p)) - np.sqrt(np.mean(t * t))))
 
     stft_loss = float(np.mean([
-        _stft_resolution_loss(p, t, n, sample_rate) for n in STFT_LOSS_FFT_SIZES
+        _stft_resolution_loss(p, t, n) for n in STFT_LOSS_FFT_SIZES
     ]))
 
     fft_size = 1024
     bank = mel_filterbank(n_mels, fft_size, sample_rate)
-    mel_p = np.log(_padded_stft_mag(p, fft_size, sample_rate) ** 2 @ bank.T + _LOG_EPS)
-    mel_t = np.log(_padded_stft_mag(t, fft_size, sample_rate) ** 2 @ bank.T + _LOG_EPS)
+    mel_p = np.log(_padded_stft_mag(p, fft_size) ** 2 @ bank.T + _LOG_EPS)
+    mel_t = np.log(_padded_stft_mag(t, fft_size) ** 2 @ bank.T + _LOG_EPS)
     mel_l1 = float(np.mean(np.abs(mel_p - mel_t)))
 
     return MetricReport(mse=mse, stft_loss=stft_loss, mel_l1=mel_l1,

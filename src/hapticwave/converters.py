@@ -31,8 +31,16 @@ from .audio_io import (
     resample_samples,
     rms_normalize,
 )
-from .dsp import FilterSpec, butterworth_filter, frame_rms, nco_synthesize, pitch_shift
+from .dsp import (
+    FilterSpec,
+    butterworth_filter,
+    frame_rms,
+    ms_to_samples,
+    nco_synthesize,
+    pitch_shift,
+)
 from .errors import DegenerateSignalError, SchemaError
+from .psychoacoustics import PsychoConfig
 
 CONVERTER_TAGS = ("plm", "fshift", "pitch", "hapticgen")
 
@@ -96,11 +104,11 @@ class ConverterConfig:
     fshift: FshiftConfig = field(default_factory=FshiftConfig)
     pitch: PitchConfig = field(default_factory=PitchConfig)
     hapticgen: HapticgenConfig = field(default_factory=HapticgenConfig)
-    output_rate: int = VIBRATION_RATE
+    psycho: PsychoConfig = field(default_factory=PsychoConfig)
     target_segment_rms: float = 0.15
 
     def __post_init__(self) -> None:
-        nyquist = self.output_rate / 2.0
+        nyquist = VIBRATION_RATE / 2.0
         if not 0 < self.pitch.f_min_hz < self.pitch.f_max_hz < nyquist:
             raise ValueError("pitch frequency range must satisfy 0 < f_min < f_max < Nyquist")
         lo = self.hapticgen.f_center_hz - self.hapticgen.f_dev_hz
@@ -109,6 +117,11 @@ class ConverterConfig:
             raise ValueError("hapticgen frequency range must stay inside (0, Nyquist)")
         if len(self.pitch.regression_coeffs) != psycho.N_BARK_BANDS + 1:
             raise ValueError("pitch regression needs 24 band weights plus an intercept")
+        for key, arity in (("intensity_map", 2), ("roughness_map", 3)):
+            if len(getattr(self.plm, key)) != arity:
+                raise ValueError(f"plm.{key} needs {arity} values")
+        if len(self.psycho.contour_gains_db) != len(self.psycho.contour_freqs):
+            raise ValueError("psycho.contour_gains_db and psycho.contour_freqs differ in length")
         if self.plm.frame_size <= 0 or self.pitch.window_ms <= 0 \
                 or self.hapticgen.window_ms <= 0:
             raise ValueError("frame and window sizes must be positive")
@@ -118,18 +131,41 @@ def default_config() -> ConverterConfig:
     return ConverterConfig()
 
 
-def _merge_section(section, overrides: dict, context: str):
+def _is_number(value) -> bool:
+    # json.loads reads NaN and Infinity as floats
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and bool(np.isfinite(value)))
+
+
+def _typed(current, value, dotted: str):
+    """value as the type of the default it replaces; SchemaError naming dotted on a mismatch."""
+    if isinstance(current, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(current, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif isinstance(current, float):
+        ok = _is_number(value)
+    else:  # tuple, the only other leaf type in the tree
+        ok = isinstance(value, list) and all(map(_is_number, value))
+    if not ok:
+        raise SchemaError(f"config key {dotted} expects {type(current).__name__}, got {value!r}")
+    return tuple(map(float, value)) if isinstance(current, tuple) else type(current)(value)
+
+
+def _merge_section(section, overrides, context: str):
+    if not isinstance(overrides, dict):
+        raise SchemaError(f"config key {context} expects a section object, got {overrides!r}")
     kwargs = {}
-    known = {f.name: f for f in fields(section)}
+    known = {f.name for f in fields(section)}
     for key, value in overrides.items():
+        dotted = f"{context}.{key}"
         if key not in known:
-            raise SchemaError(f"unknown config key {context}.{key}")
+            raise SchemaError(f"unknown config key {dotted}")
         current = getattr(section, key)
         if is_dataclass(current):
-            value = _merge_section(current, value, f"{context}.{key}")
-        elif isinstance(current, tuple):
-            value = tuple(value)
-        kwargs[key] = value
+            kwargs[key] = _merge_section(current, value, dotted)
+        else:
+            kwargs[key] = _typed(current, value, dotted)
     return replace(section, **kwargs)
 
 
@@ -152,6 +188,8 @@ def apply_config_overrides(cfg: ConverterConfig, overrides: dict[str, str]) -> C
         node = nested
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise SchemaError(f"config key config.{dotted}: {part} is not a section")
         try:
             node[parts[-1]] = json.loads(text)
         except json.JSONDecodeError:
@@ -159,19 +197,17 @@ def apply_config_overrides(cfg: ConverterConfig, overrides: dict[str, str]) -> C
     return _merge_section(cfg, nested, "config")
 
 
-def _interp_tracks(values: np.ndarray, frame_centers_s: np.ndarray, n_out: int,
-                   out_rate: int) -> np.ndarray:
+def _interp_tracks(values: np.ndarray, frame_centers_s: np.ndarray, n_out: int) -> np.ndarray:
     """Linearly interpolate frame-rate values onto the output sample grid."""
-    t = np.arange(n_out) / out_rate
+    t = np.arange(n_out) / VIBRATION_RATE
     if len(values) == 1:
         return np.full(n_out, values[0])
     return np.interp(t, frame_centers_s, values)
 
 
 def normalize_vibration(raw: np.ndarray, strategy: str, cfg: ConverterConfig, *,
-                        algorithm_tag: str, input_rate: int | None = None,
-                        segment_len: int | None = None) -> VibrationSignal:
-    """Resample to the output rate, scale to the target RMS, and clamp.
+                        algorithm_tag: str, segment_len: int | None = None) -> VibrationSignal:
+    """Scale output-rate samples to the target RMS, and clamp.
 
     segment_max: scale so the loudest non-overlapping segment (the converter's
     native frame, in output samples) lands on cfg.target_segment_rms.
@@ -180,8 +216,6 @@ def normalize_vibration(raw: np.ndarray, strategy: str, cfg: ConverterConfig, *,
     if strategy not in ("segment_max", "global"):
         raise ValueError(f"unknown normalization strategy: {strategy!r}")
     samples = np.asarray(raw, dtype=np.float64)
-    if input_rate is not None and input_rate != cfg.output_rate:
-        samples = resample_samples(samples, input_rate, cfg.output_rate)
     if len(samples) == 0 or float(np.sqrt(np.mean(np.square(samples)))) < _SILENCE_RMS:
         raise DegenerateSignalError("degenerate signal: silent converter output")
 
@@ -189,7 +223,7 @@ def normalize_vibration(raw: np.ndarray, strategy: str, cfg: ConverterConfig, *,
         scaled, clipped = rms_normalize(samples, cfg.target_segment_rms)
     else:
         if segment_len is None:
-            segment_len = max(1, int(round(0.010 * cfg.output_rate)))
+            segment_len = ms_to_samples(10.0, VIBRATION_RATE)
         n_full = len(samples) - len(samples) % segment_len
         seg_ms = np.mean(np.square(samples[:n_full]).reshape(-1, segment_len), axis=1)
         if n_full < len(samples):
@@ -205,8 +239,8 @@ def normalize_vibration(raw: np.ndarray, strategy: str, cfg: ConverterConfig, *,
                            clipped_fraction=clipped)
 
 
-def _output_length(n_in: int, in_rate: int, out_rate: int) -> int:
-    return int(round(n_in * out_rate / in_rate))
+def _output_length(n_in: int, in_rate: int) -> int:
+    return int(round(n_in * VIBRATION_RATE / in_rate))
 
 
 def _frame_centers(n_frames: int, frame_size: int, hop: int, rate: int) -> np.ndarray:
@@ -218,21 +252,18 @@ def _carrier_vibration(freqs: np.ndarray, amps: np.ndarray, clip: AudioClip, win
                        algorithm_tag: str) -> VibrationSignal:
     """One carrier on per-frame (frequency, amplitude) tracks, normalized per segment_ms."""
     centers = _frame_centers(len(freqs), window, hop, clip.sample_rate)
-    n_out = _output_length(len(clip.samples), clip.sample_rate, cfg.output_rate)
-    raw = nco_synthesize(_interp_tracks(freqs, centers, n_out, cfg.output_rate),
-                         _interp_tracks(amps, centers, n_out, cfg.output_rate), cfg.output_rate)
-    segment = max(1, int(round(segment_ms * cfg.output_rate / 1000.0)))
+    n_out = _output_length(len(clip.samples), clip.sample_rate)
+    raw = nco_synthesize(_interp_tracks(freqs, centers, n_out),
+                         _interp_tracks(amps, centers, n_out), VIBRATION_RATE)
     return normalize_vibration(raw, "segment_max", cfg, algorithm_tag=algorithm_tag,
-                               segment_len=segment)
+                               segment_len=ms_to_samples(segment_ms, VIBRATION_RATE))
 
 
-def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig,
-                       psycho_config: psycho.PsychoConfig = psycho.DEFAULT_PSYCHO_CONFIG,
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (intensity, roughness) tracks for the perceptual mapping."""
     frame_size = cfg.plm.frame_size
     loudness, raw_rough = psycho.loudness_roughness_frames(
-        clip.samples, frame_size, frame_size, clip.sample_rate, psycho_config)
+        clip.samples, frame_size, frame_size, clip.sample_rate, cfg.psycho)
     a0, a1 = cfg.plm.intensity_map
     b0, b1, b2 = cfg.plm.roughness_map
     # fmax, not maximum: a NaN feature maps to 0 rather than propagating
@@ -251,17 +282,17 @@ def convert_plm(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vibratio
     amp_low = intensity * (1.0 - mix)
     amp_high = intensity * mix
 
-    n_out = _output_length(len(clip.samples), clip.sample_rate, cfg.output_rate)
+    n_out = _output_length(len(clip.samples), clip.sample_rate)
     centers = _frame_centers(len(intensity), cfg.plm.frame_size, cfg.plm.frame_size,
                              clip.sample_rate)
-    env_low = _interp_tracks(amp_low, centers, n_out, cfg.output_rate)
-    env_high = _interp_tracks(amp_high, centers, n_out, cfg.output_rate)
+    env_low = _interp_tracks(amp_low, centers, n_out)
+    env_high = _interp_tracks(amp_high, centers, n_out)
 
-    t = np.arange(n_out) / cfg.output_rate
+    t = np.arange(n_out) / VIBRATION_RATE
     raw = env_low * np.sin(2.0 * np.pi * cfg.plm.carrier_low_hz * t) \
         + env_high * np.sin(2.0 * np.pi * cfg.plm.carrier_high_hz * t)
 
-    segment = _output_length(cfg.plm.frame_size, clip.sample_rate, cfg.output_rate)
+    segment = _output_length(cfg.plm.frame_size, clip.sample_rate)
     return normalize_vibration(raw, "segment_max", cfg, algorithm_tag="plm",
                                segment_len=segment)
 
@@ -279,7 +310,7 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
                     order=cfg.fshift.bp_order)
     filtered = butterworth_filter(mixed, hp, clip.sample_rate)
     filtered = butterworth_filter(filtered, bp, clip.sample_rate)
-    return resample_samples(filtered, clip.sample_rate, cfg.output_rate)
+    return resample_samples(filtered, clip.sample_rate, VIBRATION_RATE)
 
 
 def convert_fshift(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
@@ -288,15 +319,18 @@ def convert_fshift(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vibra
     return normalize_vibration(fshift_raw(clip, cfg), "global", cfg, algorithm_tag="fshift")
 
 
-def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig,
-                          psycho_config: psycho.PsychoConfig = psycho.DEFAULT_PSYCHO_CONFIG,
-                          ) -> tuple[np.ndarray, np.ndarray]:
+def _pitch_window(pc: PitchConfig, sample_rate: int) -> tuple[int, int]:
+    """(window, hop) in samples of the pitch converter's analysis frames."""
+    window = ms_to_samples(pc.window_ms, sample_rate)
+    return window, max(1, int(round(window * (1.0 - pc.overlap))))
+
+
+def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-window (frequency, amplitude) tracks for the pitch converter."""
     pc = cfg.pitch
-    window = max(1, int(round(pc.window_ms * clip.sample_rate / 1000.0)))
-    hop = max(1, int(round(window * (1.0 - pc.overlap))))
+    window, hop = _pitch_window(pc, clip.sample_rate)
     specific = psycho.specific_loudness_frames(clip.samples, window, hop, clip.sample_rate,
-                                               psycho_config)
+                                               cfg.psycho)
     totals = specific.sum(axis=1, keepdims=True)
     features = np.divide(specific, totals, out=specific.copy(),
                          where=(totals > 0) & pc.normalize_features)
@@ -309,9 +343,7 @@ def convert_pitch(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vibrat
     """Bark-profile regression to a single time-varying carrier frequency."""
     cfg = cfg or default_config()
     freqs, amps = pitch_frequency_track(clip, cfg)
-
-    window = max(1, int(round(cfg.pitch.window_ms * clip.sample_rate / 1000.0)))
-    hop = max(1, int(round(window * (1.0 - cfg.pitch.overlap))))
+    window, hop = _pitch_window(cfg.pitch, clip.sample_rate)
     return _carrier_vibration(freqs, amps, clip, window, hop, cfg.pitch.window_ms, cfg, "pitch")
 
 
@@ -326,7 +358,7 @@ def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vi
     r_norm = rms / peak
 
     freqs = hc.f_center_hz - hc.f_dev_hz + 2.0 * hc.f_dev_hz * r_norm
-    window = max(1, int(round(hc.window_ms * clip.sample_rate / 1000.0)))
+    window = ms_to_samples(hc.window_ms, clip.sample_rate)
     return _carrier_vibration(freqs, r_norm, clip, window, window, hc.window_ms, cfg, "hapticgen")
 
 

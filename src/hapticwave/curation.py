@@ -161,11 +161,11 @@ class KMeansResult:
         return {cid: int(lab) for cid, lab in zip(self.ids, self.labels)}
 
 
-def _standardize(points: np.ndarray) -> np.ndarray:
+def _standardize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mean = points.mean(axis=0)
     std = points.std(axis=0)
     std[std == 0] = 1.0
-    return (points - mean) / std
+    return (points - mean) / std, mean, std
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -208,7 +208,7 @@ def kmeans(vectors: np.ndarray | Mapping[str, FeatureVector | np.ndarray],
     if n < k:
         raise ValueError(f"cannot form {k} clusters from {n} points")
 
-    std_points = _standardize(points)
+    std_points, mean, std = _standardize(points)
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(std_points, k, rng)
 
@@ -227,9 +227,6 @@ def kmeans(vectors: np.ndarray | Mapping[str, FeatureVector | np.ndarray],
             break
         labels = new_labels
 
-    mean = points.mean(axis=0)
-    std = points.std(axis=0)
-    std[std == 0] = 1.0
     return KMeansResult(labels=labels, centroids=centers * std + mean,
                         inertia_history=history, ids=ids)
 

@@ -18,6 +18,11 @@ def hann_window(size: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(size) / size)
 
 
+def ms_to_samples(ms: float, sample_rate: int) -> int:
+    """Length of a millisecond span in samples, rounded, at least 1."""
+    return max(1, int(round(ms * sample_rate / 1000.0)))
+
+
 def frame_signal(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     """Slice a signal into (n_frames, frame_size) with no padding.
 
@@ -38,24 +43,6 @@ def frame_spectra(signal: np.ndarray, window: np.ndarray, hop: int) -> np.ndarra
 
 
 @dataclass
-class Spectrogram:
-    """One-sided magnitude STFT, frame-major."""
-
-    magnitudes: np.ndarray  # (n_frames, fft_size // 2 + 1)
-    fft_size: int
-    hop: int
-    sample_rate: int
-    window: str = "hann"
-
-    @property
-    def n_frames(self) -> int:
-        return self.magnitudes.shape[0]
-
-    def bin_frequencies(self) -> np.ndarray:
-        return np.fft.rfftfreq(self.fft_size, 1.0 / self.sample_rate)
-
-
-@dataclass
 class FilterSpec:
     """Butterworth filter description; bandpass Q is center over bandwidth."""
 
@@ -73,14 +60,13 @@ class FilterSpec:
             raise ValueError("q must be positive")
 
 
-def stft(signal: np.ndarray, fft_size: int, hop: int, sample_rate: int) -> Spectrogram:
-    """Magnitude STFT with a Hann window and no padding."""
+def stft(signal: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
+    """Magnitude STFT, (n_frames, fft_size // 2 + 1), with a Hann window and no padding."""
     if fft_size <= 0 or (fft_size & (fft_size - 1)) != 0:
         raise ValueError("fft_size must be a power of two")
     if not 0 < hop <= fft_size:
         raise ValueError("hop must be in (0, fft_size]")
-    mags = frame_spectra(signal, hann_window(fft_size), hop)
-    return Spectrogram(magnitudes=mags, fft_size=fft_size, hop=hop, sample_rate=sample_rate)
+    return frame_spectra(signal, hann_window(fft_size), hop)
 
 
 def _butter_sos(spec: FilterSpec, sample_rate: int) -> np.ndarray:
@@ -206,8 +192,8 @@ def frame_rms(signal: np.ndarray, window_ms: float, hop_ms: float, sample_rate: 
     """Short-term RMS over sliding windows given in milliseconds."""
     if window_ms <= 0 or hop_ms <= 0:
         raise ValueError("window and hop must be positive")
-    window = max(1, int(round(window_ms * sample_rate / 1000.0)))
-    hop = max(1, int(round(hop_ms * sample_rate / 1000.0)))
+    window = ms_to_samples(window_ms, sample_rate)
+    hop = ms_to_samples(hop_ms, sample_rate)
     frames = frame_signal(np.asarray(signal, dtype=np.float64), window, hop)
     return np.sqrt(np.mean(np.square(frames), axis=1))
 

@@ -14,15 +14,12 @@ cached per-(frame size, rate) tables; the single-frame functions wrap them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .dsp import frame_spectra, hann_window
-from .errors import SchemaError
 
 N_BARK_BANDS = 24
 
@@ -43,7 +40,7 @@ _CONTOUR_GAINS_DB = (
 
 @dataclass
 class PsychoConfig:
-    """Tunable constants; defaults are embedded, a JSON file may override."""
+    """Tunable constants with embedded defaults; the converters read ConverterConfig.psycho."""
 
     contour_freqs: tuple = _CONTOUR_FREQS
     contour_gains_db: tuple = _CONTOUR_GAINS_DB
@@ -63,22 +60,6 @@ class PsychoConfig:
 
 
 DEFAULT_PSYCHO_CONFIG = PsychoConfig()
-
-
-def load_psycho_config(path: str | Path) -> PsychoConfig:
-    """Load constant overrides from a JSON object keyed by field name."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read psychoacoustics config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    known = {f for f in PsychoConfig.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise SchemaError(f"{path}: unknown config keys {sorted(unknown)}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
-    return PsychoConfig(**kwargs)
 
 
 def hz_to_bark(freq_hz: np.ndarray | float) -> np.ndarray | float:

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hapticwave
 from hapticwave.audio_io import AudioClip, save_wav
 from hapticwave.cli import run
 from hapticwave.curation import DatasetManifest, ManifestEntry, write_manifest
@@ -78,6 +83,42 @@ class TestConvert:
     def test_unknown_flag_rejected(self, tone_wav, tmp_path):
         assert run(["convert", "--algo", "plm", "--in", str(tone_wav),
                     "--out", str(tmp_path / "o.wav"), "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("overrides,key", [
+        (["plm.frame_size=abc"], "plm.frame_size"),
+        (["plm.frame_size=4096.0"], "plm.frame_size"),
+        (["plm.frame_size=true"], "plm.frame_size"),
+        (["pitch.normalize_features=1"], "pitch.normalize_features"),
+        (["pitch.regression_coeffs=5"], "pitch.regression_coeffs"),
+        (['plm.carrier_mix="x"'], "plm.carrier_mix"),
+        (["plm.carrier_mix=NaN"], "plm.carrier_mix"),
+        (["fshift.shifts=[-12,Infinity]"], "fshift.shifts"),
+        (["hapticgen=3"], "hapticgen"),
+        (["plm=1", "plm.frame_size=2"], "plm.frame_size"),
+        (["plm.intensity_map=[1,2,3]"], "plm.intensity_map"),
+        (["plm.roughness_map=[1,2]"], "plm.roughness_map"),
+        (["psycho.contour_gains_db=[0.0,1.0]"], "psycho.contour_gains_db"),
+        (["output_rate=16000"], "unknown config key config.output_rate"),
+    ])
+    def test_malformed_override_names_key(self, tone_wav, tmp_path, capsys, overrides, key):
+        out = tmp_path / "o.wav"
+        argv = ["convert", "--algo", "plm", "--in", str(tone_wav), "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert run(argv) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_module_entry_point_writes_output(self, tone_wav, tmp_path):
+        out = tmp_path / "vib.wav"
+        src = str(Path(hapticwave.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "hapticwave.cli", "convert", "--algo", "plm",
+                               "--in", str(tone_wav), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
 
 
 class TestBatch:

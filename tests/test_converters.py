@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ class TestNormalizeVibration:
         x = 0.1 * rng.standard_normal(250)
         x[-10:] *= 8.0  # loudest samples sit in the trailing partial segment
         out = normalize_vibration(x, "segment_max", default_config(), algorithm_tag="pitch",
-                                  input_rate=8000, segment_len=80)
+                                  segment_len=80)
         peak = max(np.sqrt(np.mean(np.square(x[s:s + 80]))) for s in range(0, 250, 80))
         np.testing.assert_array_equal(out.samples, np.clip(x * (0.15 / peak), -1.0, 1.0))
 
@@ -298,10 +299,35 @@ class TestConfig:
             load_converter_config(path)
 
     def test_dotted_overrides(self):
-        cfg = apply_config_overrides(default_config(),
-                                     {"plm.carrier_mix": "0.4", "output_rate": "8000"})
+        cfg = apply_config_overrides(default_config(), {"plm.carrier_mix": "0.4"})
         assert cfg.plm.carrier_mix == 0.4
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
             apply_config_overrides(default_config(), {"pitch.f_min_hz": "500"})
+
+    def test_every_leaf_round_trips_its_default(self):
+        def leaves(section, prefix=""):
+            for f in fields(section):
+                value = getattr(section, f.name)
+                if is_dataclass(value):
+                    yield from leaves(value, f"{prefix}{f.name}.")
+                else:
+                    yield f"{prefix}{f.name}", value
+
+        found = list(leaves(default_config()))
+        assert len(found) == 35
+        assert sum(dotted.startswith("psycho.") for dotted, _ in found) == 13
+        for dotted, default in found:
+            cfg = apply_config_overrides(default_config(), {dotted: json.dumps(default)})
+            assert cfg == default_config(), dotted
+
+    @pytest.mark.parametrize("dotted,value,algos", [
+        ("psycho.loudness_exponent", "0.3", ("plm", "pitch")),
+        ("psycho.kernel_scale", "0.5", ("plm",)),
+    ])
+    def test_psycho_override_reaches_converters(self, am_clip, dotted, value, algos):
+        cfg = apply_config_overrides(default_config(), {dotted: value})
+        for algo in algos:
+            assert not np.array_equal(convert(am_clip, algo, cfg).samples,
+                                      convert(am_clip, algo).samples), algo

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from hapticwave.converters import load_converter_config
 from hapticwave.errors import SchemaError
 from hapticwave.dsp import frame_signal, hann_window
 from hapticwave.psychoacoustics import (
@@ -20,7 +21,6 @@ from hapticwave.psychoacoustics import (
     frame_loudness,
     frame_roughness,
     hz_to_bark,
-    load_psycho_config,
     loudness_roughness_frames,
     spectral_peaks,
     specific_loudness_bark,
@@ -198,16 +198,18 @@ class TestBatchedCore:
 
 
 class TestConfig:
+    """The constants are the `psycho` section of the one converter config."""
+
     def test_load_overrides(self, tmp_path):
-        path = tmp_path / "psycho.json"
-        path.write_text(json.dumps({"loudness_exponent": 0.3, "max_peaks": 6}))
-        cfg = load_psycho_config(path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"psycho": {"loudness_exponent": 0.3, "max_peaks": 6}}))
+        cfg = load_converter_config(path).psycho
         assert cfg.loudness_exponent == 0.3
         assert cfg.max_peaks == 6
         assert cfg.kernel_b1 == PsychoConfig().kernel_b1
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"nope": 1}))
+        path.write_text(json.dumps({"psycho": {"nope": 1}}))
         with pytest.raises(SchemaError):
-            load_psycho_config(path)
+            load_converter_config(path)
