@@ -48,6 +48,7 @@ from .errors import (
     AudioFormatError,
     DegenerateSignalError,
     HapticwaveError,
+    NonFiniteSignalError,
     ProtocolError,
     SchemaError,
 )

@@ -10,13 +10,14 @@ import warnings
 import wave
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
-from .errors import AudioFormatError, DegenerateSignalError
+from .errors import AudioFormatError, DegenerateSignalError, NonFiniteSignalError
 
 VIBRATION_RATE = 8000
 ALGORITHM_TAGS = ("plm", "fshift", "pitch", "hapticgen", "blended")
@@ -95,14 +96,38 @@ def save_wav(signal: AudioClip | VibrationSignal, path: str | Path) -> None:
     """Write a signal as mono 16-bit PCM at its own sample rate.
 
     Values are quantized with saturation, so a sample at exactly +1.0 is
-    stored as 32767 and round-trips within 1/32768.
+    stored as 32767 and round-trips within 1/32768. NaN or infinite samples
+    raise NonFiniteSignalError before the file is opened.
     """
+    bad = np.count_nonzero(~np.isfinite(signal.samples))
+    if bad:
+        raise NonFiniteSignalError(f"{path}: refusing to write {bad} non-finite samples")
     quantized = np.clip(np.rint(signal.samples * 32768.0), -32768, 32767)
     with wave.open(str(path), "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(signal.sample_rate)
         wav.writeframes(quantized.astype("<i2").tobytes())
+
+
+@lru_cache(maxsize=32)
+def _kaiser_lowpass(up: int, down: int) -> np.ndarray:
+    """The anti-aliasing FIR resample_poly designs for (up, down), built once and read-only."""
+    max_rate = max(up, down)
+    h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))
+    h.flags.writeable = False
+    return h
+
+
+def _resample_poly(samples: np.ndarray, up: int, down: int, want: int) -> np.ndarray:
+    """resample_poly with the cached filter, cut or zero-padded to want samples."""
+    if up == down:  # resample_poly returns a copy without filtering
+        out = np.array(samples)
+    else:
+        out = resample_poly(samples, up, down, window=_kaiser_lowpass(up, down))
+    if len(out) < want:
+        out = np.pad(out, (0, want - len(out)))
+    return out[:want]
 
 
 def resample_samples(samples: np.ndarray, source_rate: int, target_rate: int) -> np.ndarray:
@@ -119,26 +144,15 @@ def resample_samples(samples: np.ndarray, source_rate: int, target_rate: int) ->
         return samples
 
     g = gcd(source_rate, target_rate)
-    up, down = target_rate // g, source_rate // g
-    out = resample_poly(samples, up, down, window=("kaiser", _KAISER_BETA))
-    want = int(round(len(samples) * target_rate / source_rate))
-    if len(out) > want:
-        out = out[:want]
-    elif len(out) < want:
-        out = np.pad(out, (0, want - len(out)))
-    return out
+    return _resample_poly(samples, target_rate // g, source_rate // g,
+                          int(round(len(samples) * target_rate / source_rate)))
 
 
 def resample_by_ratio(samples: np.ndarray, ratio: float, max_denominator: int = 1000) -> np.ndarray:
     """Resample by an arbitrary length ratio via a rational approximation."""
     frac = Fraction(ratio).limit_denominator(max_denominator)
-    out = resample_poly(samples, frac.numerator, frac.denominator, window=("kaiser", _KAISER_BETA))
-    want = int(round(len(samples) * ratio))
-    if len(out) > want:
-        out = out[:want]
-    elif len(out) < want:
-        out = np.pad(out, (0, want - len(out)))
-    return out
+    return _resample_poly(samples, frac.numerator, frac.denominator,
+                          int(round(len(samples) * ratio)))
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:

@@ -122,6 +122,16 @@ class ConverterConfig:
                 raise ValueError(f"plm.{key} needs {arity} values")
         if len(self.psycho.contour_gains_db) != len(self.psycho.contour_freqs):
             raise ValueError("psycho.contour_gains_db and psycho.contour_freqs differ in length")
+        if np.any(np.diff(self.psycho.contour_freqs) <= 0):
+            raise ValueError("psycho.contour_freqs must be strictly ascending")
+        if self.psycho.max_peaks < 1:
+            raise ValueError("psycho.max_peaks must be at least 1")
+        if self.psycho.loudness_exponent <= 0:
+            raise ValueError("psycho.loudness_exponent must be positive")
+        if not 0 <= self.pitch.overlap < 1:
+            raise ValueError("pitch.overlap must be in [0, 1)")
+        if any(abs(s) > 24 for s in self.fshift.shifts):
+            raise ValueError("fshift.shifts entries are limited to +/-24 semitones")
         if self.plm.frame_size <= 0 or self.pitch.window_ms <= 0 \
                 or self.hapticgen.window_ms <= 0:
             raise ValueError("frame and window sizes must be positive")
@@ -302,14 +312,11 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
     cfg = cfg or default_config()
     if len(clip.samples) == 0:
         raise ValueError("cannot convert an empty clip")
-    mixed = clip.samples.astype(np.float64)
-    for semitones in cfg.fshift.shifts:
-        mixed = mixed + pitch_shift(clip, semitones).samples
+    mixed = clip.samples + pitch_shift(clip, cfg.fshift.shifts).samples
     hp = FilterSpec("highpass", cfg.fshift.hp_cutoff_hz, order=cfg.fshift.hp_order)
     bp = FilterSpec("bandpass", cfg.fshift.bp_center_hz, q=cfg.fshift.bp_q,
                     order=cfg.fshift.bp_order)
-    filtered = butterworth_filter(mixed, hp, clip.sample_rate)
-    filtered = butterworth_filter(filtered, bp, clip.sample_rate)
+    filtered = butterworth_filter(mixed, (hp, bp), clip.sample_rate)
     return resample_samples(filtered, clip.sample_rate, VIBRATION_RATE)
 
 

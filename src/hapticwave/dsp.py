@@ -1,11 +1,13 @@
 """Spectral and filtering primitives shared by the converters, curation, and metrics.
 
-Everything here is a pure function of its inputs; no module state.
+Everything here is a pure function of its inputs; the only module state is a
+cache of read-only filter designs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import butter, sosfilt
@@ -69,101 +71,148 @@ def stft(signal: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
     return frame_spectra(signal, hann_window(fft_size), hop)
 
 
-def _butter_sos(spec: FilterSpec, sample_rate: int) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _butter_sos(kind: str, cutoff: float, q: float, order: int, sample_rate: int) -> np.ndarray:
+    """Second-order sections for one FilterSpec at one rate, designed once and read-only."""
     nyquist = sample_rate / 2.0
-    if spec.kind == "highpass":
-        if spec.center_or_cutoff >= nyquist:
+    if kind == "highpass":
+        if cutoff >= nyquist:
             raise ValueError("cutoff must be below Nyquist")
-        return butter(spec.order, spec.center_or_cutoff, btype="highpass",
-                      fs=sample_rate, output="sos")
-    # Bandpass edges from center frequency and Q = f0 / bandwidth, with f0 the
-    # geometric mean of the edges. scipy's N doubles for bandpass, so N = order/2
-    # yields the requested composite order.
-    half = np.sqrt(1.0 + 1.0 / (4.0 * spec.q**2))
-    low = spec.center_or_cutoff * (half - 1.0 / (2.0 * spec.q))
-    high = spec.center_or_cutoff * (half + 1.0 / (2.0 * spec.q))
-    if high >= nyquist:
-        raise ValueError("upper band edge must be below Nyquist")
-    return butter(spec.order // 2, [low, high], btype="bandpass", fs=sample_rate, output="sos")
+        sos = butter(order, cutoff, btype="highpass", fs=sample_rate, output="sos")
+    else:
+        # Bandpass edges from center frequency and Q = f0 / bandwidth, with f0
+        # the geometric mean of the edges. scipy's N doubles for bandpass, so
+        # N = order/2 yields the requested composite order.
+        half = np.sqrt(1.0 + 1.0 / (4.0 * q**2))
+        low = cutoff * (half - 1.0 / (2.0 * q))
+        high = cutoff * (half + 1.0 / (2.0 * q))
+        if high >= nyquist:
+            raise ValueError("upper band edge must be below Nyquist")
+        sos = butter(order // 2, [low, high], btype="bandpass", fs=sample_rate, output="sos")
+    sos.flags.writeable = False
+    return sos
 
 
-def butterworth_filter(signal: np.ndarray, spec: FilterSpec, sample_rate: int) -> np.ndarray:
-    """Causal Butterworth filtering as a cascade of biquad sections."""
-    sos = _butter_sos(spec, sample_rate)
+def butterworth_filter(signal: np.ndarray, spec: FilterSpec | tuple[FilterSpec, ...],
+                       sample_rate: int) -> np.ndarray:
+    """Causal Butterworth filtering as a cascade of biquad sections.
+
+    A tuple of specs runs as one stacked cascade, which equals filtering by
+    each spec in turn.
+    """
+    specs = spec if isinstance(spec, tuple) else (spec,)
+    # vstack copies the cached sections: sosfilt needs a writable array
+    sos = np.vstack([_butter_sos(s.kind, s.center_or_cutoff, s.q, s.order, sample_rate)
+                     for s in specs])
     return sosfilt(sos, np.asarray(signal, dtype=np.float64))
 
 
 def _istft(spectrum: np.ndarray, fft_size: int, hop: int, length: int) -> np.ndarray:
-    """Overlap-add inverse of a complex STFT with Hann analysis + synthesis."""
+    """Overlap-add inverse of a complex STFT with Hann analysis + synthesis.
+
+    Frames are zero-padded to k = ceil(fft_size / hop) blocks of hop samples;
+    block j of frame i lands on output block i + j. Adding the blocks from
+    j = k - 1 down to 0 adds each output sample's frames in ascending order.
+    """
     window = hann_window(fft_size)
-    frames = np.fft.irfft(spectrum, n=fft_size, axis=1) * window[None, :]
-    n_frames = spectrum.shape[0]
-    out = np.zeros(fft_size + hop * (n_frames - 1))
+    frames = np.fft.irfft(spectrum, n=fft_size, axis=1)
+    frames *= window
+    n = len(frames)
+    k = -(-fft_size // hop)
+    pad = k * hop - fft_size
+    if pad:
+        frames = np.pad(frames, ((0, 0), (0, pad)))
+    frames = frames.reshape(n, k, hop)
+    w2 = np.pad(window * window, (0, pad)).reshape(k, hop)
+    out = np.zeros((n + k - 1, hop))
     norm = np.zeros_like(out)
-    w2 = window * window
-    for i in range(n_frames):
-        start = i * hop
-        out[start:start + fft_size] += frames[i]
-        norm[start:start + fft_size] += w2
-    out /= np.maximum(norm, 1e-8)
-    if len(out) >= length:
-        return out[:length]
-    return np.pad(out, (0, length - len(out)))
+    for j in range(k - 1, -1, -1):
+        out[j:j + n] += frames[:, j]
+        norm[j:j + n] += w2[j]
+    out = out.ravel()
+    out /= np.maximum(norm.ravel(), 1e-8)
+    # past fft_size + hop * (n - 1) the sums are 0, as the zero padding below
+    if len(out) < length:
+        out = np.pad(out, (0, length - len(out)))
+    return out[:length]
 
 
-def _time_stretch(signal: np.ndarray, rate: float, fft_size: int, hop: int) -> np.ndarray:
-    """Phase-vocoder time scaling; rate > 1 shortens, output ~ len/rate."""
+def _analysis(signal: np.ndarray, fft_size: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(magnitude, unit phasor) of the Hann-windowed STFT frames, (n_frames, n_bins) each.
+
+    The phasor is S / |S|, or exp(i * angle(S)) where |S| == 0, so it is
+    exp(i * angle(S)) everywhere. The spectrum is divided in place.
+    """
     x = signal
     if len(x) < fft_size + hop:
         x = np.pad(x, (0, fft_size + hop - len(x)))
-    window = hann_window(fft_size)
-    frames = frame_signal(x, fft_size, hop)
-    spectrum = np.fft.rfft(frames * window[None, :], axis=1)
-    n_frames, n_bins = spectrum.shape
-
+    spectrum = np.fft.rfft(frame_signal(x, fft_size, hop) * hann_window(fft_size), axis=1)
     mags = np.abs(spectrum)
-    phases = np.angle(spectrum)
-    expected_advance = 2.0 * np.pi * hop * np.arange(n_bins) / fft_size
-
-    steps = np.arange(0, n_frames - 1, rate)
-    out = np.empty((len(steps), n_bins), dtype=complex)
-    accumulated = phases[0].copy()
-    for j, t in enumerate(steps):
-        i = int(t)
-        frac = t - i
-        mag = (1.0 - frac) * mags[i] + frac * mags[i + 1]
-        out[j] = mag * np.exp(1j * accumulated)
-        deviation = phases[i + 1] - phases[i] - expected_advance
-        deviation -= 2.0 * np.pi * np.round(deviation / (2.0 * np.pi))
-        accumulated += expected_advance + deviation
-    return _istft(out, fft_size, hop, int(round(len(signal) / rate)))
+    np.divide(spectrum, mags, out=spectrum, where=mags > 0)
+    zero = mags == 0
+    if zero.any():
+        spectrum[zero] = np.exp(1j * np.angle(spectrum[zero]))
+    return mags, spectrum
 
 
-def pitch_shift(clip: AudioClip, semitones: float, fft_size: int = 2048,
+def _stretch_frames(mags: np.ndarray, phasors: np.ndarray, rate: float) -> np.ndarray:
+    """Phase-vocoder frames read every `rate` analysis frames (Laroche & Dolson 1999).
+
+    Output frame j takes the magnitude interpolated at t_j = j * rate and the
+    phase of frame 0 advanced by the phase difference of frames
+    (int(t_m), int(t_m) + 1) for every m < j. Wrapping a phase difference by
+    2 pi leaves its phasor unchanged, so the accumulated phase is a running
+    product of u[i + 1] * conj(u[i]).
+    """
+    steps = np.arange(0, len(mags) - 1, rate)
+    i = steps.astype(np.intp)
+    frac = (steps - i)[:, None]
+    out = np.empty((len(steps), mags.shape[1]), dtype=complex)
+    out[0] = phasors[0]
+    np.conjugate(phasors[i[:-1]], out=out[1:])
+    out[1:] *= phasors[i[:-1] + 1]
+    np.cumprod(out, axis=0, out=out)
+    mag = mags[i]
+    if frac.any():
+        mag *= 1.0 - frac
+        mag += frac * mags[i + 1]
+    out *= mag
+    return out
+
+
+def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...], fft_size: int = 2048,
                 hop: int | None = None) -> AudioClip:
     """Shift pitch by a signed number of semitones, preserving duration.
 
     Phase-vocoder time scaling followed by band-limited resampling; the
-    output has exactly the input's length.
+    output has exactly the input's length. A tuple of shifts returns the sum
+    of the shifted copies, all read from one analysis STFT.
     """
-    if abs(semitones) > 24:
+    shifts = semitones if isinstance(semitones, tuple) else (semitones,)
+    if any(abs(s) > 24 for s in shifts):
         raise ValueError("semitone shift limited to +/-24")
-    if len(clip.samples) == 0:
+    n = len(clip.samples)
+    if n == 0:
         raise ValueError("cannot pitch-shift an empty clip")
-    if semitones == 0:
-        return AudioClip(clip.samples.copy(), clip.sample_rate, clip.source_id)
     if hop is None:
         hop = fft_size // 4
 
-    ratio = 2.0 ** (semitones / 12.0)
-    stretched = _time_stretch(clip.samples, rate=1.0 / ratio, fft_size=fft_size, hop=hop)
-    shifted = resample_by_ratio(stretched, 1.0 / ratio)
-    n = len(clip.samples)
-    if len(shifted) >= n:
-        shifted = shifted[:n]
-    else:
-        shifted = np.pad(shifted, (0, n - len(shifted)))
-    return AudioClip(samples=shifted, sample_rate=clip.sample_rate, source_id=clip.source_id)
+    total = np.zeros(n)
+    analysis = None
+    for s in shifts:
+        if s == 0:
+            total += clip.samples
+            continue
+        if analysis is None:
+            analysis = _analysis(clip.samples, fft_size, hop)
+        ratio = 2.0 ** (s / 12.0)
+        rate = 1.0 / ratio
+        stretched = _istft(_stretch_frames(*analysis, rate), fft_size, hop, int(round(n / rate)))
+        shifted = resample_by_ratio(stretched, 1.0 / ratio)
+        if len(shifted) < n:
+            shifted = np.pad(shifted, (0, n - len(shifted)))
+        total += shifted[:n]
+    return AudioClip(samples=total, sample_rate=clip.sample_rate, source_id=clip.source_id)
 
 
 def nco_synthesize(freq_track: np.ndarray, amp_track: np.ndarray, sample_rate: int) -> np.ndarray:

@@ -19,3 +19,7 @@ class SchemaError(HapticwaveError):
 
 class ProtocolError(HapticwaveError):
     """Input violates a fixed protocol (e.g. benchmark corpus shape)."""
+
+
+class NonFiniteSignalError(HapticwaveError):
+    """Signal holds NaN or infinite samples."""

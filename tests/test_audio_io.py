@@ -18,7 +18,12 @@ from hapticwave.audio_io import (
     rms_normalize,
     save_wav,
 )
-from hapticwave.errors import AudioFormatError, DegenerateSignalError
+from hapticwave.errors import (
+    AudioFormatError,
+    DegenerateSignalError,
+    HapticwaveError,
+    NonFiniteSignalError,
+)
 
 from conftest import SR, dominant_frequency, sine_clip
 
@@ -76,6 +81,16 @@ class TestLoadSave:
             assert wav.getframerate() == 8000
             assert wav.getnframes() == 40000
             assert wav.getnchannels() == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_refused(self, tmp_path, bad):
+        samples = np.full(8000, 0.1)
+        samples[4321] = bad
+        path = tmp_path / "bad.wav"
+        with pytest.raises(NonFiniteSignalError, match="1 non-finite"):
+            save_wav(VibrationSignal(samples=samples, algorithm_tag="fshift"), path)
+        assert issubclass(NonFiniteSignalError, HapticwaveError)
+        assert not path.exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -17,6 +17,7 @@ from hapticwave.audio_io import AudioClip, save_wav
 from hapticwave.cli import run
 from hapticwave.curation import DatasetManifest, ManifestEntry, write_manifest
 from hapticwave.fixtures import manifest_fixture_path, ratings_fixture_path
+from hapticwave.psychoacoustics import PsychoConfig
 
 from conftest import SR, sine_clip
 
@@ -99,6 +100,16 @@ class TestConvert:
         (["plm.roughness_map=[1,2]"], "plm.roughness_map"),
         (["psycho.contour_gains_db=[0.0,1.0]"], "psycho.contour_gains_db"),
         (["output_rate=16000"], "unknown config key config.output_rate"),
+        (["pitch.overlap=1.5"], "pitch.overlap"),
+        (["pitch.overlap=-0.1"], "pitch.overlap"),
+        (["psycho.max_peaks=-1"], "psycho.max_peaks"),
+        (["psycho.max_peaks=0"], "psycho.max_peaks"),
+        (["psycho.loudness_exponent=-1"], "psycho.loudness_exponent"),
+        (["psycho.loudness_exponent=0"], "psycho.loudness_exponent"),
+        ([f"psycho.contour_freqs={list(PsychoConfig().contour_freqs)[::-1]}"],
+         "psycho.contour_freqs"),
+        (["fshift.shifts=[-30]"], "fshift.shifts"),
+        (["fshift.shifts=[-12,24.5]"], "fshift.shifts"),
     ])
     def test_malformed_override_names_key(self, tone_wav, tmp_path, capsys, overrides, key):
         out = tmp_path / "o.wav"

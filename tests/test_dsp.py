@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 import pytest
+from scipy.signal import resample_poly, sosfilt
 
-from hapticwave.audio_io import AudioClip
+from hapticwave.audio_io import AudioClip, _kaiser_lowpass, resample_by_ratio, resample_samples
+from hapticwave.converters import default_config, fshift_raw
 from hapticwave.dsp import (
     FilterSpec,
+    _analysis,
+    _butter_sos,
+    _istft,
+    _stretch_frames,
     butterworth_filter,
+    frame_signal,
     frame_rms,
     hann_window,
     instantaneous_frequency,
@@ -150,6 +160,179 @@ class TestPitchShift:
     def test_empty_clip(self):
         with pytest.raises(ValueError):
             pitch_shift(AudioClip(np.zeros(0), SR), -12)
+
+
+    def test_tuple_range_limit(self):
+        with pytest.raises(ValueError):
+            pitch_shift(sine_clip(440.0, duration=0.1), (-12.0, 25.0))
+
+
+# The per-frame phase vocoder and overlap-add that pitch_shift replaced, kept
+# as the reference its vectorised form is checked against.
+def _loop_istft(spectrum, fft_size, hop, length):
+    window = hann_window(fft_size)
+    frames = np.fft.irfft(spectrum, n=fft_size, axis=1) * window[None, :]
+    n_frames = spectrum.shape[0]
+    out = np.zeros(fft_size + hop * (n_frames - 1))
+    norm = np.zeros_like(out)
+    w2 = window * window
+    for i in range(n_frames):
+        start = i * hop
+        out[start:start + fft_size] += frames[i]
+        norm[start:start + fft_size] += w2
+    out /= np.maximum(norm, 1e-8)
+    if len(out) >= length:
+        return out[:length]
+    return np.pad(out, (0, length - len(out)))
+
+
+def _loop_stretch_frames(signal, rate, fft_size, hop):
+    x = signal
+    if len(x) < fft_size + hop:
+        x = np.pad(x, (0, fft_size + hop - len(x)))
+    window = hann_window(fft_size)
+    spectrum = np.fft.rfft(frame_signal(x, fft_size, hop) * window[None, :], axis=1)
+    n_frames, n_bins = spectrum.shape
+    mags = np.abs(spectrum)
+    phases = np.angle(spectrum)
+    expected_advance = 2.0 * np.pi * hop * np.arange(n_bins) / fft_size
+    steps = np.arange(0, n_frames - 1, rate)
+    out = np.empty((len(steps), n_bins), dtype=complex)
+    accumulated = phases[0].copy()
+    for j, t in enumerate(steps):
+        i = int(t)
+        frac = t - i
+        mag = (1.0 - frac) * mags[i] + frac * mags[i + 1]
+        out[j] = mag * np.exp(1j * accumulated)
+        deviation = phases[i + 1] - phases[i] - expected_advance
+        deviation -= 2.0 * np.pi * np.round(deviation / (2.0 * np.pi))
+        accumulated += expected_advance + deviation
+    return out
+
+
+def _loop_pitch_shift(samples, semitones, fft_size=2048, hop=None):
+    hop = hop or fft_size // 4
+    ratio = 2.0 ** (semitones / 12.0)
+    rate = 1.0 / ratio
+    frames = _loop_stretch_frames(samples, rate, fft_size, hop)
+    stretched = _loop_istft(frames, fft_size, hop, int(round(len(samples) / rate)))
+    shifted = resample_by_ratio(stretched, 1.0 / ratio)
+    n = len(samples)
+    return shifted[:n] if len(shifted) >= n else np.pad(shifted, (0, n - len(shifted)))
+
+
+def _vocoder_signal(kind, sr):
+    t = np.arange(sr) / sr
+    if kind == "noise":
+        return 0.3 * np.random.default_rng(sr).standard_normal(sr)
+    tone = 0.5 * np.sin(2 * np.pi * 440.0 * t)
+    if kind == "silence_then_tone":  # all-zero frames: bins with |S| == 0
+        tone[: sr // 2] = 0.0
+    return tone
+
+
+VOCODER_CASES = [(kind, sr) for kind in ("noise", "tone", "silence_then_tone")
+                 for sr in (16000, 44100, 48000)]
+
+
+class TestVocoderEquivalence:
+    @pytest.mark.parametrize("hop", [512, 300, 2048, 700])
+    @pytest.mark.parametrize("extra", [-900, 0, 1500])
+    def test_overlap_add_is_bit_identical(self, hop, extra):
+        rng = np.random.default_rng(hop)
+        spectrum = rng.standard_normal((37, 1025)) + 1j * rng.standard_normal((37, 1025))
+        length = 2048 + hop * 36 + extra
+        assert np.array_equal(_istft(spectrum, 2048, hop, length),
+                              _loop_istft(spectrum, 2048, hop, length))
+
+    @pytest.mark.parametrize("kind,sr", VOCODER_CASES)
+    @pytest.mark.parametrize("hop", [None, 300])
+    def test_stretch_frames_match_loop(self, kind, sr, hop):
+        x = _vocoder_signal(kind, sr)
+        mags, phasors = _analysis(x, 2048, hop or 512)
+        for semitones in (-24, -12, -7, -2, 2):
+            rate = 2.0 ** (-semitones / 12.0)
+            np.testing.assert_allclose(_stretch_frames(mags, phasors, rate),
+                                       _loop_stretch_frames(x, rate, 2048, hop or 512),
+                                       rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("kind,sr", VOCODER_CASES)
+    @pytest.mark.parametrize("hop", [None, 300])
+    @pytest.mark.parametrize("semitones", [-24, -12, -7, -2, 2])
+    def test_pitch_shift_matches_loop(self, kind, sr, hop, semitones):
+        x = _vocoder_signal(kind, sr)
+        ref = _loop_pitch_shift(x, semitones, hop=hop)
+        out = pitch_shift(AudioClip(x, sr), semitones, hop=hop).samples
+        # In the last fft_size samples of a -2 or +2 shift the overlap-add
+        # divides by a window-square sum that falls toward its 1e-8 floor, so
+        # values reach ~1e3 on noise and the reference's own phase rounding
+        # (a float phase accumulated to ~1e5 rad) is magnified there too.
+        np.testing.assert_allclose(out[:-2048], ref[:-2048], rtol=0, atol=1e-9)
+        assert np.linalg.norm(out - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_tuple_is_sum_of_single_shifts(self):
+        clip = AudioClip(_vocoder_signal("noise", 44100), 44100)
+        shifts = (-12.0, 0.0, -24.0, 2.0)
+        total = pitch_shift(clip, shifts).samples
+        assert np.array_equal(total, sum(pitch_shift(clip, s).samples for s in shifts))
+        assert np.array_equal(pitch_shift(clip, ()).samples, np.zeros(44100))
+
+    def test_tuple_takes_one_analysis_fft(self, monkeypatch):
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        pitch_shift(AudioClip(_vocoder_signal("noise", 44100), 44100), (-12.0, -24.0, 2.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind,sr", VOCODER_CASES)
+    def test_fshift_raw_matches_loop_pipeline(self, kind, sr):
+        x = _vocoder_signal(kind, sr)
+        mixed = x.astype(np.float64)
+        for semitones in (-12.0, -24.0):
+            mixed = mixed + _loop_pitch_shift(x, semitones)
+        filtered = butterworth_filter(mixed, FilterSpec("highpass", 10.0, order=2), sr)
+        filtered = butterworth_filter(filtered, FilterSpec("bandpass", 250.0, q=1.0, order=4), sr)
+        ref = resample_poly(filtered, *_rates(sr), window=("kaiser", 7.0))[:8000]
+        out = fshift_raw(AudioClip(x, sr), default_config())
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9)
+
+
+def _rates(sr):
+    g = gcd(sr, 8000)
+    return 8000 // g, sr // g
+
+
+class TestCachedDesign:
+    def test_filters_are_read_only_and_reused(self):
+        sos = _butter_sos("bandpass", 250.0, 1.0, 4, 44100)
+        assert not sos.flags.writeable
+        assert _butter_sos("bandpass", 250.0, 1.0, 4, 44100) is sos
+        h = _kaiser_lowpass(80, 441)
+        assert not h.flags.writeable
+        assert _kaiser_lowpass(80, 441) is h
+
+    @pytest.mark.parametrize("sr", [44100, 48000, 22050])
+    def test_resample_samples_is_bit_identical(self, sr):
+        x = np.random.default_rng(sr).standard_normal(sr)
+        want = resample_poly(x, *_rates(sr), window=("kaiser", 7.0))[:8000]
+        assert np.array_equal(resample_samples(x, sr, 8000), want)
+
+    @pytest.mark.parametrize("ratio", [2.0, 4.0, 2.0 ** (1.3 / 12.0)])
+    def test_resample_by_ratio_is_bit_identical(self, ratio):
+        x = np.random.default_rng(5).standard_normal(20000)
+        frac = Fraction(ratio).limit_denominator(1000)
+        want = resample_poly(x, frac.numerator, frac.denominator, window=("kaiser", 7.0))
+        assert np.array_equal(resample_by_ratio(x, ratio), want[:int(round(20000 * ratio))])
+
+    @pytest.mark.parametrize("sr", [16000, 44100, 48000])
+    def test_stacked_filters_are_bit_identical(self, sr):
+        x = np.random.default_rng(sr).standard_normal(sr)
+        hp = FilterSpec("highpass", 10.0, order=2)
+        bp = FilterSpec("bandpass", 250.0, q=1.0, order=4)
+        sequential = butterworth_filter(butterworth_filter(x, hp, sr), bp, sr)
+        assert np.array_equal(butterworth_filter(x, (hp, bp), sr), sequential)
+        assert np.array_equal(butterworth_filter(x, bp, sr), sosfilt(np.array(_butter_sos(
+            "bandpass", 250.0, 1.0, 4, sr)), x))
 
 
 class TestNco:
