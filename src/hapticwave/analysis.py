@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .audio_io import VibrationSignal
-from .curation import DatasetManifest
+from .curation import DatasetManifest, read_columns
 from .dsp import mel_filterbank, stft
 from .errors import SchemaError
 
@@ -28,30 +29,54 @@ _LOG_EPS = 1e-7
 STFT_LOSS_FFT_SIZES = (1024, 512, 256)
 
 
-@dataclass
-class RatingRecord:
-    clip_id: str
-    algorithm: str
-    rater_id: str
-    rating: float
+_ALGORITHM_CODE = {a: i for i, a in enumerate(RATING_ALGORITHMS)}
 
 
-@dataclass
+@dataclass(eq=False)
 class RatingsTable:
-    records: list[RatingRecord]
+    """Ratings as columns, one entry per (clip, algorithm, rater) row."""
+
+    clip_id: Sequence[str]
+    algorithm: np.ndarray  # index into RATING_ALGORITHMS
+    rater_id: Sequence[str]
+    rating: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rating)
+
+    def clip_ids(self) -> list[str]:
+        return sorted(set(self.clip_id))
+
+    def mean_matrix(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Sorted clip ids, the (clip, algorithm) mean rating over raters, and rater counts.
+
+        A cell without ratings is NaN with count 0. Sums run in row order, as
+        np.mean's do for fewer than 8 values; cells with 8 or more are summed
+        by np.sum, which is pairwise there, so every mean equals np.mean's.
+        """
+        clip_ids = self.clip_ids()
+        row_of = {cid: i for i, cid in enumerate(clip_ids)}
+        n_algos = len(RATING_ALGORITHMS)
+        cell = np.fromiter(map(row_of.__getitem__, self.clip_id), np.intp, len(self))
+        cell = cell * n_algos + self.algorithm
+        size = len(clip_ids) * n_algos
+        counts = np.bincount(cell, minlength=size)
+        sums = np.bincount(cell, weights=self.rating, minlength=size)
+        big = np.flatnonzero(counts >= 8)
+        if big.size:
+            by_cell = self.rating[np.argsort(cell, kind="stable")]
+            stops = np.cumsum(counts)
+            for c in big:
+                sums[c] = by_cell[stops[c] - counts[c]:stops[c]].sum()
+        means = np.divide(sums, counts, out=np.full(size, np.nan), where=counts > 0)
+        return clip_ids, means.reshape(-1, n_algos), counts.reshape(-1, n_algos)
 
     def clip_means(self) -> dict[tuple[str, str], float]:
         """Mean rating per (clip_id, algorithm) over raters."""
-        sums: dict[tuple[str, str], list[float]] = {}
-        for r in self.records:
-            sums.setdefault((r.clip_id, r.algorithm), []).append(r.rating)
-        return {key: float(np.mean(vals)) for key, vals in sums.items()}
-
-    def clip_ids(self) -> list[str]:
-        return sorted({r.clip_id for r in self.records})
+        clip_ids, means, counts = self.mean_matrix()
+        values = means.tolist()
+        return {(clip_ids[i], RATING_ALGORITHMS[j]): values[i][j]
+                for i, j in zip(*np.nonzero(counts))}
 
 
 def load_ratings(path: str | Path, column_map: Mapping[str, str] | None = None) -> RatingsTable:
@@ -59,34 +84,62 @@ def load_ratings(path: str | Path, column_map: Mapping[str, str] | None = None) 
 
     The canonical schema is clip_id,algorithm,rater_id,rating. An external
     export with different column names can be ingested by supplying e.g.
-    {"clip_id": "sound", "rating": "score"}.
+    {"clip_id": "sound", "rating": "score"}. Ragged rows and repeated
+    (clip_id, algorithm, rater_id) rows are rejected.
     """
     path = Path(path)
     resolve = dict(zip(RATINGS_HEADER, RATINGS_HEADER))
     if column_map:
         resolve.update(column_map)
-    records: list[RatingRecord] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [resolve[c] for c in RATINGS_HEADER
-                   if resolve[c] not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        position = {name: i for i, name in enumerate(header)}
+        missing = [resolve[c] for c in RATINGS_HEADER if resolve[c] not in position]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
-        for row_no, row in enumerate(reader, start=2):
-            algorithm = row[resolve["algorithm"]]
-            if algorithm not in RATING_ALGORITHMS:
-                raise SchemaError(f"{path}:{row_no}: unknown algorithm {algorithm!r}")
-            try:
-                rating = float(row[resolve["rating"]])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{row_no}: {exc}") from exc
-            if not 0.0 <= rating <= 100.0:
-                raise SchemaError(f"{path}:{row_no}: rating {rating} outside [0, 100]")
-            records.append(RatingRecord(row[resolve["clip_id"]], algorithm,
-                                        row[resolve["rater_id"]], rating))
-    if not records:
+        columns = read_columns(path, reader, len(header))
+    clip_id, algorithm, rater_id, text = (columns[position[resolve[c]]] for c in RATINGS_HEADER)
+    n = len(text)
+    if not n:
         raise SchemaError(f"{path}: no rating rows")
-    return RatingsTable(records)
+
+    codes = np.fromiter(map(_ALGORITHM_CODE.get, algorithm, repeat(-1, n)), np.intp, n)
+    try:
+        rating = np.fromiter(map(float, text), np.float64, n)
+    except ValueError:
+        rating = None
+    if rating is None or (codes < 0).any() or not ((rating >= 0.0) & (rating <= 100.0)).all():
+        _raise_first_bad_row(path, algorithm, text)
+    # Fewer distinct hashes of (clip, algorithm, rater) than rows means a repeat
+    # or a hash collision; the row walk tells them apart. Unlike a set of the
+    # tuples, this keeps no per-row object alive for the collector to promote.
+    if len(set(map(hash, zip(clip_id, algorithm, rater_id)))) < n:
+        _raise_first_duplicate(path, zip(clip_id, algorithm, rater_id))
+    return RatingsTable(clip_id, codes, rater_id, rating)
+
+
+def _raise_first_bad_row(path: Path, algorithms: Sequence[str], texts: Sequence[str]) -> None:
+    for row_no, (algorithm, text) in enumerate(zip(algorithms, texts), start=2):
+        if algorithm not in _ALGORITHM_CODE:
+            raise SchemaError(f"{path}:{row_no}: unknown algorithm {algorithm!r}")
+        try:
+            rating = float(text)
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{row_no}: {exc}") from exc
+        if not 0.0 <= rating <= 100.0:
+            raise SchemaError(f"{path}:{row_no}: rating {rating} outside [0, 100]")
+
+
+def _raise_first_duplicate(path: Path, keys) -> None:
+    first_row: dict[tuple[str, str, str], int] = {}
+    for row_no, key in enumerate(keys, start=2):
+        if key in first_row:
+            clip_id, algorithm, rater_id = key
+            raise SchemaError(
+                f"{path}:{row_no}: duplicate rating of clip {clip_id!r} for {algorithm!r} "
+                f"by rater {rater_id!r} (first at row {first_row[key]})")
+        first_row[key] = row_no
 
 
 @dataclass
@@ -157,43 +210,34 @@ def aggregate(table: RatingsTable, manifest: DatasetManifest, level: str) -> Agg
     if level not in ("category", "class", "clip"):
         raise ValueError(f"unknown aggregation level: {level!r}")
     by_id = manifest.by_id()
-    clip_means = table.clip_means()
-    clip_ids = table.clip_ids()
+    clip_ids, matrix, counts = table.mean_matrix()
     for cid in clip_ids:
         if cid not in by_id:
             raise SchemaError(f"clip_id {cid!r} from ratings is not in the manifest")
+    unrated = np.argwhere(counts == 0)
+    if len(unrated):
+        i, j = unrated[0]
+        raise SchemaError(f"clip {clip_ids[i]!r} has no rating for {RATING_ALGORITHMS[j]!r}")
 
-    matrix = np.empty((len(clip_ids), len(RATING_ALGORITHMS)))
-    for i, cid in enumerate(clip_ids):
-        for j, algo in enumerate(RATING_ALGORITHMS):
-            try:
-                matrix[i, j] = clip_means[(cid, algo)]
-            except KeyError:
-                raise SchemaError(f"clip {cid!r} has no rating for {algo!r}") from None
+    is_winner = matrix == matrix.max(axis=1, keepdims=True)
+    winner_counts = dict(zip(RATING_ALGORITHMS, is_winner.sum(axis=0).tolist()))
+    tie_count = int(np.count_nonzero(is_winner.sum(axis=1) > 1))
 
-    winner_counts = {a: 0 for a in RATING_ALGORITHMS}
-    tie_count = 0
-    for i in range(len(clip_ids)):
-        top = matrix[i].max()
-        winners = [a for a, v in zip(RATING_ALGORITHMS, matrix[i]) if v == top]
-        if len(winners) > 1:
-            tie_count += 1
-        for a in winners:
-            winner_counts[a] += 1
-
-    def group_key(cid: str):
-        entry = by_id[cid]
-        if level == "category":
-            return entry.category_id
-        if level == "class":
-            return entry.class_id
-        return cid
-
-    group_rows: dict[str | int, list[int]] = {}
-    for i, cid in enumerate(clip_ids):
-        group_rows.setdefault(group_key(cid), []).append(i)
-    groups = {key: _stats_for(matrix[rows]) for key, rows in sorted(
-        group_rows.items(), key=lambda kv: str(kv[0]))}
+    if level == "clip":
+        # one clip per group: its mean is its row and its SD is 0
+        groups = {
+            cid: GroupStats(mean=dict(zip(RATING_ALGORITHMS, row)),
+                            sd=dict.fromkeys(RATING_ALGORITHMS, 0.0),
+                            winners=tuple(compress(RATING_ALGORITHMS, wins)), n_clips=1)
+            for cid, row, wins in zip(clip_ids, matrix.tolist(), is_winner.tolist())
+        }
+    else:
+        field = "category_id" if level == "category" else "class_id"
+        group_rows: dict[int, list[int]] = {}
+        for i, cid in enumerate(clip_ids):
+            group_rows.setdefault(getattr(by_id[cid], field), []).append(i)
+        groups = {key: _stats_for(matrix[group_rows[key]])
+                  for key in sorted(group_rows, key=str)}
 
     return AggregateReport(
         level=level,

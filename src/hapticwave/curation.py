@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import Mapping
 
@@ -27,6 +28,20 @@ FEATURE_NAMES = (
     + [f"mfcc_{i}" for i in range(1, 14)]
     + [f"chroma_{i}" for i in range(12)]
 )
+
+
+def _dct_basis(n: int) -> np.ndarray:
+    """Orthonormal DCT-II basis, (n, n), read-only."""
+    m = np.arange(n)
+    basis = np.cos(np.pi * (m[None, :] + 0.5) * m[:, None] / n)
+    basis *= np.sqrt(2.0 / n)
+    basis[0] /= np.sqrt(2.0)
+    basis.flags.writeable = False
+    return basis
+
+
+# DCT-II over extract_features' 26 log-mel energies; its MFCCs are coefficients 1..13
+_MFCC_DCT = _dct_basis(26)
 
 
 @dataclass
@@ -110,12 +125,7 @@ def extract_features(clip: AudioClip, fft_size: int = 2048, hop: int = 512) -> F
 
     bank = mel_filterbank(26, fft_size, clip.sample_rate)
     mel_energy = np.log(spectra ** 2 @ bank.T + 1e-10)
-    # orthonormal DCT-II over the 26 log-mel energies; keep coefficients 1..13
-    m = np.arange(26)
-    basis = np.cos(np.pi * (m[None, :] + 0.5) * np.arange(26)[:, None] / 26.0)
-    basis *= np.sqrt(2.0 / 26.0)
-    basis[0] /= np.sqrt(2.0)
-    mfcc_t = mel_energy @ basis.T
+    mfcc_t = mel_energy @ _MFCC_DCT.T
     mfcc = mfcc_t[:, 1:14].mean(axis=0)
 
     classes = _pitch_class_map(freqs)
@@ -352,33 +362,54 @@ class DatasetManifest:
         return sorted({e.class_id for e in self.entries})
 
 
+def read_columns(path: Path, reader, width: int) -> list[list[str]]:
+    """The remaining rows of a csv.reader as `width` columns; blank lines are skipped.
+
+    Data row i (from 0) is reported as row i + 2, as csv.DictReader numbered
+    it, and a ragged row raises SchemaError. Rows move to the columns in
+    chunks, so few row lists are alive at once: keeping one list per row
+    until the end promotes them all to the oldest GC generation, and full
+    collections of a large heap then dominate the parse.
+    """
+    fields: list[str] = []
+    rows = filter(None, reader)
+    row_no = 2
+    while chunk := list(islice(rows, 512)):
+        if set(map(len, chunk)) != {width}:
+            i, row = next((i, row) for i, row in enumerate(chunk) if len(row) != width)
+            raise SchemaError(f"{path}:{row_no + i}: expected {width} fields, got {len(row)}")
+        fields.extend(chain.from_iterable(chunk))
+        row_no += len(chunk)
+    return [fields[i::width] for i in range(width)]
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Read and validate a manifest CSV."""
     path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != MANIFEST_HEADER:
+            raise SchemaError(
+                f"{path}: expected header {','.join(MANIFEST_HEADER)}, got {header}")
+        columns = read_columns(path, reader, len(header))
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_HEADER:
-            raise SchemaError(
-                f"{path}: expected header {','.join(MANIFEST_HEADER)}, "
-                f"got {reader.fieldnames}")
-        for row_no, row in enumerate(reader, start=2):
-            clip_id = row["clip_id"]
-            if clip_id in seen:
-                raise SchemaError(f"{path}:{row_no}: duplicate clip_id {clip_id!r}")
-            seen.add(clip_id)
-            try:
-                class_id = int(row["class_id"])
-                category_id = int(row["category_id"])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{row_no}: {exc}") from exc
-            if not 0 <= class_id <= 49:
-                raise SchemaError(f"{path}:{row_no}: class_id {class_id} outside 0-49")
-            if not 1 <= category_id <= 5:
-                raise SchemaError(f"{path}:{row_no}: category_id {category_id} outside 1-5")
-            entries.append(ManifestEntry(clip_id, row["path"], class_id,
-                                         row["class_name"], category_id))
+    for row_no, (clip_id, clip_path, class_text, class_name, category_text) in enumerate(
+            zip(*columns), start=2):
+        if clip_id in seen:
+            raise SchemaError(f"{path}:{row_no}: duplicate clip_id {clip_id!r}")
+        seen.add(clip_id)
+        try:
+            class_id = int(class_text)
+            category_id = int(category_text)
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{row_no}: {exc}") from exc
+        if not 0 <= class_id <= 49:
+            raise SchemaError(f"{path}:{row_no}: class_id {class_id} outside 0-49")
+        if not 1 <= category_id <= 5:
+            raise SchemaError(f"{path}:{row_no}: category_id {category_id} outside 1-5")
+        entries.append(ManifestEntry(clip_id, clip_path, class_id, class_name, category_id))
     if not entries:
         raise SchemaError(f"{path}: empty manifest")
     return DatasetManifest(entries)

@@ -263,9 +263,10 @@ def instantaneous_frequency(signal: np.ndarray, sample_rate: int) -> np.ndarray:
     return sample_rate / np.diff(crossings)
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int,
                    f_min: float = 0.0, f_max: float | None = None) -> np.ndarray:
-    """Triangular mel filterbank, (n_mels, fft_size // 2 + 1)."""
+    """Triangular mel filterbank, (n_mels, fft_size // 2 + 1), built once and read-only."""
     if f_max is None:
         f_max = sample_rate / 2.0
 
@@ -284,4 +285,5 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int,
         up = (bins - left) / max(center - left, 1e-9)
         down = (right - bins) / max(right - center, 1e-9)
         bank[m] = np.maximum(0.0, np.minimum(up, down))
+    bank.flags.writeable = False
     return bank

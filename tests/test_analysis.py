@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hapticwave import analysis
 from hapticwave.analysis import (
     RATING_ALGORITHMS,
+    RATINGS_HEADER,
+    AggregateReport,
+    GroupStats,
     RatingsTable,
     aggregate,
     blend_targets,
@@ -15,8 +24,10 @@ from hapticwave.analysis import (
     reconstruction_metrics,
 )
 from hapticwave.audio_io import VibrationSignal
-from hapticwave.curation import DatasetManifest, ManifestEntry
+from hapticwave.cli import run
+from hapticwave.curation import DatasetManifest, ManifestEntry, load_manifest
 from hapticwave.errors import SchemaError
+from hapticwave.fixtures import manifest_fixture_path, ratings_fixture_path
 
 
 def write_ratings(path, rows):
@@ -109,7 +120,8 @@ class TestAggregate:
 
     def test_record_order_invariant(self, tmp_path):
         table, manifest = self._table_and_manifest(tmp_path)
-        shuffled = RatingsTable(list(reversed(table.records)))
+        shuffled = RatingsTable(table.clip_id[::-1], table.algorithm[::-1],
+                                table.rater_id[::-1], table.rating[::-1])
         a = aggregate(table, manifest, "category")
         b = aggregate(shuffled, manifest, "category")
         assert a == b
@@ -118,6 +130,348 @@ class TestAggregate:
         table, manifest = self._table_and_manifest(tmp_path)
         with pytest.raises(ValueError):
             aggregate(table, manifest, "galaxy")
+
+
+# ---------------------------------------------------------------------------
+# record-by-record reference: the row-object ratings core the columnar one replaced
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Record:
+    clip_id: str
+    algorithm: str
+    rater_id: str
+    rating: float
+
+
+def _reference_load_ratings(path, column_map=None) -> list[_Record]:
+    resolve = dict(zip(RATINGS_HEADER, RATINGS_HEADER))
+    if column_map:
+        resolve.update(column_map)
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [resolve[c] for c in RATINGS_HEADER
+                   if resolve[c] not in (reader.fieldnames or [])]
+        if missing:
+            raise SchemaError(f"{path}: missing columns {missing}")
+        for row_no, row in enumerate(reader, start=2):
+            algorithm = row[resolve["algorithm"]]
+            if algorithm not in RATING_ALGORITHMS:
+                raise SchemaError(f"{path}:{row_no}: unknown algorithm {algorithm!r}")
+            try:
+                rating = float(row[resolve["rating"]])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{row_no}: {exc}") from exc
+            if not 0.0 <= rating <= 100.0:
+                raise SchemaError(f"{path}:{row_no}: rating {rating} outside [0, 100]")
+            records.append(_Record(row[resolve["clip_id"]], algorithm,
+                                   row[resolve["rater_id"]], rating))
+    if not records:
+        raise SchemaError(f"{path}: no rating rows")
+    return records
+
+
+def _reference_clip_means(records) -> dict[tuple[str, str], float]:
+    sums: dict[tuple[str, str], list[float]] = {}
+    for r in records:
+        sums.setdefault((r.clip_id, r.algorithm), []).append(r.rating)
+    return {key: float(np.mean(vals)) for key, vals in sums.items()}
+
+
+def _reference_stats(clip_matrix: np.ndarray) -> GroupStats:
+    means = clip_matrix.mean(axis=0)
+    if clip_matrix.shape[0] > 1:
+        sds = clip_matrix.std(axis=0, ddof=1)
+    else:
+        sds = np.zeros(clip_matrix.shape[1])
+    top = means.max()
+    return GroupStats(
+        mean=dict(zip(RATING_ALGORITHMS, means.tolist())),
+        sd=dict(zip(RATING_ALGORITHMS, sds.tolist())),
+        winners=tuple(a for a, m in zip(RATING_ALGORITHMS, means) if m == top),
+        n_clips=clip_matrix.shape[0],
+    )
+
+
+def _reference_aggregate(records, manifest: DatasetManifest, level: str) -> AggregateReport:
+    by_id = manifest.by_id()
+    clip_means = _reference_clip_means(records)
+    clip_ids = sorted({r.clip_id for r in records})
+    matrix = np.empty((len(clip_ids), len(RATING_ALGORITHMS)))
+    for i, cid in enumerate(clip_ids):
+        for j, algo in enumerate(RATING_ALGORITHMS):
+            matrix[i, j] = clip_means[(cid, algo)]
+    winner_counts = {a: 0 for a in RATING_ALGORITHMS}
+    tie_count = 0
+    for i in range(len(clip_ids)):
+        top = matrix[i].max()
+        winners = [a for a, v in zip(RATING_ALGORITHMS, matrix[i]) if v == top]
+        tie_count += len(winners) > 1
+        for a in winners:
+            winner_counts[a] += 1
+    key_of = {"category": lambda cid: by_id[cid].category_id,
+              "class": lambda cid: by_id[cid].class_id,
+              "clip": lambda cid: cid}[level]
+    group_rows: dict = {}
+    for i, cid in enumerate(clip_ids):
+        group_rows.setdefault(key_of(cid), []).append(i)
+    groups = {key: _reference_stats(matrix[rows]) for key, rows in sorted(
+        group_rows.items(), key=lambda kv: str(kv[0]))}
+    return AggregateReport(level=level, groups=groups, overall=_reference_stats(matrix),
+                           winner_counts=winner_counts, tie_count=tie_count)
+
+
+def _random_ratings(path: Path, seed: int, n_clips: int, raters: tuple[int, int],
+                    header=RATINGS_HEADER) -> DatasetManifest:
+    """A shuffled ratings CSV over n_clips clips with exact ties, and its manifest."""
+    rng = np.random.default_rng(seed)
+    clip_ids = [f"s{rng.integers(10**6):06d}-{i}" for i in range(n_clips)]
+    people = [f"P{k:02d}" for k in range(raters[1])]
+    rows = []
+    for i, cid in enumerate(clip_ids):
+        n_raters = int(rng.integers(raters[0], raters[1] + 1))
+        picked = rng.choice(people, size=n_raters, replace=False)
+        tied = i % 4 == 0  # two algorithms get identical ratings
+        if i % 3 == 0:  # integer ratings, as a survey slider exports them
+            values = rng.integers(0, 101, size=(len(RATING_ALGORITHMS), n_raters)).astype(float)
+        else:
+            values = rng.uniform(0.0, 100.0, size=(len(RATING_ALGORITHMS), n_raters))
+        if tied:
+            values[2] = values[int(rng.integers(0, 2))]
+        for j, algo in enumerate(RATING_ALGORITHMS):
+            for rater, value in zip(picked, values[j]):
+                text = str(int(value)) if value.is_integer() and i % 2 else repr(float(value))
+                rows.append([cid, algo, rater, text])
+    order = rng.permutation(len(rows))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in order:
+            writer.writerow(rows[k])
+            if rng.random() < 0.02:
+                writer.writerow([])  # a blank line, which no row number counts
+    class_ids = rng.integers(0, 50, size=n_clips)
+    return DatasetManifest([
+        ManifestEntry(cid, f"audio/{cid}.wav", int(c), f"class{c}", int(c) // 10 + 1)
+        for cid, c in zip(clip_ids, class_ids)])
+
+
+class TestAgainstRecordReference:
+    @pytest.mark.parametrize("seed,n_clips,raters", [
+        (0, 1, (1, 1)), (1, 7, (1, 5)), (2, 60, (1, 5)), (3, 200, (2, 2)),
+        (4, 40, (8, 12)),  # 8 or more raters: np.mean sums pairwise
+    ])
+    @pytest.mark.parametrize("level", ["category", "class", "clip"])
+    def test_reports_equal(self, tmp_path, seed, n_clips, raters, level):
+        path = tmp_path / "r.csv"
+        manifest = _random_ratings(path, seed, n_clips, raters)
+        expected = _reference_aggregate(_reference_load_ratings(path), manifest, level)
+        report = aggregate(load_ratings(path), manifest, level)
+        assert report == expected
+        assert report.to_json() == expected.to_json()
+        assert report.format_table() == expected.format_table()
+
+    def test_ties_are_exercised(self, tmp_path):
+        path = tmp_path / "r.csv"
+        manifest = _random_ratings(path, 2, 60, (1, 5))
+        assert aggregate(load_ratings(path), manifest, "clip").tie_count > 0
+
+    def test_column_map(self, tmp_path):
+        path = tmp_path / "export.csv"
+        header = ["score", "participant", "sound", "method", "notes"]
+        manifest = _random_ratings(tmp_path / "canon.csv", 5, 30, (1, 5))
+        with open(tmp_path / "canon.csv", newline="") as fh, \
+                open(path, "w", newline="") as out:
+            writer = csv.writer(out)
+            writer.writerow(header)
+            for row in list(csv.reader(fh))[1:]:  # clip_id, algorithm, rater_id, rating
+                writer.writerow([row[3], row[2], row[0], row[1], "-"] if row else [])
+        column_map = {"clip_id": "sound", "algorithm": "method",
+                      "rater_id": "participant", "rating": "score"}
+        for level in ("category", "class", "clip"):
+            expected = _reference_aggregate(
+                _reference_load_ratings(path, column_map), manifest, level)
+            report = aggregate(load_ratings(path, column_map), manifest, level)
+            assert report == expected
+            assert report.to_json() == expected.to_json()
+
+    def test_clip_means_and_ids(self, tmp_path):
+        path = tmp_path / "r.csv"
+        _random_ratings(path, 6, 25, (1, 12))
+        records = _reference_load_ratings(path)
+        table = load_ratings(path)
+        assert len(table) == len(records)
+        assert table.clip_means() == _reference_clip_means(records)
+        assert table.clip_ids() == sorted({r.clip_id for r in records})
+
+    def test_unrated_cell_names_clip_and_algorithm(self, tmp_path):
+        path = write_ratings(tmp_path / "r.csv", full_rating_rows("c0", [1, 2, 3, 4])
+                             + [("c1", "plm", "r1", 5), ("c1", "fshift", "r1", 5)])
+        with pytest.raises(SchemaError, match="clip 'c1' has no rating for 'pitch'"):
+            aggregate(load_ratings(path), small_manifest(["c0", "c1"]), "clip")
+
+
+# SHA-256 of `report --json` on the bundled fixture, fixed before the columnar
+# core replaced the record-by-record one.
+FIXTURE_REPORT_SHA256 = {
+    "category": ("195579987cb3d565b537a4dc368f6a4695a5cc315784ea668208afdc2ce672e0",
+                 "8e46a2f3c55806b7b2b423c19b925bda726952d3caf081d3a01a682e7699beb0"),
+    "class": ("6ad84411dd1fc4bc53abc02197a21c39b8ccfc13bd713d5fa7a2b77077ff3bfc",
+              "7fe0c11a76843b1e7635d145e770a62870df2c6f9540aa6afeb077c7830152ec"),
+    "clip": ("b986ae9d08efbeaa355e3c39f8c5f31b14e48a2b27bf533cddc4aaeb9188a6d4",
+             "3e0c053080fe6baf817be048b54611c93e38f2d6af0bfc63c3ee2af4a77cc665"),
+}
+
+
+@pytest.mark.parametrize("level", sorted(FIXTURE_REPORT_SHA256))
+def test_fixture_report_golden(tmp_path, capsys, level):
+    json_out = tmp_path / "report.json"
+    assert run(["report", "--ratings", str(ratings_fixture_path()),
+                "--manifest", str(manifest_fixture_path()),
+                "--level", level, "--json", str(json_out)]) == 0
+    json_sha, stdout_sha = FIXTURE_REPORT_SHA256[level]
+    assert hashlib.sha256(json_out.read_bytes()).hexdigest() == json_sha
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
+def test_fixture_triples_unique():
+    table = load_ratings(ratings_fixture_path())
+    assert len(table) == 8000
+    assert len(set(zip(table.clip_id, table.algorithm.tolist(), table.rater_id))) == 8000
+
+
+class TestRatingsErrors:
+    HEADER = "clip_id,algorithm,rater_id,rating\n"
+
+    def _load(self, tmp_path, body):
+        path = tmp_path / "r.csv"
+        path.write_text(self.HEADER + body)
+        return path
+
+    @pytest.mark.parametrize("bad_row,message", [
+        ("c1,pitch,r3,nan", "rating nan outside [0, 100]"),
+        ("c1,pitch,r3,NaN", "rating nan outside [0, 100]"),
+        ("c1,pitch,r3,inf", "rating inf outside [0, 100]"),
+        ("c1,pitch,r3,-inf", "rating -inf outside [0, 100]"),
+        ("c1,pitch,r3,100.5", "rating 100.5 outside [0, 100]"),
+        ("c1,pitch,r3,-1", "rating -1.0 outside [0, 100]"),
+        ("c1,pitch,r3,high", "could not convert string to float: 'high'"),
+        ("c1,pitch,r3,", "could not convert string to float: ''"),
+        ("c1,vortex,r3,50", "unknown algorithm 'vortex'"),
+        ("c1,vortex,r3,500", "unknown algorithm 'vortex'"),  # algorithm is checked first
+    ])
+    def test_bad_value_names_row(self, tmp_path, bad_row, message):
+        path = self._load(tmp_path, f"c1,pitch,r1,50\nc1,pitch,r2,0\n{bad_row}\nc1,plm,r1,7\n")
+        with pytest.raises(SchemaError) as err:
+            load_ratings(path)
+        assert str(err.value) == f"{path}:4: {message}"
+        with pytest.raises(SchemaError) as ref:
+            _reference_load_ratings(path)
+        assert str(err.value) == str(ref.value)
+
+    def test_first_bad_row_wins(self, tmp_path):
+        path = self._load(tmp_path, "c1,pitch,r1,50\nc1,pitch,r2,x\n"
+                                    "c1,vortex,r3,50\nc1,pitch,r4,101\n")
+        with pytest.raises(SchemaError, match=r":3: could not convert"):
+            load_ratings(path)
+
+    def test_blank_lines_do_not_count_as_rows(self, tmp_path):
+        path = self._load(tmp_path, "c1,pitch,r1,50\n\nc1,pitch,r2,101\n")
+        with pytest.raises(SchemaError) as err:
+            load_ratings(path)
+        with pytest.raises(SchemaError) as ref:
+            _reference_load_ratings(path)
+        assert str(err.value) == str(ref.value) == f"{path}:3: rating 101.0 outside [0, 100]"
+
+    @pytest.mark.parametrize("bad_row,got", [
+        ("c1,pitch,r2", 3), ("c1,pitch", 2), ("c1,pitch,r2,40,extra", 5)])
+    def test_ragged_row_names_row(self, tmp_path, bad_row, got):
+        path = self._load(tmp_path, f"c1,pitch,r1,50\n{bad_row}\nc1,plm,r1,7\n")
+        with pytest.raises(SchemaError) as err:
+            load_ratings(path)
+        assert str(err.value) == f"{path}:3: expected 4 fields, got {got}"
+
+    def test_duplicate_names_second_occurrence(self, tmp_path):
+        path = self._load(tmp_path, "c1,pitch,r1,50\nc1,plm,r1,40\nc1,pitch,r2,60\n"
+                                    "c2,pitch,r1,50\nc1,plm,r1,45\nc1,pitch,r1,50\n")
+        with pytest.raises(SchemaError) as err:
+            load_ratings(path)
+        assert str(err.value) == (f"{path}:6: duplicate rating of clip 'c1' for 'plm' "
+                                  f"by rater 'r1' (first at row 3)")
+
+    def test_hash_collision_is_not_duplicate(self, tmp_path, monkeypatch):
+        path = self._load(tmp_path, "c1,pitch,r1,50\nc1,plm,r1,40\nc2,pitch,r1,60\n")
+        monkeypatch.setattr(analysis, "hash", lambda key: 0, raising=False)
+        assert len(load_ratings(path)) == 3
+
+    def test_errors_beyond_the_first_chunk_name_their_row(self, tmp_path):
+        good = "".join(f"c{i},pitch,r1,50\n" for i in range(1500))
+        path = self._load(tmp_path, good + "\n" + "c1,pitch,r2\n")
+        with pytest.raises(SchemaError, match=f":{1500 + 2}: expected 4 fields, got 3"):
+            load_ratings(path)
+        path = self._load(tmp_path, good + "\n" + "c7,pitch,r1,50\n")
+        with pytest.raises(SchemaError, match=f":{1500 + 2}: duplicate .* \\(first at row 9\\)"):
+            load_ratings(path)
+
+    def test_same_rater_other_algorithm_is_not_duplicate(self, tmp_path):
+        path = self._load(tmp_path, "c1,pitch,r1,50\nc1,plm,r1,40\nc2,pitch,r1,60\n")
+        assert len(load_ratings(path)) == 3
+
+    def test_missing_mapped_column(self, tmp_path):
+        path = self._load(tmp_path, "c1,pitch,r1,50\n")
+        with pytest.raises(SchemaError, match=r"missing columns \['score'\]"):
+            load_ratings(path, column_map={"rating": "score"})
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("")
+        with pytest.raises(SchemaError, match="missing columns"):
+            load_ratings(path)
+
+    @pytest.mark.parametrize("ratings_body,manifest_body,row", [
+        ("c1,pitch,r1\n", None, 2),                        # ragged
+        ("c1,pitch,r1,50\nc1,pitch,r1,50\n", None, 3),    # duplicate
+        ("c1,pitch,r1,nan\n", None, 2),
+        ("c1,pitch,r1,50\n", "a,x.wav,0,dog\n", 2),       # ragged manifest row
+    ])
+    def test_cli_exits_1_naming_row(self, tmp_path, capsys, ratings_body, manifest_body, row):
+        ratings = tmp_path / "r.csv"
+        ratings.write_text(self.HEADER + ratings_body)
+        manifest = manifest_fixture_path()
+        if manifest_body is not None:
+            manifest = tmp_path / "m.csv"
+            manifest.write_text("clip_id,path,class_id,class_name,category_id\n"
+                                + manifest_body)
+        bad = ratings if manifest_body is None else manifest
+        assert run(["report", "--ratings", str(ratings), "--manifest", str(manifest),
+                    "--level", "clip"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{row}: ")
+
+
+class TestManifestRows:
+    HEADER = "clip_id,path,class_id,class_name,category_id\n"
+
+    @pytest.mark.parametrize("bad_row,got", [("b,y.wav,1,cat", 4), ("b,y.wav,1,cat,1,x", 6)])
+    def test_ragged_row_names_row(self, tmp_path, bad_row, got):
+        path = tmp_path / "m.csv"
+        path.write_text(self.HEADER + f"a,x.wav,0,dog,1\n{bad_row}\n")
+        with pytest.raises(SchemaError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}:3: expected 5 fields, got {got}"
+
+    def test_header_checked_before_rows(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("clip_id,path\na,x.wav,0,dog,1\n")
+        with pytest.raises(SchemaError, match="expected header"):
+            load_manifest(path)
+
+    def test_bad_integer_names_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(self.HEADER + "a,x.wav,0,dog,1\nb,y.wav,one,cat,1\n")
+        with pytest.raises(SchemaError, match=r":3: invalid literal for int\(\)"):
+            load_manifest(path)
 
 
 def vib(samples) -> VibrationSignal:

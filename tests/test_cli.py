@@ -230,6 +230,20 @@ class TestReport:
         assert payload["groups"]["10"]["winners"] == ["fshift"]
         assert payload["groups"]["11"]["winners"] == ["hapticgen"]
 
+    def test_python_m_hapticwave_runs_report(self, tmp_path):
+        src = str(Path(hapticwave.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        json_out = tmp_path / "report.json"
+        proc = subprocess.run([sys.executable, "-m", "hapticwave", "report",
+                               "--ratings", str(ratings_fixture_path()),
+                               "--manifest", str(manifest_fixture_path()),
+                               "--level", "category", "--json", str(json_out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "ties=8" in proc.stdout
+        assert json.loads(json_out.read_text())["level"] == "category"
+
     def test_bad_schema_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("clip_id,algorithm,rater_id,rating\nc1,pitch,r1,140\n")

@@ -7,6 +7,7 @@ import pytest
 
 from hapticwave.audio_io import AudioClip
 from hapticwave.curation import (
+    _MFCC_DCT,
     DatasetManifest,
     ManifestEntry,
     augment,
@@ -204,6 +205,17 @@ class TestAugment:
         a = augment(clip, 123)
         b = augment(clip, 123)
         assert np.array_equal(a.samples, b.samples)
+
+
+def test_mfcc_dct_basis_is_orthonormal_and_read_only():
+    # the basis extract_features built per call before it became a constant
+    m = np.arange(26)
+    basis = np.cos(np.pi * (m[None, :] + 0.5) * np.arange(26)[:, None] / 26.0)
+    basis *= np.sqrt(2.0 / 26.0)
+    basis[0] /= np.sqrt(2.0)
+    assert np.array_equal(_MFCC_DCT, basis)
+    assert not _MFCC_DCT.flags.writeable
+    np.testing.assert_allclose(_MFCC_DCT @ _MFCC_DCT.T, np.eye(26), atol=1e-12)
 
 
 class TestManifest:

@@ -22,6 +22,7 @@ from hapticwave.dsp import (
     frame_rms,
     hann_window,
     instantaneous_frequency,
+    mel_filterbank,
     nco_synthesize,
     pitch_shift,
     stft,
@@ -310,6 +311,13 @@ class TestCachedDesign:
         h = _kaiser_lowpass(80, 441)
         assert not h.flags.writeable
         assert _kaiser_lowpass(80, 441) is h
+
+    def test_mel_filterbank_is_read_only_and_reused(self):
+        bank = mel_filterbank(26, 2048, 44100)
+        assert not bank.flags.writeable
+        assert mel_filterbank(26, 2048, 44100) is bank
+        assert bank.shape == (26, 1025)
+        assert np.array_equal(bank, mel_filterbank.__wrapped__(26, 2048, 44100))
 
     @pytest.mark.parametrize("sr", [44100, 48000, 22050])
     def test_resample_samples_is_bit_identical(self, sr):
