@@ -8,7 +8,6 @@ winner tallies (ties are reported, never broken).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -18,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .audio_io import VibrationSignal
-from .curation import DatasetManifest, read_columns
+from .curation import DatasetManifest, open_csv, read_columns
 from .dsp import mel_filterbank, stft
 from .errors import SchemaError
 
@@ -91,8 +90,7 @@ def load_ratings(path: str | Path, column_map: Mapping[str, str] | None = None) 
     resolve = dict(zip(RATINGS_HEADER, RATINGS_HEADER))
     if column_map:
         resolve.update(column_map)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None) or []
         position = {name: i for i, name in enumerate(header)}
         missing = [resolve[c] for c in RATINGS_HEADER if resolve[c] not in position]

@@ -47,6 +47,14 @@ CONVERTER_TAGS = ("plm", "fshift", "pitch", "hapticgen")
 # Signals whose pre-normalization RMS falls below this are treated as silent.
 _SILENCE_RMS = 1e-9
 
+# fshift analyses at half the input rate when that is an integer of at least
+# this. Its output is band-passed at 250 Hz and written at 8 kHz, yet the
+# vocoder's -24 semitone copy carries some of the band it loses into the
+# pass band: dropping 11-22 kHz moves 1 s of white noise at 44.1 kHz by ~1%
+# (relative L2), while quartering 96 kHz moved 11% of 10-50 ms noise clips by
+# more than 2%, so the rate is halved at most once.
+_FSHIFT_MIN_WORK_RATE = 22050
+
 
 def _default_pitch_coeffs() -> tuple[float, ...]:
     # Placeholder regression: weights rise linearly across the 24 bands so the
@@ -307,17 +315,40 @@ def convert_plm(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vibratio
                                segment_len=segment)
 
 
+def _fshift_work_rate(sample_rate: int) -> int:
+    """sample_rate halved if that is an integer of at least _FSHIFT_MIN_WORK_RATE, else itself."""
+    half, odd = divmod(sample_rate, 2)
+    return half if not odd and half >= _FSHIFT_MIN_WORK_RATE else sample_rate
+
+
 def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarray:
-    """Frequency-shift pipeline before normalization, at the output rate."""
+    """Frequency-shift pipeline before normalization, at the output rate.
+
+    The vocoder runs at the working rate (see _fshift_work_rate) on a grid
+    scaled with it, 1024/256 samples at half rate for 2048/512, so frames
+    span the same time as at the input rate; filtering and the resample to
+    8 kHz follow at that rate. At a working rate equal to the input rate
+    nothing is resampled before the vocoder.
+    """
     cfg = cfg or default_config()
-    if len(clip.samples) == 0:
+    n = len(clip.samples)
+    if n == 0:
         raise ValueError("cannot convert an empty clip")
-    mixed = clip.samples + pitch_shift(clip, cfg.fshift.shifts).samples
+    want = _output_length(n, clip.sample_rate)
+    if want == 0:  # no output sample; the decimated clip could be empty
+        return np.zeros(0)
+    rate = _fshift_work_rate(clip.sample_rate)
+    step = clip.sample_rate // rate
+    work = AudioClip(resample_samples(clip.samples, clip.sample_rate, rate), rate)
+    mixed = work.samples + pitch_shift(work, cfg.fshift.shifts, fft_size=2048 // step,
+                                       hop=512 // step).samples
     hp = FilterSpec("highpass", cfg.fshift.hp_cutoff_hz, order=cfg.fshift.hp_order)
     bp = FilterSpec("bandpass", cfg.fshift.bp_center_hz, q=cfg.fshift.bp_q,
                     order=cfg.fshift.bp_order)
-    filtered = butterworth_filter(mixed, (hp, bp), clip.sample_rate)
-    return resample_samples(filtered, clip.sample_rate, VIBRATION_RATE)
+    out = resample_samples(butterworth_filter(mixed, (hp, bp), rate), rate, VIBRATION_RATE)
+    if len(out) < want:
+        out = np.pad(out, (0, want - len(out)))
+    return out[:want]
 
 
 def convert_fshift(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:

@@ -8,10 +8,11 @@ proportional stratified sampling from the clusters.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -362,6 +363,21 @@ class DatasetManifest:
         return sorted({e.class_id for e in self.entries})
 
 
+@contextmanager
+def open_csv(path: Path) -> Iterator:
+    """A csv.reader over path; a csv.Error inside the block is a SchemaError naming the file.
+
+    The csv module raises it for a field over csv.field_size_limit()
+    characters, among other malformed input.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def read_columns(path: Path, reader, width: int) -> list[list[str]]:
     """The remaining rows of a csv.reader as `width` columns; blank lines are skipped.
 
@@ -386,8 +402,7 @@ def read_columns(path: Path, reader, width: int) -> list[list[str]]:
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Read and validate a manifest CSV."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None)
         if header != MANIFEST_HEADER:
             raise SchemaError(

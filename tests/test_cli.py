@@ -174,6 +174,18 @@ class TestCurate:
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 8  # 2 classes x 4
 
+    def test_oversized_field_is_validation_error(self, tmp_path, capsys):
+        manifest = small_audio_set(tmp_path)
+        lines = manifest.read_text().splitlines()
+        lines.insert(2, "x" * 200_000 + ",a.wav,0,dog,1")
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "curated.csv"
+        assert run(["curate", "--manifest", str(manifest), "--per-class", "4",
+                    "--k", "3", "--seed", "7", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}:3: field larger than field limit" in err
+        assert not out.exists()
+
 
 class TestAugment:
     def test_seeded_determinism(self, tone_wav, tmp_path):
@@ -250,6 +262,15 @@ class TestReport:
         assert run(["report", "--ratings", str(bad),
                     "--manifest", str(manifest_fixture_path()),
                     "--level", "class"]) == 1
+
+    def test_oversized_field_is_validation_error(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("clip_id,algorithm,rater_id,rating\n"
+                       f"{'c' * 200_000},pitch,r1,40\n")
+        assert run(["report", "--ratings", str(big),
+                    "--manifest", str(manifest_fixture_path()),
+                    "--level", "class"]) == 1
+        assert f"error: {big}:2: field larger than field limit" in capsys.readouterr().err
 
 
 class TestBench:
