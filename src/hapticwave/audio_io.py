@@ -148,6 +148,24 @@ def resample_samples(samples: np.ndarray, source_rate: int, target_rate: int) ->
                           int(round(len(samples) * target_rate / source_rate)))
 
 
+def halve_rate(samples: np.ndarray) -> np.ndarray:
+    """resample_samples from a rate 2r to r, equal to rounding at half the multiplies.
+
+    The Kaiser FIR resample_poly designs for 1:2 is half-band: besides the
+    centre tap, every tap an even distance from the centre is zero (to
+    ~1e-17). So output m is the centre tap times samples[2m] plus the odd
+    taps applied to the odd-indexed samples around it.
+    """
+    if len(samples) < 2:
+        return resample_samples(samples, 2, 1)
+    want = int(round(len(samples) / 2))
+    h = _kaiser_lowpass(1, 2)
+    c = len(h) // 2
+    out = np.convolve(np.ascontiguousarray(samples[1::2]), h[-2::-2])[c // 2 - 1:c // 2 - 1 + want]
+    out += h[c] * samples[:2 * want:2]
+    return out
+
+
 def resample_by_ratio(samples: np.ndarray, ratio: float, max_denominator: int = 1000) -> np.ndarray:
     """Resample by an arbitrary length ratio via a rational approximation."""
     frac = Fraction(ratio).limit_denominator(max_denominator)

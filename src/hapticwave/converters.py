@@ -28,6 +28,7 @@ from .audio_io import (
     VIBRATION_RATE,
     AudioClip,
     VibrationSignal,
+    halve_rate,
     resample_samples,
     rms_normalize,
 )
@@ -327,8 +328,7 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
     The vocoder runs at the working rate (see _fshift_work_rate) on a grid
     scaled with it, 1024/256 samples at half rate for 2048/512, so frames
     span the same time as at the input rate; filtering and the resample to
-    8 kHz follow at that rate. At a working rate equal to the input rate
-    nothing is resampled before the vocoder.
+    8 kHz follow at that rate.
     """
     cfg = cfg or default_config()
     n = len(clip.samples)
@@ -339,7 +339,7 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
         return np.zeros(0)
     rate = _fshift_work_rate(clip.sample_rate)
     step = clip.sample_rate // rate
-    work = AudioClip(resample_samples(clip.samples, clip.sample_rate, rate), rate)
+    work = AudioClip(halve_rate(clip.samples) if step == 2 else clip.samples, rate)
     mixed = work.samples + pitch_shift(work, cfg.fshift.shifts, fft_size=2048 // step,
                                        hop=512 // step).samples
     hp = FilterSpec("highpass", cfg.fshift.hp_cutoff_hz, order=cfg.fshift.hp_order)

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from scipy.signal import resample_poly, sosfilt
 
-from hapticwave.audio_io import AudioClip, _kaiser_lowpass, resample_by_ratio, resample_samples
+from hapticwave.audio_io import (
+    AudioClip,
+    _kaiser_lowpass,
+    halve_rate,
+    resample_by_ratio,
+    resample_samples,
+)
 from hapticwave.converters import _fshift_work_rate, convert_fshift, default_config, fshift_raw
 from hapticwave.dsp import (
     FilterSpec,
@@ -443,11 +449,24 @@ class TestCachedDesign:
         assert bank.shape == (26, 1025)
         assert np.array_equal(bank, mel_filterbank.__wrapped__(26, 2048, 44100))
 
-    @pytest.mark.parametrize("sr", [44100, 48000, 22050])
+    @pytest.mark.parametrize("sr", [44100, 48000, 22050, 16000])
     def test_resample_samples_is_bit_identical(self, sr):
         x = np.random.default_rng(sr).standard_normal(sr)
         want = resample_poly(x, *_rates(sr), window=("kaiser", 7.0))[:8000]
         assert np.array_equal(resample_samples(x, sr, 8000), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 41, 1001, 44100])
+    def test_halve_rate_equals_resample_to_rounding(self, n):
+        h = _kaiser_lowpass(1, 2)
+        assert np.max(np.abs(h[len(h) // 2 + 2::2])) < 1e-16  # half-band
+        x = np.random.default_rng(n).standard_normal(n)
+        out = halve_rate(x)
+        assert len(out) == int(round(n / 2))
+        np.testing.assert_allclose(out, resample_samples(x, 48000, 24000), rtol=0, atol=1e-14)
+
+    def test_halve_rate_rejects_empty(self):
+        with pytest.raises(ValueError):
+            halve_rate(np.zeros(0))
 
     @pytest.mark.parametrize("ratio", [2.0, 4.0, 2.0 ** (1.3 / 12.0)])
     def test_resample_by_ratio_is_bit_identical(self, ratio):
