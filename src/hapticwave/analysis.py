@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .audio_io import VibrationSignal
+from .audio_io import VIBRATION_RATE, VibrationSignal
 from .curation import DatasetManifest, open_csv, read_columns
 from .dsp import mel_filterbank, stft
 from .errors import SchemaError
@@ -26,6 +26,7 @@ RATINGS_HEADER = ["clip_id", "algorithm", "rater_id", "rating"]
 
 _LOG_EPS = 1e-7
 STFT_LOSS_FFT_SIZES = (1024, 512, 256)
+_METRIC_N_MELS = 64
 
 
 _ALGORITHM_CODE = {a: i for i, a in enumerate(RATING_ALGORITHMS)}
@@ -83,12 +84,19 @@ def load_ratings(path: str | Path, column_map: Mapping[str, str] | None = None) 
 
     The canonical schema is clip_id,algorithm,rater_id,rating. An external
     export with different column names can be ingested by supplying e.g.
-    {"clip_id": "sound", "rating": "score"}. Ragged rows and repeated
-    (clip_id, algorithm, rater_id) rows are rejected.
+    {"clip_id": "sound", "rating": "score"}. Ragged rows, repeated
+    (clip_id, algorithm, rater_id) rows, and a column_map that is not a
+    mapping of canonical names to strings are rejected.
     """
     path = Path(path)
     resolve = dict(zip(RATINGS_HEADER, RATINGS_HEADER))
-    if column_map:
+    if column_map is not None:
+        if not isinstance(column_map, Mapping):
+            raise SchemaError(f"column map must be an object, got {column_map!r}")
+        for key, actual in column_map.items():
+            if key not in resolve or not isinstance(actual, str):
+                raise SchemaError(f"column map entry {key!r}: {actual!r} must map one of "
+                                  f"{', '.join(RATINGS_HEADER)} to a column name")
         resolve.update(column_map)
     with open_csv(path) as reader:
         header = next(reader, None) or []
@@ -261,9 +269,6 @@ def blend_targets(refs: Sequence[VibrationSignal], ratings: Sequence[float]) -> 
     lengths = {len(r.samples) for r in refs}
     if len(lengths) != 1:
         raise ValueError("reference vibrations must have equal length")
-    rates = {r.sample_rate for r in refs}
-    if len(rates) != 1:
-        raise ValueError("reference vibrations must share a sample rate")
     weights = np.asarray(ratings, dtype=np.float64)
     if np.any(weights < 0):
         raise ValueError("ratings must be non-negative")
@@ -289,10 +294,6 @@ class MetricReport:
     amp_loss: float
     rmse: float
 
-    def to_dict(self) -> dict[str, float]:
-        return {"mse": self.mse, "stft_loss": self.stft_loss, "mel_l1": self.mel_l1,
-                "amp_loss": self.amp_loss, "rmse": self.rmse}
-
 
 def _as_samples(signal) -> np.ndarray:
     if isinstance(signal, VibrationSignal):
@@ -315,21 +316,17 @@ def _stft_resolution_loss(pred: np.ndarray, target: np.ndarray, fft_size: int) -
     return float(convergence) + log_l1
 
 
-def reconstruction_metrics(pred, target, sample_rate: int = 8000,
-                           n_mels: int = 64) -> MetricReport:
+def reconstruction_metrics(pred, target, sample_rate: int = VIBRATION_RATE) -> MetricReport:
     """Distance components between a predicted and a target waveform.
 
     mse/rmse are plain time-domain errors; stft_loss averages spectral
     convergence plus log-magnitude L1 over FFT sizes 1024/512/256; mel_l1 is
     the mean absolute log-mel difference (64 bands to Nyquist); amp_loss is
-    the absolute RMS difference.
+    the absolute RMS difference. sample_rate is the rate of both signals;
+    a VibrationSignal's is VIBRATION_RATE, the default.
     """
     p = _as_samples(pred)
     t = _as_samples(target)
-    if isinstance(pred, VibrationSignal) and isinstance(target, VibrationSignal):
-        if pred.sample_rate != target.sample_rate:
-            raise ValueError("sample rates differ")
-        sample_rate = pred.sample_rate
     if len(p) != len(t):
         raise ValueError(f"length mismatch: {len(p)} vs {len(t)}")
     if len(p) == 0:
@@ -345,7 +342,7 @@ def reconstruction_metrics(pred, target, sample_rate: int = 8000,
     ]))
 
     fft_size = 1024
-    bank = mel_filterbank(n_mels, fft_size, sample_rate)
+    bank = mel_filterbank(_METRIC_N_MELS, fft_size, sample_rate)
     mel_p = np.log(_padded_stft_mag(p, fft_size) ** 2 @ bank.T + _LOG_EPS)
     mel_t = np.log(_padded_stft_mag(t, fft_size) ** 2 @ bank.T + _LOG_EPS)
     mel_l1 = float(np.mean(np.abs(mel_p - mel_t)))

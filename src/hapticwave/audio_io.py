@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy.signal import firwin, resample_poly
@@ -51,11 +52,9 @@ class VibrationSignal:
     samples: np.ndarray
     algorithm_tag: str
     clipped_fraction: float = 0.0
-    sample_rate: int = VIBRATION_RATE
+    sample_rate: ClassVar[int] = VIBRATION_RATE
 
     def __post_init__(self) -> None:
-        if self.sample_rate != VIBRATION_RATE:
-            raise ValueError(f"vibration sample rate must be {VIBRATION_RATE}")
         if self.algorithm_tag not in ALGORITHM_TAGS:
             raise ValueError(f"unknown algorithm tag: {self.algorithm_tag!r}")
 
@@ -166,9 +165,9 @@ def halve_rate(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def resample_by_ratio(samples: np.ndarray, ratio: float, max_denominator: int = 1000) -> np.ndarray:
-    """Resample by an arbitrary length ratio via a rational approximation."""
-    frac = Fraction(ratio).limit_denominator(max_denominator)
+def resample_by_ratio(samples: np.ndarray, ratio: float) -> np.ndarray:
+    """Resample by an arbitrary length ratio via a rational approximation (denominator <= 1000)."""
+    frac = Fraction(ratio).limit_denominator(1000)
     return _resample_poly(samples, frac.numerator, frac.denominator,
                           int(round(len(samples) * ratio)))
 
@@ -203,11 +202,18 @@ def rms_normalize(samples: np.ndarray, target_rms: float) -> tuple[np.ndarray, f
     rms = float(np.sqrt(np.mean(np.square(samples)))) if len(samples) else 0.0
     if rms < 1e-12:
         raise DegenerateSignalError("degenerate signal: RMS is zero")
-    scaled = samples * (target_rms / rms)
-    clipped = np.count_nonzero(np.abs(scaled) > 1.0)
-    fraction = clipped / len(scaled)
+    return scale_to_level(samples, target_rms, rms)
+
+
+def scale_to_level(samples: np.ndarray, target: float, level: float) -> tuple[np.ndarray, float]:
+    """Scale samples by target / level and clamp to [-1, 1].
+
+    Returns (waveform, clipped_fraction), the share of samples that hit the
+    clamp; a RuntimeWarning is emitted when it exceeds CLIP_WARN_FRACTION.
+    """
+    scaled = samples * (target / level)
+    fraction = int(np.count_nonzero(np.abs(scaled) > 1.0)) / len(scaled)
     if fraction > CLIP_WARN_FRACTION:
-        warnings.warn(
-            f"rms_normalize clamped {fraction:.2%} of samples", RuntimeWarning, stacklevel=2
-        )
+        warnings.warn(f"clamped {fraction:.2%} of samples to [-1, 1]", RuntimeWarning,
+                      stacklevel=3)
     return np.clip(scaled, -1.0, 1.0), fraction

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import mean, stdev
 
 import numpy as np
 
 from .audio_io import AudioClip
-from .converters import CONVERTER_TAGS, ConverterConfig, convert, default_config
+from .converters import CONVERTER_TAGS, convert, default_config
 from .errors import HapticwaveError, ProtocolError
 
 BENCH_DURATIONS = (1, 2, 5, 10, 20)
@@ -39,15 +39,6 @@ class BenchResult:
     algorithm: str
     mean_latency_s: float
     sd_latency_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "clip_count": self.clip_count,
-            "algorithm": self.algorithm,
-            "mean_latency_s": self.mean_latency_s,
-            "sd_latency_s": self.sd_latency_s,
-        }
 
 
 def build_bench_corpus(clips: list[AudioClip]) -> dict[int, list[AudioClip]]:
@@ -74,14 +65,14 @@ def build_bench_corpus(clips: list[AudioClip]) -> dict[int, list[AudioClip]]:
 
 
 def run_bench(corpus: dict[int, list[AudioClip]], algorithms: tuple[str, ...] = CONVERTER_TAGS,
-              warmup: int = 1, cfg: ConverterConfig | None = None) -> list[BenchResult]:
-    """Time each (duration, algorithm) cell; warmup passes are discarded."""
+              warmup: int = 1) -> list[BenchResult]:
+    """Time each (duration, algorithm) cell under the default config; warmups are discarded."""
     if warmup < 1:
         raise ValueError("warmup must be at least 1")
     for algo in algorithms:
         if algo not in CONVERTER_TAGS:
             raise ValueError(f"unknown algorithm tag: {algo!r}")
-    cfg = cfg or default_config()
+    cfg = default_config()
 
     results: list[BenchResult] = []
     for duration in sorted(corpus):
@@ -114,7 +105,7 @@ def run_bench(corpus: dict[int, list[AudioClip]], algorithms: tuple[str, ...] = 
 
 
 def results_to_json(results: list[BenchResult]) -> str:
-    return json.dumps([r.to_dict() for r in results], indent=2)
+    return json.dumps([asdict(r) for r in results], indent=2)
 
 
 def format_results(results: list[BenchResult]) -> str:

@@ -11,17 +11,12 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis, bench, converters, curation
-from .audio_io import VibrationSignal, load_wav, save_wav
-from .errors import (
-    AudioFormatError,
-    DegenerateSignalError,
-    HapticwaveError,
-    ProtocolError,
-    SchemaError,
-)
+from .audio_io import VIBRATION_RATE, VibrationSignal, load_wav, save_wav
+from .errors import AudioFormatError, HapticwaveError, ProtocolError, SchemaError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -48,7 +43,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 def _resolve_config(args) -> converters.ConverterConfig:
     cfg = converters.default_config()
     if getattr(args, "config", None):
-        cfg = converters.load_converter_config(args.config, base=cfg)
+        cfg = converters.load_converter_config(args.config)
     overrides = {}
     for item in getattr(args, "overrides", []):
         if "=" not in item:
@@ -77,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated algorithm tags")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=0,
-                   help="parallel workers; 0 = available parallelism")
+                   help="parallel workers (>= 0); 0 = available parallelism")
     _add_config_flags(p)
 
     p = sub.add_parser("features", help="extract the 31-dim feature vector")
@@ -86,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curate", help="k-means diversity sampling per class")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--per-class", type=int, required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--per-class", type=int, required=True, help="clips kept per class (>= 1)")
+    p.add_argument("--k", type=int, default=10, help="clusters per class (>= 1)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
@@ -151,6 +146,8 @@ def _batch_one(task):
 def _cmd_batch(args) -> int:
     cfg = _resolve_config(args)
     algos = _parse_algos(args.algos)
+    if args.workers < 0:
+        raise _CliValidationError(f"--workers must be >= 0, got {args.workers}")
     manifest = curation.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,8 +200,10 @@ def _cmd_blend(args) -> int:
     refs = []
     for path in args.refs:
         clip = load_wav(path)
-        refs.append(VibrationSignal(samples=clip.samples, algorithm_tag="blended",
-                                    sample_rate=clip.sample_rate))
+        if clip.sample_rate != VIBRATION_RATE:
+            raise _CliValidationError(
+                f"{path}: vibration sample rate must be {VIBRATION_RATE}, got {clip.sample_rate}")
+        refs.append(VibrationSignal(samples=clip.samples, algorithm_tag="blended"))
     blended = analysis.blend_targets(refs, args.ratings)
     save_wav(blended, args.out)
     return EXIT_OK
@@ -217,7 +216,7 @@ def _cmd_metrics(args) -> int:
         raise _CliValidationError("pred and target sample rates differ")
     report = analysis.reconstruction_metrics(pred.samples, target.samples,
                                              sample_rate=pred.sample_rate)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    text = json.dumps(asdict(report), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text)
     print(text)
@@ -291,7 +290,7 @@ def run(argv: list[str] | None = None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DegenerateSignalError, HapticwaveError) as exc:
+    except HapticwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:  # vanishing odds, but never a traceback to stderr

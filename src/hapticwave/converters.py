@@ -30,7 +30,7 @@ from .audio_io import (
     VibrationSignal,
     halve_rate,
     resample_samples,
-    rms_normalize,
+    scale_to_level,
 )
 from .dsp import (
     FilterSpec,
@@ -137,6 +137,8 @@ class ConverterConfig:
             raise ValueError("psycho.max_peaks must be at least 1")
         if self.psycho.loudness_exponent <= 0:
             raise ValueError("psycho.loudness_exponent must be positive")
+        if self.target_segment_rms <= 0:
+            raise ValueError("target_segment_rms must be positive")
         if not 0 <= self.pitch.overlap < 1:
             raise ValueError("pitch.overlap must be in [0, 1)")
         if any(abs(s) > 24 for s in self.fshift.shifts):
@@ -188,7 +190,7 @@ def _merge_section(section, overrides, context: str):
     return replace(section, **kwargs)
 
 
-def load_converter_config(path: str | Path, base: ConverterConfig | None = None) -> ConverterConfig:
+def load_converter_config(path: str | Path) -> ConverterConfig:
     """Apply a JSON config file (nested by section) on top of the defaults."""
     try:
         raw = json.loads(Path(path).read_text())
@@ -196,7 +198,7 @@ def load_converter_config(path: str | Path, base: ConverterConfig | None = None)
         raise SchemaError(f"cannot read converter config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: expected a JSON object")
-    return _merge_section(base or default_config(), raw, "config")
+    return _merge_section(default_config(), raw, "config")
 
 
 def apply_config_overrides(cfg: ConverterConfig, overrides: dict[str, str]) -> ConverterConfig:
@@ -219,8 +221,6 @@ def apply_config_overrides(cfg: ConverterConfig, overrides: dict[str, str]) -> C
 def _interp_tracks(values: np.ndarray, frame_centers_s: np.ndarray, n_out: int) -> np.ndarray:
     """Linearly interpolate frame-rate values onto the output sample grid."""
     t = np.arange(n_out) / VIBRATION_RATE
-    if len(values) == 1:
-        return np.full(n_out, values[0])
     return np.interp(t, frame_centers_s, values)
 
 
@@ -231,29 +231,26 @@ def normalize_vibration(raw: np.ndarray, strategy: str, cfg: ConverterConfig, *,
     segment_max: scale so the loudest non-overlapping segment (the converter's
     native frame, in output samples) lands on cfg.target_segment_rms.
     global: scale on whole-signal RMS.
+    Either way a RuntimeWarning is emitted when more than CLIP_WARN_FRACTION
+    of the samples hit the clamp.
     """
     if strategy not in ("segment_max", "global"):
         raise ValueError(f"unknown normalization strategy: {strategy!r}")
     samples = np.asarray(raw, dtype=np.float64)
-    if len(samples) == 0 or float(np.sqrt(np.mean(np.square(samples)))) < _SILENCE_RMS:
+    level = float(np.sqrt(np.mean(np.square(samples)))) if len(samples) else 0.0
+    if level < _SILENCE_RMS:
         raise DegenerateSignalError("degenerate signal: silent converter output")
 
-    if strategy == "global":
-        scaled, clipped = rms_normalize(samples, cfg.target_segment_rms)
-    else:
+    if strategy == "segment_max":
         if segment_len is None:
             segment_len = ms_to_samples(10.0, VIBRATION_RATE)
         n_full = len(samples) - len(samples) % segment_len
         seg_ms = np.mean(np.square(samples[:n_full]).reshape(-1, segment_len), axis=1)
         if n_full < len(samples):
             seg_ms = np.append(seg_ms, np.mean(np.square(samples[n_full:])))
-        peak_rms = float(np.sqrt(seg_ms.max()))
-        if peak_rms < _SILENCE_RMS:
-            raise DegenerateSignalError("degenerate signal: silent converter output")
-        scaled = samples * (cfg.target_segment_rms / peak_rms)
-        n_clipped = int(np.count_nonzero(np.abs(scaled) > 1.0))
-        clipped = n_clipped / len(scaled)
-        scaled = np.clip(scaled, -1.0, 1.0)
+        # no lower than the whole-signal RMS, so above the silence floor
+        level = float(np.sqrt(seg_ms.max()))
+    scaled, clipped = scale_to_level(samples, cfg.target_segment_rms, level)
     return VibrationSignal(samples=scaled, algorithm_tag=algorithm_tag,
                            clipped_fraction=clipped)
 

@@ -20,15 +20,14 @@ from .audio_io import AudioClip
 from .dsp import frame_signal, frame_spectra, hann_window, mel_filterbank, pitch_shift
 from .errors import SchemaError
 
-N_FEATURES = 31
 TEMPO_MIN_BPM = 30.0
 TEMPO_MAX_BPM = 300.0
 
-FEATURE_NAMES = (
-    ["centroid", "rolloff", "bandwidth", "rms_energy", "zcr", "tempo"]
-    + [f"mfcc_{i}" for i in range(1, 14)]
-    + [f"chroma_{i}" for i in range(12)]
-)
+# extract_features' analysis frames
+_FFT_SIZE = 2048
+_HOP = 512
+
+_KMEANS_MAX_ITER = 300
 
 
 def _dct_basis(n: int) -> np.ndarray:
@@ -101,13 +100,13 @@ def _pitch_class_map(freqs: np.ndarray) -> np.ndarray:
     return classes
 
 
-def extract_features(clip: AudioClip, fft_size: int = 2048, hop: int = 512) -> FeatureVector:
+def extract_features(clip: AudioClip) -> FeatureVector:
     """Compute the 31-dimensional averaged descriptor for one clip."""
     if clip.duration < 1.0:
         raise ValueError("feature extraction needs at least 1 s of audio")
     samples = np.asarray(clip.samples, dtype=np.float64)
-    spectra = frame_spectra(samples, hann_window(fft_size), hop)
-    freqs = np.fft.rfftfreq(fft_size, 1.0 / clip.sample_rate)
+    spectra = frame_spectra(samples, hann_window(_FFT_SIZE), _HOP)
+    freqs = np.fft.rfftfreq(_FFT_SIZE, 1.0 / clip.sample_rate)
     mag_sum = np.maximum(spectra.sum(axis=1), 1e-12)
 
     centroid_t = (spectra @ freqs) / mag_sum
@@ -117,14 +116,14 @@ def extract_features(clip: AudioClip, fft_size: int = 2048, hop: int = 512) -> F
     spread = (freqs[None, :] - centroid_t[:, None]) ** 2
     bandwidth_t = np.sqrt(np.sum(spectra * spread, axis=1) / mag_sum)
 
-    frames = frame_signal(samples, fft_size, hop)
+    frames = frame_signal(samples, _FFT_SIZE, _HOP)
     rms_t = np.sqrt(np.mean(frames * frames, axis=1))
     zcr_t = np.mean(np.abs(np.diff(np.signbit(frames), axis=1)), axis=1)
 
     flux = np.sum(np.maximum(spectra[1:] - spectra[:-1], 0.0), axis=1)
-    tempo = _tempo_bpm(flux, clip.sample_rate / hop)
+    tempo = _tempo_bpm(flux, clip.sample_rate / _HOP)
 
-    bank = mel_filterbank(26, fft_size, clip.sample_rate)
+    bank = mel_filterbank(26, _FFT_SIZE, clip.sample_rate)
     mel_energy = np.log(spectra ** 2 @ bank.T + 1e-10)
     mfcc_t = mel_energy @ _MFCC_DCT.T
     mfcc = mfcc_t[:, 1:14].mean(axis=0)
@@ -196,7 +195,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def kmeans(vectors: np.ndarray | Mapping[str, FeatureVector | np.ndarray],
-           k: int, seed: int, max_iter: int = 300) -> KMeansResult:
+           k: int, seed: int) -> KMeansResult:
     """Seeded Lloyd's algorithm with k-means++ initialization.
 
     Features are z-score standardized per dimension before clustering; the
@@ -216,6 +215,8 @@ def kmeans(vectors: np.ndarray | Mapping[str, FeatureVector | np.ndarray],
     if points.ndim != 2:
         raise ValueError("expected a 2-D matrix of feature vectors")
     n = len(points)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if n < k:
         raise ValueError(f"cannot form {k} clusters from {n} points")
 
@@ -225,7 +226,7 @@ def kmeans(vectors: np.ndarray | Mapping[str, FeatureVector | np.ndarray],
 
     labels = np.zeros(n, dtype=int)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = np.sum((std_points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), new_labels].sum()))
@@ -251,6 +252,8 @@ def stratified_sample(assignment: Mapping[str, int], per_class_target: int,
     """
     ids = sorted(assignment)
     n = len(ids)
+    if per_class_target < 1:
+        raise ValueError(f"per-class target must be at least 1, got {per_class_target}")
     if per_class_target > n:
         raise ValueError(f"target {per_class_target} exceeds population {n}")
     clusters: dict[int, list[str]] = {}

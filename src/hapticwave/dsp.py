@@ -264,11 +264,11 @@ def instantaneous_frequency(signal: np.ndarray, sample_rate: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int,
-                   f_min: float = 0.0, f_max: float | None = None) -> np.ndarray:
-    """Triangular mel filterbank, (n_mels, fft_size // 2 + 1), built once and read-only."""
-    if f_max is None:
-        f_max = sample_rate / 2.0
+def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
+    """Triangular mel filterbank, (n_mels, fft_size // 2 + 1), built once and read-only.
+
+    The bands span 0 Hz to Nyquist.
+    """
 
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
@@ -276,7 +276,7 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int,
     def from_mel(m):
         return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
-    mel_points = np.linspace(to_mel(f_min), to_mel(f_max), n_mels + 2)
+    mel_points = np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), n_mels + 2)
     hz_points = from_mel(mel_points)
     bins = np.fft.rfftfreq(fft_size, 1.0 / sample_rate)
     bank = np.zeros((n_mels, len(bins)))

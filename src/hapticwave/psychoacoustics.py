@@ -9,7 +9,7 @@ converters rely on. Roughness follows the Vassilakis pairwise spectral-peak
 model.
 
 The *_frames functions analyse a whole signal with one batched FFT and
-cached per-(frame size, rate) tables; the single-frame functions wrap them.
+cached per-(frame size, rate) tables.
 """
 
 from __future__ import annotations
@@ -94,11 +94,6 @@ def _band_matrix(freqs: np.ndarray) -> np.ndarray:
     return (bark_band_index(freqs)[:, None] == np.arange(1, N_BARK_BANDS + 1)).astype(np.float64)
 
 
-def bark_band_powers(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Pool power spectra (last axis) into the 24 critical bands (pure partition)."""
-    return np.asarray(power, dtype=np.float64) @ _band_matrix(freqs)
-
-
 @lru_cache(maxsize=64)
 def analysis_tables(n_fft: int, sample_rate: int, contour_freqs: tuple = _CONTOUR_FREQS,
                     contour_gains_db: tuple = _CONTOUR_GAINS_DB) -> tuple[np.ndarray, np.ndarray]:
@@ -136,23 +131,13 @@ def loudness_roughness_frames(samples: np.ndarray, frame_size: int, hop: int, sa
     return specific.sum(axis=1), _roughness(*_peaks(mags, sample_rate / frame_size, config), config)
 
 
-def specific_loudness_bark(frame: np.ndarray, sample_rate: int,
-                           config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> np.ndarray:
-    """Per-band specific loudness over the 24 Bark bands."""
-    return specific_loudness_frames(frame, len(frame), len(frame), sample_rate, config)[0]
-
-
-def frame_loudness(frame: np.ndarray, sample_rate: int,
-                   config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> float:
-    """Total loudness (model sones): sum of the specific loudness bands."""
-    return float(np.sum(specific_loudness_bark(frame, sample_rate, config)))
-
-
 def _peaks(mags: np.ndarray, bin_hz: float, config: PsychoConfig) -> tuple[np.ndarray, np.ndarray]:
     """Strongest local maxima of each magnitude row, refined by parabolic interpolation.
 
-    Returns (freqs, amps), each (n_rows, config.max_peaks) in ascending bin
-    order; slots past a row's last peak hold NaN.
+    Keeps at most config.max_peaks peaks per row, each at least
+    config.peak_floor_db relative to the row maximum. Returns (freqs, amps),
+    each (n_rows, config.max_peaks) in ascending bin order; slots past a
+    row's last peak hold NaN.
     """
     inner = mags[:, 1:-1]
     floor = mags.max(axis=1, keepdims=True) * 10.0 ** (config.peak_floor_db / 20.0)
@@ -170,19 +155,6 @@ def _peaks(mags: np.ndarray, bin_hz: float, config: PsychoConfig) -> tuple[np.nd
     return (bins + delta) * bin_hz, np.exp(b - 0.25 * (a - c) * delta)
 
 
-def spectral_peaks(frame: np.ndarray, sample_rate: int,
-                   config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> list[tuple[float, float]]:
-    """Strongest local spectral maxima as (frequency_hz, amplitude) pairs.
-
-    Keeps at most config.max_peaks peaks above config.peak_floor_db relative
-    to the frame maximum; each is refined by parabolic interpolation.
-    """
-    mags, _ = _analyse(frame, len(frame), len(frame), sample_rate, config, min_len=1024)
-    (freqs,), (amps,) = _peaks(mags, sample_rate / len(frame), config)
-    found = ~np.isnan(freqs)
-    return list(zip(freqs[found].tolist(), amps[found].tolist()))
-
-
 def _pair_roughness(f1: np.ndarray, a1: np.ndarray, f2: np.ndarray, a2: np.ndarray,
                     config: PsychoConfig) -> np.ndarray:
     amplitude = (a1 * a2) ** config.amplitude_exponent
@@ -198,10 +170,3 @@ def _roughness(freqs: np.ndarray, amps: np.ndarray, config: PsychoConfig) -> np.
     i, j = np.triu_indices(freqs.shape[-1], k=1)
     return np.nansum(_pair_roughness(freqs[..., i], amps[..., i], freqs[..., j], amps[..., j],
                                      config), axis=-1)
-
-
-def frame_roughness(frame: np.ndarray, sample_rate: int,
-                    config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> float:
-    """Roughness as the sum of pairwise peak interactions; 0 below two peaks."""
-    freqs, amps = np.array(spectral_peaks(frame, sample_rate, config)).T.reshape(2, 1, -1)
-    return float(_roughness(freqs, amps, config)[0])

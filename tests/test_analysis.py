@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -553,13 +553,13 @@ class TestMetrics:
 
     def test_silence_vs_silence_is_zero_not_nan(self):
         report = reconstruction_metrics(np.zeros(4000), np.zeros(4000))
-        for value in report.to_dict().values():
+        for value in asdict(report).values():
             assert value == 0.0
 
     def test_finite_for_finite_inputs(self):
         rng = np.random.default_rng(8)
         report = reconstruction_metrics(rng.uniform(-1, 1, 3000), np.zeros(3000))
-        assert all(np.isfinite(v) for v in report.to_dict().values())
+        assert all(np.isfinite(v) for v in asdict(report).values())
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -201,6 +201,14 @@ class TestNormalize:
         assert abs(measured - 0.15 * np.sqrt(2)) < 1e-3
         assert abs(np.sqrt(np.mean(out**2)) - 0.15) < 1e-6
 
+    def test_rms_clamp_warns_and_counts(self):
+        x = np.full(1000, 0.01)
+        x[::100] = 1.0
+        with pytest.warns(RuntimeWarning, match=r"clamped 1\.00% of samples"):
+            out, clipped = rms_normalize(x, 0.5)
+        assert clipped == 0.01
+        assert np.max(np.abs(out)) == 1.0
+
     def test_rms_rejects_silence(self):
         with pytest.raises(DegenerateSignalError):
             rms_normalize(np.zeros(100), 0.15)

@@ -145,6 +145,27 @@ class TestBatch:
                             "00-01.fshift.wav", "00-01.hapticgen.wav"]
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("curate", "--k", "0"),
+    ("curate", "--k", "-2"),
+    ("curate", "--per-class", "0"),
+    ("curate", "--per-class", "-1"),
+    ("batch", "--workers", "-3"),
+])
+def test_integer_flag_out_of_range_is_validation_error(tmp_path, capsys, command, flag, value):
+    manifest = small_audio_set(tmp_path, n_classes=1, per_class=3)
+    out = tmp_path / "out"
+    if command == "curate":
+        args = {"--per-class": "2", "--k": "2", "--seed": "1", "--out": str(out), flag: value}
+    else:
+        args = {"--algos": "hapticgen", "--out-dir": str(out), flag: value}
+    argv = [command, "--manifest", str(manifest)] + [a for kv in args.items() for a in kv]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"got {value}" in err and "unexpected" not in err
+    assert not out.exists()
+
+
 class TestFeatures:
     def test_writes_feature_json(self, tone_wav, tmp_path):
         out = tmp_path / "features.json"
@@ -213,6 +234,19 @@ class TestBlend:
         with wave.open(str(out), "rb") as wav, wave.open(paths[0], "rb") as ref:
             assert wav.readframes(8000) == ref.readframes(8000)
 
+    def test_ref_at_another_rate_is_named(self, tmp_path, capsys):
+        paths = []
+        for i, rate in enumerate((8000, 8000, 16000, 8000)):
+            path = tmp_path / f"ref{i}.wav"
+            save_wav(AudioClip(np.full(rate, 0.1), rate), path)
+            paths.append(str(path))
+        out = tmp_path / "blend.wav"
+        assert run(["blend", "--refs", *paths, "--ratings", "1", "1", "1", "1",
+                    "--out", str(out)]) == 1
+        assert f"error: {paths[2]}: vibration sample rate must be 8000, got 16000" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMetrics:
     def test_report_json(self, tmp_path):
@@ -271,6 +305,20 @@ class TestReport:
                     "--manifest", str(manifest_fixture_path()),
                     "--level", "class"]) == 1
         assert f"error: {big}:2: field larger than field limit" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("column_map,named", [
+        ("5", "got 5"),
+        ("[1]", "got [1]"),
+        ('{"nope": "x"}', "'nope'"),
+        ('{"rating": 3}', "'rating'"),
+    ])
+    def test_bad_column_map_is_validation_error(self, capsys, column_map, named):
+        assert run(["report", "--ratings", str(ratings_fixture_path()),
+                    "--manifest", str(manifest_fixture_path()),
+                    "--level", "class", "--column-map", column_map]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: column map") and named in err
 
 
 class TestBench:

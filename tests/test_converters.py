@@ -25,7 +25,7 @@ from hapticwave.converters import (
     plm_feature_tracks,
 )
 from hapticwave.dsp import frame_signal, instantaneous_frequency
-from hapticwave.psychoacoustics import frame_loudness, frame_roughness, specific_loudness_bark
+from hapticwave.psychoacoustics import loudness_roughness_frames, specific_loudness_frames
 from hapticwave.errors import DegenerateSignalError, SchemaError
 
 from conftest import SR, sine_clip
@@ -143,7 +143,7 @@ BATCH_CASES = [(sr, kind) for sr in (32000, 44100, 48000, 96000)
 
 
 class TestBatchedTracks:
-    """The frame-batched tracks against per-frame references from the public frame functions."""
+    """The frame-batched tracks against per-frame references: one analysis call per frame."""
 
     @pytest.mark.parametrize("sr,kind", BATCH_CASES)
     def test_pitch_track_matches_per_frame(self, sr, kind):
@@ -154,7 +154,7 @@ class TestBatchedTracks:
         coeffs = np.asarray(pc.regression_coeffs[:-1])
         ref_f, ref_a = [], []
         for frame in frame_signal(clip.samples, window, hop):
-            specific = specific_loudness_bark(frame, sr)
+            specific = specific_loudness_frames(frame, window, window, sr)[0]
             total = float(specific.sum())
             features = specific / total if total > 0 else specific
             ref_f.append(np.clip(pc.regression_coeffs[-1] + features @ coeffs,
@@ -169,9 +169,11 @@ class TestBatchedTracks:
         clip, cfg = _test_signal(kind, sr), default_config()
         a0, a1 = cfg.plm.intensity_map
         b0, b1, b2 = cfg.plm.roughness_map
-        frames = frame_signal(clip.samples, cfg.plm.frame_size, cfg.plm.frame_size)
-        ref_i = [max(0.0, a0 + a1 * np.log1p(frame_loudness(f, sr))) for f in frames]
-        ref_r = [max(0.0, b0 + b1 * frame_roughness(f, sr) ** b2) for f in frames]
+        size = cfg.plm.frame_size
+        per_frame = [loudness_roughness_frames(f, size, size, sr)
+                     for f in frame_signal(clip.samples, size, size)]
+        ref_i = [max(0.0, a0 + a1 * np.log1p(loud[0])) for loud, _ in per_frame]
+        ref_r = [max(0.0, b0 + b1 * rough[0] ** b2) for _, rough in per_frame]
         intensity, roughness = plm_feature_tracks(clip, cfg)
         np.testing.assert_allclose(intensity, ref_i, rtol=1e-9, atol=0)
         np.testing.assert_allclose(roughness, ref_r, rtol=1e-9, atol=0)
@@ -242,6 +244,16 @@ class TestNormalizeVibration:
                                   algorithm_tag="fshift")
         assert np.sqrt(np.mean(out.samples**2)) == pytest.approx(0.15, abs=1e-6)
 
+    @pytest.mark.parametrize("strategy", ["global", "segment_max"])
+    def test_clamp_warns_and_counts(self, strategy):
+        # 1% of the samples are spikes that the 0.15 target pushes past full scale
+        raw = np.full(8000, 0.01)
+        raw[::100] = 1.0
+        with pytest.warns(RuntimeWarning, match=r"clamped 1\.00% of samples"):
+            out = normalize_vibration(raw, strategy, default_config(), algorithm_tag="plm")
+        assert out.clipped_fraction == 0.01
+        assert np.max(np.abs(out.samples)) == 1.0
+
     def test_silent_rejected(self):
         with pytest.raises(DegenerateSignalError):
             normalize_vibration(np.zeros(8000), "global", default_config(),
@@ -305,6 +317,8 @@ class TestConfig:
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
             apply_config_overrides(default_config(), {"pitch.f_min_hz": "500"})
+        with pytest.raises(ValueError, match="target_segment_rms"):
+            apply_config_overrides(default_config(), {"target_segment_rms": "0"})
 
     def test_every_leaf_round_trips_its_default(self):
         def leaves(section, prefix=""):

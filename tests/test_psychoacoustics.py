@@ -14,20 +14,19 @@ from hapticwave.psychoacoustics import (
     DEFAULT_PSYCHO_CONFIG,
     N_BARK_BANDS,
     PsychoConfig,
+    _band_matrix,
+    _peaks,
     analysis_tables,
     bark_band_index,
-    bark_band_powers,
     equal_loudness_weight,
-    frame_loudness,
-    frame_roughness,
     hz_to_bark,
     loudness_roughness_frames,
-    spectral_peaks,
-    specific_loudness_bark,
     specific_loudness_frames,
 )
 
 SR = 44100
+
+# Single-frame cases call the batched API with frame_size = hop = len(x).
 
 
 def tone(freq: float, duration: float, sr: int = SR, amp: float = 0.5) -> np.ndarray:
@@ -37,40 +36,46 @@ def tone(freq: float, duration: float, sr: int = SR, amp: float = 0.5) -> np.nda
 
 class TestLoudness:
     def test_silence_is_zero(self):
-        assert frame_loudness(np.zeros(2048), SR) == 0.0
+        loudness, _ = loudness_roughness_frames(np.zeros(2048), 2048, 2048, SR)
+        assert loudness.tolist() == [0.0]
 
     def test_contour_orders_tones(self):
         # equal-amplitude tones: 1 kHz must read louder than 50 Hz
-        loud_1k = frame_loudness(tone(1000.0, 0.2), SR)
-        loud_50 = frame_loudness(tone(50.0, 0.2), SR)
+        x_1k, x_50 = tone(1000.0, 0.2), tone(50.0, 0.2)
+        (loud_1k,), _ = loudness_roughness_frames(x_1k, len(x_1k), len(x_1k), SR)
+        (loud_50,), _ = loudness_roughness_frames(x_50, len(x_50), len(x_50), SR)
         assert loud_1k > loud_50
 
     def test_strictly_monotone_in_amplitude(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             frame = rng.standard_normal(2048) * 0.2
-            assert frame_loudness(2 * frame, SR) > frame_loudness(frame, SR)
+            (quiet, loud), _ = loudness_roughness_frames(np.concatenate([frame, 2 * frame]),
+                                                         2048, 2048, SR)
+            assert loud > quiet
 
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
-            frame_loudness(np.zeros(100), SR)
+            specific_loudness_frames(np.zeros(100), 100, 100, SR)
 
 
 class TestRoughness:
+    # 2 s at 8 kHz per frame
     def test_pure_tone_zero(self):
-        assert frame_roughness(tone(400.0, 2.0, sr=8000), 8000) == 0.0
+        _, roughness = loudness_roughness_frames(tone(400.0, 2.0, sr=8000), 16000, 16000, 8000)
+        assert roughness.tolist() == [0.0]
 
     def test_coincident_tones_zero(self):
         x = tone(400.0, 2.0, sr=8000) + tone(400.0, 2.0, sr=8000)
-        assert frame_roughness(x, 8000) == 0.0
+        _, roughness = loudness_roughness_frames(x, 16000, 16000, 8000)
+        assert roughness.tolist() == [0.0]
 
     def test_interior_maximum_over_separation(self):
         deltas = np.arange(5, 205, 5)
-        values = []
-        for d in deltas:
-            x = tone(400.0, 2.0, sr=8000, amp=0.5) + tone(400.0 + d, 2.0, sr=8000, amp=0.5)
-            values.append(frame_roughness(x, 8000))
-        values = np.array(values)
+        dyads = [tone(400.0, 2.0, sr=8000, amp=0.5) + tone(400.0 + d, 2.0, sr=8000, amp=0.5)
+                 for d in deltas]
+        _, values = loudness_roughness_frames(np.concatenate(dyads), 16000, 16000, 8000)
+        assert len(values) == len(deltas)
         peak = int(np.argmax(values))
         assert 0 < peak < len(values) - 1
         assert values[peak] > values[0]
@@ -79,35 +84,37 @@ class TestRoughness:
     def test_dyad_symmetry(self):
         a = tone(300.0, 2.0, sr=8000, amp=0.6) + tone(340.0, 2.0, sr=8000, amp=0.3)
         b = tone(340.0, 2.0, sr=8000, amp=0.3) + tone(300.0, 2.0, sr=8000, amp=0.6)
-        assert frame_roughness(a, 8000) == pytest.approx(frame_roughness(b, 8000), rel=1e-9)
+        _, (rough_a, rough_b) = loudness_roughness_frames(np.concatenate([a, b]),
+                                                          16000, 16000, 8000)
+        assert rough_a == pytest.approx(rough_b, rel=1e-9)
 
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
-            frame_roughness(np.zeros(512), 8000)
+            loudness_roughness_frames(np.zeros(512), 512, 512, 8000)
 
 
 class TestSpecificLoudness:
     def test_silence(self):
-        out = specific_loudness_bark(np.zeros(2048), SR)
-        assert out.shape == (N_BARK_BANDS,)
+        out = specific_loudness_frames(np.zeros(2048), 2048, 2048, SR)
+        assert out.shape == (1, N_BARK_BANDS)
         assert not out.any()
 
     def test_100hz_tone_band_placement(self):
         assert round(float(hz_to_bark(100.0))) == 1
         # 2 s at 8 kHz keeps the mainlobe inside band 1's edge
-        out = specific_loudness_bark(tone(100.0, 2.0, sr=8000), 8000)
+        x = tone(100.0, 2.0, sr=8000)
+        (out,) = specific_loudness_frames(x, len(x), len(x), 8000)
         assert out.argmax() == 0
         assert out[5:].max() <= 0.02 * out[0]
 
     def test_white_noise_spreads(self):
         rng = np.random.default_rng(12)
-        out = specific_loudness_bark(rng.standard_normal(SR), SR)
+        (out,) = specific_loudness_frames(rng.standard_normal(SR), SR, SR, SR)
         assert np.count_nonzero(out > 1e-6 * out.max()) >= 20
 
     def test_scale_monotone(self):
         x = tone(300.0, 0.1) + tone(1200.0, 0.1)
-        lo = specific_loudness_bark(x, SR)
-        hi = specific_loudness_bark(3 * x, SR)
+        lo, hi = specific_loudness_frames(np.concatenate([x, 3 * x]), len(x), len(x), SR)
         assert np.all(hi >= lo)
 
     def test_band_partition_on_impulse(self):
@@ -115,7 +122,7 @@ class TestSpecificLoudness:
         impulse[2048] = 1.0
         power = np.abs(np.fft.rfft(impulse)) ** 2
         freqs = np.fft.rfftfreq(4096, 1 / SR)
-        bands = bark_band_powers(power, freqs)
+        bands = power @ _band_matrix(freqs)
         assert abs(bands.sum() - power.sum()) <= 0.05 * power.sum()
 
 
@@ -146,48 +153,53 @@ class TestBatchedCore:
         pooled = np.zeros(N_BARK_BANDS)
         np.add.at(pooled, bark_band_index(freqs) - 1, power * equal_loudness_weight(freqs))
         cfg = DEFAULT_PSYCHO_CONFIG
-        np.testing.assert_allclose(specific_loudness_bark(x, SR),
+        np.testing.assert_allclose(specific_loudness_frames(x, 1024, 1024, SR)[0],
                                    cfg.loudness_scale * pooled ** cfg.loudness_exponent, rtol=1e-12)
 
     def test_peaks_keep_the_strongest(self):
         x = sum(tone(200.0 * k, 8192 / SR, amp=1.0 - 0.05 * k) for k in range(1, 13))
-        peaks = spectral_peaks(x, SR)
-        assert len(peaks) == DEFAULT_PSYCHO_CONFIG.max_peaks == 10
-        np.testing.assert_allclose([f for f, _ in peaks], 200.0 * np.arange(1, 11), atol=1.0)
+        mags = np.abs(np.fft.rfft(x * hann_window(len(x))))[None, :]
+        (freqs,), _ = _peaks(mags, SR / len(x), DEFAULT_PSYCHO_CONFIG)
+        assert len(freqs) == DEFAULT_PSYCHO_CONFIG.max_peaks == 10
+        np.testing.assert_allclose(freqs, 200.0 * np.arange(1, 11), atol=1.0)
 
     def test_pair_sum_matches_double_loop(self):
         rng = np.random.default_rng(3)
         signals = [tone(300.0, 0.1) + tone(330.0, 0.1, amp=0.3) + tone(1100.0, 0.1, amp=0.2),
                    rng.standard_normal(4096), sum(tone(220.0 * k, 0.1, amp=0.5 / k) for k in range(1, 8))]
         for x in signals:
-            peaks = spectral_peaks(x, SR)
+            mags = np.abs(np.fft.rfft(x * hann_window(len(x))))[None, :]
+            (freqs,), (amps,) = _peaks(mags, SR / len(x), DEFAULT_PSYCHO_CONFIG)
+            peaks = [(f, a) for f, a in zip(freqs.tolist(), amps.tolist()) if not np.isnan(f)]
             assert len(peaks) >= 2
             expected = 0.0
             for i in range(len(peaks)):
                 for j in range(i + 1, len(peaks)):
                     expected += _scalar_pair_roughness(*peaks[i], *peaks[j])
-            assert frame_roughness(x, SR) == pytest.approx(expected, rel=1e-12)
+            _, (roughness,) = loudness_roughness_frames(x, len(x), len(x), SR)
+            assert roughness == pytest.approx(expected, rel=1e-12)
 
     def test_frames_match_single_frame_functions(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(SR // 2) * np.linspace(0.0, 1.0, SR // 2)
         specific = specific_loudness_frames(x, 441, 220, SR)
         frames = frame_signal(x, 441, 220)
-        expected = np.array([specific_loudness_bark(f, SR) for f in frames])
+        expected = np.array([specific_loudness_frames(f, 441, 441, SR)[0] for f in frames])
         np.testing.assert_allclose(specific, expected, rtol=1e-9, atol=0)
         loudness, roughness = loudness_roughness_frames(x, 2048, 1024, SR)
         frames = frame_signal(x, 2048, 1024)
-        np.testing.assert_allclose(loudness, [frame_loudness(f, SR) for f in frames], rtol=1e-9)
-        np.testing.assert_allclose(roughness, [frame_roughness(f, SR) for f in frames], rtol=1e-9)
+        expected = np.array([loudness_roughness_frames(f, 2048, 2048, SR) for f in frames])
+        np.testing.assert_allclose(loudness, expected[:, 0, 0], rtol=1e-9)
+        np.testing.assert_allclose(roughness, expected[:, 1, 0], rtol=1e-9)
 
     def test_band_powers_pool_each_row(self):
         rng = np.random.default_rng(5)
         power = rng.random((3, 1025))
         freqs = np.fft.rfftfreq(2048, 1 / SR)
-        batched = bark_band_powers(power, freqs)
+        batched = power @ _band_matrix(freqs)
         assert batched.shape == (3, N_BARK_BANDS)
         for row, pooled in zip(power, batched):
-            np.testing.assert_allclose(pooled, bark_band_powers(row, freqs), rtol=1e-12)
+            np.testing.assert_allclose(pooled, row @ _band_matrix(freqs), rtol=1e-12)
             assert pooled.sum() == pytest.approx(row.sum(), rel=1e-12)
 
     def test_window_minimums_kept(self):
