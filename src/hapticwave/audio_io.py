@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
 
 from .errors import AudioFormatError, DegenerateSignalError, NonFiniteSignalError
 
@@ -112,6 +111,8 @@ def save_wav(signal: AudioClip | VibrationSignal, path: str | Path) -> None:
 @lru_cache(maxsize=32)
 def _kaiser_lowpass(up: int, down: int) -> np.ndarray:
     """The anti-aliasing FIR resample_poly designs for (up, down), built once and read-only."""
+    from scipy.signal import firwin  # ~1 s to load, so only on the first filter design
+
     max_rate = max(up, down)
     h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", _KAISER_BETA))
     h.flags.writeable = False
@@ -123,6 +124,8 @@ def _resample_poly(samples: np.ndarray, up: int, down: int, want: int) -> np.nda
     if up == down:  # resample_poly returns a copy without filtering
         out = np.array(samples)
     else:
+        from scipy.signal import resample_poly
+
         out = resample_poly(samples, up, down, window=_kaiser_lowpass(up, down))
     if len(out) < want:
         out = np.pad(out, (0, want - len(out)))

@@ -1,8 +1,10 @@
 """Batch-oriented command-line interface.
 
 Exit codes: 0 success, 1 validation failure (bad flags, files, or schemas),
-2 runtime failure. Stochastic commands (curate, augment) require an explicit
-seed so every run is reproducible.
+2 runtime failure. batch converts every clip it can and exits 1 if every
+failed clip failed validation, 2 if any failed at run time. Stochastic
+commands (curate, augment) require an explicit seed so every run is
+reproducible.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -135,12 +136,15 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _batch_one(task):
+def _batch_one(task) -> tuple[str, bool] | None:
+    """Convert one clip with one algorithm; a failure comes back as (message, is_validation)."""
     clip_path, clip_id, algo, cfg, out_dir = task
-    clip = load_wav(clip_path)
-    out_path = Path(out_dir) / f"{clip_id}.{algo}.wav"
-    save_wav(converters.convert(clip, algo, cfg), out_path)
-    return str(out_path)
+    try:
+        clip = load_wav(clip_path)
+        save_wav(converters.convert(clip, algo, cfg), Path(out_dir) / f"{clip_id}.{algo}.wav")
+    except Exception as exc:  # one clip's failure never stops the others
+        return f"{clip_id} {algo}: {exc}", isinstance(exc, _VALIDATION_ERRORS)
+    return None
 
 
 def _cmd_batch(args) -> int:
@@ -155,12 +159,19 @@ def _cmd_batch(args) -> int:
              for e in manifest.entries for algo in algos]
     workers = args.workers if args.workers > 0 else None
     if args.workers == 1:
-        produced = [_batch_one(t) for t in tasks]
+        results = [_batch_one(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            produced = list(pool.map(_batch_one, tasks))
-    print(f"wrote {len(produced)} files to {out_dir}")
-    return EXIT_OK
+            results = list(pool.map(_batch_one, tasks))
+    failures = [r for r in results if r is not None]
+    for message, _ in failures:
+        print(f"error: {message}", file=sys.stderr)
+    print(f"wrote {len(tasks) - len(failures)} files to {out_dir}")
+    if not failures:
+        return EXIT_OK
+    return EXIT_VALIDATION if all(valid for _, valid in failures) else EXIT_RUNTIME
 
 
 def _cmd_features(args) -> int:
@@ -203,6 +214,10 @@ def _cmd_blend(args) -> int:
         if clip.sample_rate != VIBRATION_RATE:
             raise _CliValidationError(
                 f"{path}: vibration sample rate must be {VIBRATION_RATE}, got {clip.sample_rate}")
+        if refs and len(clip.samples) != len(refs[0].samples):
+            raise _CliValidationError(
+                f"{path}: {len(clip.samples)} samples, but {args.refs[0]} has "
+                f"{len(refs[0].samples)}; reference vibrations must have equal length")
         refs.append(VibrationSignal(samples=clip.samples, algorithm_tag="blended"))
     blended = analysis.blend_targets(refs, args.ratings)
     save_wav(blended, args.out)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import butter, sosfilt
 
 from .audio_io import AudioClip, resample_by_ratio
 
@@ -74,6 +73,8 @@ def stft(signal: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _butter_sos(kind: str, cutoff: float, q: float, order: int, sample_rate: int) -> np.ndarray:
     """Second-order sections for one FilterSpec at one rate, designed once and read-only."""
+    from scipy.signal import butter  # ~1 s to load, so only on the first filter design
+
     nyquist = sample_rate / 2.0
     if kind == "highpass":
         if cutoff >= nyquist:
@@ -100,6 +101,8 @@ def butterworth_filter(signal: np.ndarray, spec: FilterSpec | tuple[FilterSpec, 
     A tuple of specs runs as one stacked cascade, which equals filtering by
     each spec in turn.
     """
+    from scipy.signal import sosfilt
+
     specs = spec if isinstance(spec, tuple) else (spec,)
     # vstack copies the cached sections: sosfilt needs a writable array
     sos = np.vstack([_butter_sos(s.kind, s.center_or_cutoff, s.q, s.order, sample_rate)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,26 @@ class TestCorpus:
         ten = corpus[10][0].samples
         half = len(ten) // 2
         assert np.array_equal(ten[:half], ten[half:])
+
+    def test_long_sets_built_on_read(self, bench_clips):
+        corpus = build_bench_corpus(bench_clips)
+        for duration, repeats in ((10, 2), (20, 4)):
+            clip = corpus[duration][3]
+            assert clip.source_id == f"bench03#{duration}s"
+            assert clip.sample_rate == BENCH_SR
+            assert np.array_equal(clip.samples, np.tile(bench_clips[3].samples, repeats))
+            assert [c.source_id for c in corpus[duration][48:]] == \
+                [f"bench48#{duration}s", f"bench49#{duration}s"]
+
+    def test_corpus_holds_no_copies(self, bench_clips):
+        # 50 tiled copies of 5 s at 32 kHz would take 300 MB
+        tracemalloc.start()
+        try:
+            build_bench_corpus(bench_clips)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_wrong_count_rejected(self, bench_clips):
         with pytest.raises(ProtocolError):

@@ -145,6 +145,34 @@ class TestBatch:
                             "00-01.fshift.wav", "00-01.hapticgen.wav"]
 
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_clips_are_named_and_the_rest_written(self, tmp_path, capsys, workers):
+        audio = tmp_path / "audio"
+        audio.mkdir()
+        save_wav(sine_clip(300.0), audio / "c0.wav")
+        save_wav(AudioClip(np.zeros(SR), SR), audio / "c1.wav")
+        save_wav(sine_clip(440.0), audio / "c2.wav")
+        entries = [ManifestEntry(f"c{i}", str(audio / f"c{i}.wav"), 0, "tone", 1)
+                   for i in range(4)]  # c3.wav is never written
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(DatasetManifest(entries), manifest)
+        out_dir = tmp_path / "out"
+        argv = ["batch", "--manifest", str(manifest), "--algos", "hapticgen",
+                "--out-dir", str(out_dir), "--workers", workers]
+        assert run(argv) == 2
+        assert sorted(p.name for p in out_dir.glob("*.wav")) == \
+            ["c0.hapticgen.wav", "c2.hapticgen.wav"]
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: c1 hapticgen: degenerate signal: silent input",
+                       f"error: c3 hapticgen: {audio / 'c3.wav'}"]
+
+        write_manifest(DatasetManifest(entries[2:]), manifest)
+        assert run(argv) == 1  # only the missing file fails: a validation error
+        assert capsys.readouterr().err.startswith("error: c3 hapticgen: ")
+        write_manifest(DatasetManifest(entries[:1]), manifest)
+        assert run(argv) == 0
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("curate", "--k", "0"),
     ("curate", "--k", "-2"),
@@ -248,6 +276,20 @@ class TestBlend:
         assert not out.exists()
 
 
+    def test_short_ref_is_named(self, tmp_path, capsys):
+        paths = []
+        for i, n in enumerate((8000, 8000, 4000, 8000)):
+            path = tmp_path / f"r{i}.wav"
+            save_wav(AudioClip(np.full(n, 0.1), 8000), path)
+            paths.append(str(path))
+        out = tmp_path / "blend.wav"
+        assert run(["blend", "--refs", *paths, "--ratings", "1", "1", "1", "1",
+                    "--out", str(out)]) == 1
+        assert f"error: {paths[2]}: 4000 samples, but {paths[0]} has 8000" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMetrics:
     def test_report_json(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -319,6 +361,45 @@ class TestReport:
                     "--level", "class", "--column-map", column_map]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: column map") and named in err
+
+
+_COLD_START = """
+import sys
+import hapticwave, hapticwave.cli
+from hapticwave.fixtures import manifest_fixture_path, ratings_fixture_path
+tmp, tone, manifest, vib = sys.argv[1:]
+commands = [
+    ["report", "--ratings", str(ratings_fixture_path()),
+     "--manifest", str(manifest_fixture_path()), "--level", "clip"],
+    ["curate", "--manifest", manifest, "--per-class", "2", "--k", "2", "--seed", "1",
+     "--out", tmp + "/curated.csv"],
+    ["metrics", "--pred", vib, "--target", vib],
+    ["blend", "--refs", vib, vib, vib, vib, "--ratings", "1", "2", "3", "4",
+     "--out", tmp + "/blend.wav"],
+    ["features", "--in", tone, "--out", tmp + "/features.json"],
+] + [["convert", "--algo", algo, "--in", tone, "--out", f"{tmp}/{algo}.wav"]
+     for algo in ("plm", "pitch", "hapticgen")]
+for argv in commands:
+    assert hapticwave.cli.run(argv) == 0, argv
+    loaded = [m for m in ("scipy.signal", "concurrent.futures.process") if m in sys.modules]
+    assert not loaded, (argv[:3], loaded)
+assert hapticwave.cli.run(["convert", "--algo", "fshift", "--in", tone,
+                           "--out", tmp + "/fshift.wav"]) == 0
+assert "scipy.signal" in sys.modules
+"""
+
+
+def test_cold_start_loads_scipy_signal_only_to_filter(tmp_path, tone_wav):
+    manifest = small_audio_set(tmp_path, n_classes=1, per_class=3)
+    vib = tmp_path / "vib.wav"
+    save_wav(AudioClip(np.random.default_rng(5).uniform(-0.5, 0.5, 8000), 8000), vib)
+    src = str(Path(hapticwave.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path), str(tone_wav),
+                           str(manifest), str(vib)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBench:
