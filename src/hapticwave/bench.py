@@ -4,9 +4,9 @@ The corpus is derived from exactly 50 five-second clips: each is cut into
 five 1 s segments (250 total) and two 2 s segments dropping the last second
 (100 total), and repeated twice and four times for 10 s and 20 s versions
 (50 each). The short sets are views of the source clips; a 10 s or 20 s clip
-is built each time it is read, so at most one long clip is held at once. Every
-clip is in memory before its timer starts, so the timed region covers
-conversion only, never file I/O. Timed runs are strictly sequential.
+is built each time it is read, not held in the corpus. Every clip is in
+memory before its timer starts, so the timed region covers conversion only,
+never file I/O. Timed runs are strictly sequential.
 """
 
 from __future__ import annotations
