@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -27,6 +28,7 @@ RATINGS_HEADER = ["clip_id", "algorithm", "rater_id", "rating"]
 _LOG_EPS = 1e-7
 STFT_LOSS_FFT_SIZES = (1024, 512, 256)
 _METRIC_N_MELS = 64
+_METRIC_MEL_FFT_SIZE = 1024  # one of STFT_LOSS_FFT_SIZES, so its magnitudes are shared
 
 
 _ALGORITHM_CODE = {a: i for i, a in enumerate(RATING_ALGORITHMS)}
@@ -165,33 +167,122 @@ class AggregateReport:
     tie_count: int
 
     def to_json(self) -> str:
-        payload = {
-            "level": self.level,
-            "overall": _group_to_dict(self.overall),
-            "groups": {str(k): _group_to_dict(g) for k, g in self.groups.items()},
-            "winner_counts": self.winner_counts,
-            "tie_count": self.tie_count,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        """The report as json.dumps(payload, indent=2, sort_keys=True) writes it, byte for byte.
+
+        json's C encoder does not run with indent set, so this fixed shape is
+        written directly: keys sorted as strings and escaped by json's own
+        escaper, numbers spelled as json spells them.
+        """
+        groups = {str(k): g for k, g in self.groups.items()}
+        members = _GroupWriter(_JSON_PAD * 2)
+        body = _json_block([f"{_json_template_str(k)}: {members.template(groups[k])}"
+                            for k in sorted(groups)], _JSON_PAD)
+        overall = _GroupWriter(_JSON_PAD)
+        overall_text = overall.fill(overall.template(self.overall))
+        counts = self.winner_counts
+        keys = sorted(counts)
+        winner_counts = [f"{_json_str(a)}: {text}"
+                         for a, text in zip(keys, _json_numbers([counts[a] for a in keys]))]
+        return _json_block([
+            f'"groups": {members.fill(body)}',
+            f'"level": {_json_str(self.level)}',
+            f'"overall": {overall_text}',
+            f'"tie_count": {int.__repr__(self.tie_count)}',
+            f'"winner_counts": {_json_block(winner_counts, _JSON_PAD)}',
+        ], "")
 
     def format_table(self) -> str:
-        lines = []
         header = f"{'group':>12} " + " ".join(f"{a:>12}" for a in RATING_ALGORITHMS) + "   winner"
-        lines.append(header)
-        for key in sorted(self.groups, key=str):
-            g = self.groups[key]
-            cells = " ".join(f"{g.mean[a]:>7.2f}({g.sd[a]:4.1f})" for a in RATING_ALGORITHMS)
-            lines.append(f"{str(key):>12} {cells}   {'/'.join(g.winners)}")
-        o = self.overall
-        cells = " ".join(f"{o.mean[a]:>7.2f}({o.sd[a]:4.1f})" for a in RATING_ALGORITHMS)
-        lines.append(f"{'overall':>12} {cells}   {'/'.join(o.winners)}")
+        groups = self.groups
+        lines = [header]
+        lines += [_table_row(str(key), groups[key]) for key in sorted(groups, key=str)]
+        lines.append(_table_row("overall", self.overall))
         counts = ", ".join(f"{a}={self.winner_counts[a]}" for a in RATING_ALGORITHMS)
         lines.append(f"clip-level winners: {counts}, ties={self.tie_count}")
         return "\n".join(lines)
 
 
-def _group_to_dict(g: GroupStats) -> dict:
-    return {"mean": g.mean, "sd": g.sd, "winners": list(g.winners), "n_clips": g.n_clips}
+# A table row is the group, mean(SD) per algorithm and the winners, written by one
+# %-format; its arguments interleave the means and SDs in RATING_ALGORITHMS order.
+_TABLE_ROW = "%12s " + " ".join(["%7.2f(%4.1f)"] * len(RATING_ALGORITHMS)) + "   %s"
+_by_algorithm = itemgetter(*RATING_ALGORITHMS)
+_mean_sd_pairs = itemgetter(*[i + k * len(RATING_ALGORITHMS)
+                              for i in range(len(RATING_ALGORITHMS)) for k in (0, 1)])
+
+
+def _table_row(key: str, g: GroupStats) -> str:
+    means_then_sds = _by_algorithm(g.mean) + _by_algorithm(g.sd)
+    return _TABLE_ROW % (key, *_mean_sd_pairs(means_then_sds), "/".join(g.winners))
+
+
+_JSON_PAD = "  "
+_json_str = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(values: list) -> list[str]:
+    """Numbers as json writes them: float.__repr__ or int.__repr__, non-finite as NaN/Infinity."""
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:  # an int among them
+        texts = [int.__repr__(v) if isinstance(v, int) else float.__repr__(v) for v in values]
+    return list(map(_NON_FINITE.get, texts, texts))
+
+
+def _json_block(members: list[str], pad: str, brackets: str = "{}") -> str:
+    """An indent-2 JSON object or list of already written members, nested at pad."""
+    if not members:
+        return brackets
+    inner = "\n" + pad + _JSON_PAD
+    return brackets[0] + inner + ("," + inner).join(members) + "\n" + pad + brackets[1]
+
+
+def _json_template_str(text: str) -> str:
+    """A JSON string literal, escaped for use in a %-template."""
+    return _json_str(text).replace("%", "%%")
+
+
+class _GroupWriter:
+    """Writes GroupStats as json.dumps(indent=2, sort_keys=True) nests them at pad.
+
+    template() returns a group's text with a %s for each mean/sd value and
+    queues the values; fill() spells all queued numbers in one pass and puts
+    them in with one %. The text around the numbers depends only on the
+    mean/sd keys and the winners, which repeat from group to group, so it is
+    made once per report for each such shape.
+    """
+
+    def __init__(self, pad: str) -> None:
+        self.pad = pad
+        self._values: list = []
+        self._forms: dict = {}
+
+    def template(self, g: GroupStats) -> str:
+        mean, sd = g.mean, g.sd
+        shape = (tuple(mean), tuple(sd), tuple(g.winners))
+        form = self._forms.get(shape)
+        if form is None:
+            form = self._forms[shape] = self._form(sorted(mean), sorted(sd), shape[2])
+        mean_keys, sd_keys, head, tail = form
+        self._values += map(mean.__getitem__, mean_keys)
+        self._values += map(sd.__getitem__, sd_keys)
+        return head + int.__repr__(g.n_clips) + tail
+
+    def fill(self, template: str) -> str:
+        return template % tuple(_json_numbers(self._values))
+
+    def _form(self, mean_keys: list[str], sd_keys: list[str], winners: tuple[str, ...]):
+        pad = self.pad
+        inner = "\n" + pad + _JSON_PAD
+
+        def numbers(keys):
+            return _json_block([f"{_json_template_str(k)}: %s" for k in keys], pad + _JSON_PAD)
+
+        head = "{" + inner + f'"mean": {numbers(mean_keys)},' + inner + '"n_clips": '
+        winners_list = _json_block(list(map(_json_template_str, winners)), pad + _JSON_PAD, "[]")
+        tail = ("," + inner + f'"sd": {numbers(sd_keys)},' + inner
+                + f'"winners": {winners_list}' + "\n" + pad + "}")
+        return mean_keys, sd_keys, head, tail
 
 
 def _stats_for(clip_matrix: np.ndarray) -> GroupStats:
@@ -307,9 +398,7 @@ def _padded_stft_mag(x: np.ndarray, fft_size: int) -> np.ndarray:
     return stft(x, fft_size, fft_size // 4)
 
 
-def _stft_resolution_loss(pred: np.ndarray, target: np.ndarray, fft_size: int) -> float:
-    mag_p = _padded_stft_mag(pred, fft_size)
-    mag_t = _padded_stft_mag(target, fft_size)
+def _stft_resolution_loss(mag_p: np.ndarray, mag_t: np.ndarray) -> float:
     norm_t = np.linalg.norm(mag_t)
     convergence = np.linalg.norm(mag_t - mag_p) / max(norm_t, _LOG_EPS)
     log_l1 = float(np.mean(np.abs(np.log(mag_t + _LOG_EPS) - np.log(mag_p + _LOG_EPS))))
@@ -321,9 +410,10 @@ def reconstruction_metrics(pred, target, sample_rate: int = VIBRATION_RATE) -> M
 
     mse/rmse are plain time-domain errors; stft_loss averages spectral
     convergence plus log-magnitude L1 over FFT sizes 1024/512/256; mel_l1 is
-    the mean absolute log-mel difference (64 bands to Nyquist); amp_loss is
-    the absolute RMS difference. sample_rate is the rate of both signals;
-    a VibrationSignal's is VIBRATION_RATE, the default.
+    the mean absolute log-mel difference (64 bands to Nyquist) on the
+    1024-point magnitudes; amp_loss is the absolute RMS difference.
+    sample_rate is the rate of both signals; a VibrationSignal's is
+    VIBRATION_RATE, the default.
     """
     p = _as_samples(pred)
     t = _as_samples(target)
@@ -337,14 +427,13 @@ def reconstruction_metrics(pred, target, sample_rate: int = VIBRATION_RATE) -> M
     rmse = float(np.sqrt(mse))
     amp_loss = float(abs(np.sqrt(np.mean(p * p)) - np.sqrt(np.mean(t * t))))
 
-    stft_loss = float(np.mean([
-        _stft_resolution_loss(p, t, n) for n in STFT_LOSS_FFT_SIZES
-    ]))
+    mags = {n: (_padded_stft_mag(p, n), _padded_stft_mag(t, n)) for n in STFT_LOSS_FFT_SIZES}
+    stft_loss = float(np.mean([_stft_resolution_loss(*mags[n]) for n in STFT_LOSS_FFT_SIZES]))
 
-    fft_size = 1024
-    bank = mel_filterbank(_METRIC_N_MELS, fft_size, sample_rate)
-    mel_p = np.log(_padded_stft_mag(p, fft_size) ** 2 @ bank.T + _LOG_EPS)
-    mel_t = np.log(_padded_stft_mag(t, fft_size) ** 2 @ bank.T + _LOG_EPS)
+    mag_p, mag_t = mags[_METRIC_MEL_FFT_SIZE]
+    bank = mel_filterbank(_METRIC_N_MELS, _METRIC_MEL_FFT_SIZE, sample_rate)
+    mel_p = np.log(mag_p ** 2 @ bank.T + _LOG_EPS)
+    mel_t = np.log(mag_t ** 2 @ bank.T + _LOG_EPS)
     mel_l1 = float(np.mean(np.abs(mel_p - mel_t)))
 
     return MetricReport(mse=mse, stft_loss=stft_loss, mel_l1=mel_l1,

@@ -69,7 +69,7 @@ def load_wav(path: str | Path) -> AudioClip:
     """
     path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(f"{path}: file does not exist")
     try:
         with wave.open(str(path), "rb") as wav:
             n_channels = wav.getnchannels()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from hapticwave.analysis import (
     reconstruction_metrics,
 )
 from hapticwave.audio_io import VibrationSignal
+from hapticwave.dsp import mel_filterbank
 from hapticwave.cli import run
 from hapticwave.curation import DatasetManifest, ManifestEntry, load_manifest
 from hapticwave.errors import SchemaError
@@ -335,6 +337,147 @@ def test_fixture_report_golden(tmp_path, capsys, level):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
 
 
+# ---------------------------------------------------------------------------
+# report writers against the json.dumps payload and the f-string table they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_to_json(report: AggregateReport) -> str:
+    def group(g):
+        return {"mean": g.mean, "sd": g.sd, "winners": list(g.winners), "n_clips": g.n_clips}
+    payload = {
+        "level": report.level,
+        "overall": group(report.overall),
+        "groups": {str(k): group(g) for k, g in report.groups.items()},
+        "winner_counts": report.winner_counts,
+        "tie_count": report.tie_count,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _reference_format_table(report: AggregateReport) -> str:
+    lines = []
+    header = f"{'group':>12} " + " ".join(f"{a:>12}" for a in RATING_ALGORITHMS) + "   winner"
+    lines.append(header)
+    for key in sorted(report.groups, key=str):
+        g = report.groups[key]
+        cells = " ".join(f"{g.mean[a]:>7.2f}({g.sd[a]:4.1f})" for a in RATING_ALGORITHMS)
+        lines.append(f"{str(key):>12} {cells}   {'/'.join(g.winners)}")
+    o = report.overall
+    cells = " ".join(f"{o.mean[a]:>7.2f}({o.sd[a]:4.1f})" for a in RATING_ALGORITHMS)
+    lines.append(f"{'overall':>12} {cells}   {'/'.join(o.winners)}")
+    counts = ", ".join(f"{a}={report.winner_counts[a]}" for a in RATING_ALGORITHMS)
+    lines.append(f"clip-level winners: {counts}, ties={report.tie_count}")
+    return "\n".join(lines)
+
+
+def _stats(means, sds=None, winners=None, n_clips=3) -> GroupStats:
+    """GroupStats over RATING_ALGORITHMS; winners default to the top means."""
+    sds = [0.0] * len(means) if sds is None else sds
+    if winners is None:
+        top = max(means)
+        winners = tuple(a for a, m in zip(RATING_ALGORITHMS, means) if m == top)
+    return GroupStats(mean=dict(zip(RATING_ALGORITHMS, means)),
+                      sd=dict(zip(RATING_ALGORITHMS, sds)), winners=winners, n_clips=n_clips)
+
+
+def _report(groups, overall=None, level="clip", winner_counts=None, tie_count=0):
+    overall = overall or _stats([50.0, 40.0, 30.0, 20.0], n_clips=len(groups))
+    winner_counts = dict.fromkeys(RATING_ALGORITHMS, 0) if winner_counts is None else winner_counts
+    return AggregateReport(level=level, groups=groups, overall=overall,
+                           winner_counts=winner_counts, tie_count=tie_count)
+
+
+class TestReportWriters:
+    def assert_matches(self, report, table=True):
+        assert report.to_json() == _reference_to_json(report)
+        if table:
+            assert report.format_table() == _reference_format_table(report)
+
+    @pytest.mark.parametrize("level", ["category", "class", "clip"])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_seeded_aggregates(self, tmp_path, seed, level):
+        path = tmp_path / "r.csv"
+        manifest = _random_ratings(path, seed, 120, (1, 9))
+        self.assert_matches(aggregate(load_ratings(path), manifest, level))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_synthetic_reports(self, seed):
+        rng = np.random.default_rng(seed)
+        groups = {}
+        for k in rng.permutation(40):
+            means = rng.uniform(0, 100, len(RATING_ALGORITHMS)) * rng.choice([1e-9, 1.0, 1e9])
+            groups[int(k)] = _stats(means.tolist(), rng.uniform(0, 30, len(means)).tolist(),
+                                    n_clips=int(rng.integers(1, 10**6)))
+        winner_counts = dict(zip(RATING_ALGORITHMS, rng.integers(0, 1000, 4).tolist()))
+        self.assert_matches(_report(groups, level="class", winner_counts=winner_counts,
+                                    tie_count=int(rng.integers(0, 100))))
+
+    def test_integer_keys_sort_as_strings(self):
+        groups = {k: _stats([float(k), 1.0, 2.0, 3.0]) for k in (2, 10, 1, 100, 21, 3)}
+        report = _report(groups, level="category")
+        self.assert_matches(report)
+        assert list(json.loads(report.to_json())["groups"]) == ["1", "10", "100", "2", "21", "3"]
+
+    def test_escaped_clip_ids(self):
+        ids = ['say "hi"', "back\\slash", "tab\there", "nl\nline", "bell\x07\x1f",
+               "café", "日本語", "emoji \U0001F600", "100%", "%s %d %%", "%(x)s", "", " "]
+        groups = {cid: _stats([10.0 * i, 5.0, 5.0, 1.0]) for i, cid in enumerate(ids)}
+        self.assert_matches(_report(groups))
+
+    @pytest.mark.parametrize("n_tied", [2, 3, 4])
+    def test_ties(self, n_tied):
+        means = [70.0] * n_tied + [10.0] * (len(RATING_ALGORITHMS) - n_tied)
+        group = _stats(means)
+        assert len(group.winners) == n_tied
+        self.assert_matches(_report({"a": group, "b": _stats([1.0, 2.0, 3.0, 4.0])},
+                                    overall=group, tie_count=1))
+
+    def test_empty_groups_and_winners(self):
+        self.assert_matches(_report({}))
+        no_winner = _stats([1.0, 2.0, 3.0, 4.0], winners=())
+        self.assert_matches(_report({"a": no_winner}, overall=no_winner))
+        assert '"winners": []' in _report({"a": no_winner}).to_json()
+        assert '"groups": {}' in _report({}).to_json()
+
+    def test_non_finite_means(self):
+        nan, inf = float("nan"), float("inf")
+        groups = {"nan": _stats([nan, 1.0, 2.0, 3.0], [nan, 0.0, 0.0, 0.0], winners=("pitch",)),
+                  "inf": _stats([inf, -inf, 2.0, 3.0]),
+                  "-inf": _stats([-inf, -inf, -inf, -inf], [inf, inf, 0.0, 0.0])}
+        report = _report(groups, overall=_stats([nan, inf, -inf, 0.0], winners=()))
+        self.assert_matches(report)
+        assert "NaN" in report.to_json() and "-Infinity" in report.to_json()
+
+    def test_float_spellings(self):
+        values = [0.1 + 0.2, 1e-07, 100.0, 5e-324, -0.0, 1e16, 1.7976931348623157e308, 1 / 3]
+        groups = {f"g{i}": _stats(values[i:i + 4], values[-4 - i:len(values) - i])
+                  for i in range(len(values) - 3)}
+        self.assert_matches(_report(groups))
+
+    def test_integer_values(self):
+        groups = {"ints": _stats([50, 40, 30, 20], [0, 1, 2, 3]),
+                  "mixed": _stats([50, 40.5, 30, 20.25], [0.0, 1, 2.5, 3]),
+                  "numpy": _stats([np.float64(50.5), 40, 30.0, 20], np.arange(4.0).tolist())}
+        self.assert_matches(_report(groups, overall=_stats([1, 2, 3, 3])))
+
+    def test_other_and_reordered_mean_keys(self):
+        # to_json sorts each dict's own keys; the table needs every algorithm
+        groups = {"reordered": GroupStats(mean={"pitch": 3.0, "plm": 1.0, "hapticgen": 4.0,
+                                                "fshift": 2.0},
+                                          sd={"plm": 0.5, "hapticgen": 0.25, "fshift": 0.0,
+                                              "pitch": 1.5},
+                                          winners=("hapticgen",), n_clips=2),
+                  "extra": GroupStats(mean={"zeta": 1.0, "alpha": 2.0, "%": 3.0, '"q"': 4.0},
+                                      sd={"only": 0.5}, winners=("alpha",), n_clips=1),
+                  "empty": GroupStats(mean={}, sd={}, winners=(), n_clips=0),
+                  "four other keys": GroupStats(mean=dict(zip("wxyz", [1.0, 2.0, 3.0, 4.0])),
+                                                sd=dict(zip("zyxw", [0.0, 0.5, 1.0, 1.5])),
+                                                winners=("hapticgen",), n_clips=4),
+                  "plain": _stats([1.0, 2.0, 3.0, 4.0])}
+        self.assert_matches(_report(groups, winner_counts={"b": 2, "a": 1}), table=False)
+        self.assert_matches(_report({"reordered": groups["reordered"]}))
+
+
 def test_fixture_triples_unique():
     table = load_ratings(ratings_fixture_path())
     assert len(table) == 8000
@@ -564,6 +707,51 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             reconstruction_metrics(np.zeros(10), np.zeros(11))
+
+
+def _reference_reconstruction_metrics(p, t, sample_rate=8000):
+    """reconstruction_metrics as it was with one STFT pair per use: 8 STFTs a call."""
+    def resolution_loss(fft_size):
+        mag_p = analysis._padded_stft_mag(p, fft_size)
+        mag_t = analysis._padded_stft_mag(t, fft_size)
+        norm_t = np.linalg.norm(mag_t)
+        convergence = np.linalg.norm(mag_t - mag_p) / max(norm_t, 1e-7)
+        log_l1 = float(np.mean(np.abs(np.log(mag_t + 1e-7) - np.log(mag_p + 1e-7))))
+        return float(convergence) + log_l1
+
+    diff = p - t
+    mse = float(np.mean(diff * diff))
+    stft_loss = float(np.mean([resolution_loss(n) for n in (1024, 512, 256)]))
+    bank = mel_filterbank(64, 1024, sample_rate)
+    mel_p = np.log(analysis._padded_stft_mag(p, 1024) ** 2 @ bank.T + 1e-7)
+    mel_t = np.log(analysis._padded_stft_mag(t, 1024) ** 2 @ bank.T + 1e-7)
+    return analysis.MetricReport(
+        mse=mse, stft_loss=stft_loss, mel_l1=float(np.mean(np.abs(mel_p - mel_t))),
+        amp_loss=float(abs(np.sqrt(np.mean(p * p)) - np.sqrt(np.mean(t * t)))),
+        rmse=float(np.sqrt(mse)))
+
+
+class TestMetricsStfts:
+    @pytest.mark.parametrize("n", [8000, 16000, 24000, 300])
+    def test_equal_to_one_stft_pair_per_use(self, n):
+        rng = np.random.default_rng(n)
+        t = rng.uniform(-1, 1, n) * np.hanning(n)
+        p = t + 0.1 * rng.standard_normal(n)
+        assert reconstruction_metrics(p, t) == _reference_reconstruction_metrics(p, t)
+        assert reconstruction_metrics(p, t, 16000) == _reference_reconstruction_metrics(p, t, 16000)
+
+    def test_one_stft_per_signal_and_fft_size(self, monkeypatch):
+        sizes = []
+        real_stft = analysis.stft
+
+        def counting_stft(signal, fft_size, hop):
+            sizes.append(fft_size)
+            return real_stft(signal, fft_size, hop)
+
+        monkeypatch.setattr(analysis, "stft", counting_stft)
+        x = np.random.default_rng(0).uniform(-1, 1, 8000)
+        reconstruction_metrics(x, 0.5 * x)
+        assert sorted(sizes) == [256, 256, 512, 512, 1024, 1024]
 
 
 class TestCompareToReferences:

@@ -75,6 +75,12 @@ class TestConvert:
         assert run(["convert", "--algo", "plm", "--in", str(tmp_path / "no.wav"),
                     "--out", str(tmp_path / "o.wav")]) == 1
 
+    def test_missing_input_says_it_does_not_exist(self, tmp_path, capsys):
+        missing = tmp_path / "no.wav"
+        assert run(["convert", "--algo", "plm", "--in", str(missing),
+                    "--out", str(tmp_path / "o.wav")]) == 1
+        assert capsys.readouterr().err == f"error: {missing}: file does not exist\n"
+
     def test_silent_input_is_runtime_error(self, tmp_path):
         silent = tmp_path / "silent.wav"
         save_wav(AudioClip(np.zeros(SR), SR), silent)
@@ -164,7 +170,7 @@ class TestBatch:
             ["c0.hapticgen.wav", "c2.hapticgen.wav"]
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: c1 hapticgen: degenerate signal: silent input",
-                       f"error: c3 hapticgen: {audio / 'c3.wav'}"]
+                       f"error: c3 hapticgen: {audio / 'c3.wav'}: file does not exist"]
 
         write_manifest(DatasetManifest(entries[2:]), manifest)
         assert run(argv) == 1  # only the missing file fails: a validation error
