@@ -1,10 +1,11 @@
 """Batch-oriented command-line interface.
 
 Exit codes: 0 success, 1 validation failure (bad flags, files, or schemas),
-2 runtime failure. batch converts every clip it can and exits 1 if every
-failed clip failed validation, 2 if any failed at run time. Stochastic
-commands (curate, augment) require an explicit seed so every run is
-reproducible.
+2 runtime failure. batch converts every clip it can, and curate reads every
+clip before it clusters; both print one error line per failed clip, naming
+it, and exit 1 if every failed clip failed validation, 2 if any failed at run
+time. Stochastic commands (curate, augment) require an explicit seed so every
+run is reproducible.
 """
 
 from __future__ import annotations
@@ -166,9 +167,15 @@ def _cmd_batch(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_one, tasks))
     failures = [r for r in results if r is not None]
+    code = _report_failures(failures)
+    print(f"wrote {len(tasks) - len(failures)} files to {out_dir}")
+    return code
+
+
+def _report_failures(failures: list[tuple[str, bool]]) -> int:
+    """Print one error line per (message, is_validation) failure; return the exit code."""
     for message, _ in failures:
         print(f"error: {message}", file=sys.stderr)
-    print(f"wrote {len(tasks) - len(failures)} files to {out_dir}")
     if not failures:
         return EXIT_OK
     return EXIT_VALIDATION if all(valid for _, valid in failures) else EXIT_RUNTIME
@@ -184,11 +191,19 @@ def _cmd_features(args) -> int:
 
 def _cmd_curate(args) -> int:
     manifest = curation.load_manifest(args.manifest)
+    vectors: dict[str, curation.FeatureVector] = {}
+    failures = []
+    for e in manifest.entries:
+        try:
+            vectors[e.clip_id] = curation.extract_features(load_wav(e.path))
+        except Exception as exc:  # name the clip, and report every failing clip
+            failures.append((f"{e.clip_id}: {exc}", isinstance(exc, _VALIDATION_ERRORS)))
+    if failures:
+        return _report_failures(failures)
     selected: list[str] = []
     for class_id in manifest.class_ids():
-        entries = [e for e in manifest.entries if e.class_id == class_id]
-        features = {e.clip_id: curation.extract_features(load_wav(e.path))
-                    for e in entries}
+        features = {e.clip_id: vectors[e.clip_id]
+                    for e in manifest.entries if e.class_id == class_id}
         k = min(args.k, len(features))
         result = curation.kmeans(features, k=k, seed=args.seed)
         selected.extend(curation.stratified_sample(

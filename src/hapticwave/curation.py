@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -17,7 +18,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .audio_io import AudioClip
-from .dsp import frame_signal, frame_spectra, hann_window, mel_filterbank, pitch_shift
+from .dsp import frame_spectra, hann_window, mel_filterbank, pitch_shift
 from .errors import SchemaError
 
 TEMPO_MIN_BPM = 30.0
@@ -26,6 +27,7 @@ TEMPO_MAX_BPM = 300.0
 # extract_features' analysis frames
 _FFT_SIZE = 2048
 _HOP = 512
+_BLOCKS_PER_FRAME = _FFT_SIZE // _HOP  # hop blocks in one frame
 
 _KMEANS_MAX_ITER = 300
 
@@ -100,40 +102,75 @@ def _pitch_class_map(freqs: np.ndarray) -> np.ndarray:
     return classes
 
 
+@lru_cache(maxsize=16)
+def _feature_tables(sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (bin frequencies, (n_bins, 12) 0/1 pitch-class matrix) at one rate."""
+    freqs = np.fft.rfftfreq(_FFT_SIZE, 1.0 / sample_rate)
+    pitch_classes = (_pitch_class_map(freqs)[:, None] == np.arange(12)).astype(np.float64)
+    for array in (freqs, pitch_classes):
+        array.flags.writeable = False
+    return freqs, pitch_classes
+
+
+def _frame_totals(blocks: np.ndarray, n_frames: int) -> np.ndarray:
+    """Per-frame sums of per-hop-block values: frame f spans blocks f .. f + 3."""
+    totals = blocks[:n_frames].copy()
+    for k in range(1, _BLOCKS_PER_FRAME):
+        totals += blocks[k:k + n_frames]
+    return totals
+
+
 def extract_features(clip: AudioClip) -> FeatureVector:
-    """Compute the 31-dimensional averaged descriptor for one clip."""
+    """Compute the 31-dimensional averaged descriptor for one clip.
+
+    Features are averaged over 2048-sample Hann frames at hop 512. RMS and
+    zero-crossing rate are summed per 512-sample hop block, so each sample is
+    read once, and a frame adds up its four blocks.
+    """
     if clip.duration < 1.0:
         raise ValueError("feature extraction needs at least 1 s of audio")
     samples = np.asarray(clip.samples, dtype=np.float64)
+    n = len(samples)
+    if n < _FFT_SIZE:
+        raise ValueError(f"feature extraction needs at least one {_FFT_SIZE}-sample frame, "
+                         f"got {n} samples")
     spectra = frame_spectra(samples, hann_window(_FFT_SIZE), _HOP)
-    freqs = np.fft.rfftfreq(_FFT_SIZE, 1.0 / clip.sample_rate)
+    n_frames = len(spectra)
+    freqs, pitch_classes = _feature_tables(clip.sample_rate)
     mag_sum = np.maximum(spectra.sum(axis=1), 1e-12)
+    scratch = np.empty_like(spectra)  # shared by bandwidth, flux and the mel power
 
     centroid_t = (spectra @ freqs) / mag_sum
     cumulative = np.cumsum(spectra, axis=1)
     rolloff_idx = np.argmax(cumulative >= 0.85 * mag_sum[:, None], axis=1)
     rolloff_t = freqs[rolloff_idx]
-    spread = (freqs[None, :] - centroid_t[:, None]) ** 2
-    bandwidth_t = np.sqrt(np.sum(spectra * spread, axis=1) / mag_sum)
+    spread = np.subtract(freqs, centroid_t[:, None], out=scratch)
+    np.square(spread, out=spread)
+    spread *= spectra
+    bandwidth_t = np.sqrt(spread.sum(axis=1) / mag_sum)
 
-    frames = frame_signal(samples, _FFT_SIZE, _HOP)
-    rms_t = np.sqrt(np.mean(frames * frames, axis=1))
-    zcr_t = np.mean(np.abs(np.diff(np.signbit(frames), axis=1)), axis=1)
+    # the hop blocks cover samples [0, (n_frames + 3) * 512), exactly what the frames span
+    blocks = samples[:(n_frames + _BLOCKS_PER_FRAME - 1) * _HOP].reshape(-1, _HOP)
+    rms_t = np.sqrt(_frame_totals(np.einsum("ij,ij->i", blocks, blocks), n_frames) / _FFT_SIZE)
+    # changes[i] = 1 where samples i and i + 1 differ in sign. A frame's 2047 sample pairs are
+    # the 2048 entries of its four blocks less the last, which pairs its last sample with the next
+    sign = np.signbit(blocks.ravel())
+    changes = np.zeros(len(sign), dtype=np.int8)
+    np.not_equal(sign[1:], sign[:-1], out=changes[:-1])
+    counts = _frame_totals(changes.reshape(blocks.shape).sum(axis=1), n_frames)
+    counts -= changes[_FFT_SIZE - 1::_HOP]
+    zcr_t = counts / (_FFT_SIZE - 1)
 
-    flux = np.sum(np.maximum(spectra[1:] - spectra[:-1], 0.0), axis=1)
+    rise = np.subtract(spectra[1:], spectra[:-1], out=scratch[:n_frames - 1])
+    flux = np.maximum(rise, 0.0, out=rise).sum(axis=1)
     tempo = _tempo_bpm(flux, clip.sample_rate / _HOP)
 
     bank = mel_filterbank(26, _FFT_SIZE, clip.sample_rate)
-    mel_energy = np.log(spectra ** 2 @ bank.T + 1e-10)
+    mel_energy = np.log(np.square(spectra, out=scratch) @ bank.T + 1e-10)
     mfcc_t = mel_energy @ _MFCC_DCT.T
     mfcc = mfcc_t[:, 1:14].mean(axis=0)
 
-    classes = _pitch_class_map(freqs)
-    chroma = np.zeros(12)
-    for pc in range(12):
-        cols = classes == pc
-        if np.any(cols):
-            chroma[pc] = spectra[:, cols].sum(axis=1).mean()
+    chroma = (spectra @ pitch_classes).mean(axis=0)
     norm = np.linalg.norm(chroma)
     if norm > 0:
         chroma = chroma / norm

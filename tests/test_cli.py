@@ -229,6 +229,30 @@ class TestCurate:
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 8  # 2 classes x 4
 
+    @pytest.mark.parametrize("samples, sr, message", [
+        (np.zeros(8000), 16000, "feature extraction needs at least 1 s of audio"),
+        (np.zeros(1500), 1500, "needs at least one 2048-sample frame, got 1500 samples"),
+    ])
+    def test_feature_failure_names_the_clip(self, tmp_path, capsys, samples, sr, message):
+        manifest = small_audio_set(tmp_path)
+        save_wav(AudioClip(samples, sr), tmp_path / "audio" / "01-03.wav")
+        out = tmp_path / "curated.csv"
+        assert run(["curate", "--manifest", str(manifest), "--per-class", "4",
+                    "--k", "3", "--seed", "7", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: 01-03: ") and message in lines[0]
+        assert not out.exists()
+
+    def test_every_failing_clip_is_named(self, tmp_path, capsys):
+        manifest = small_audio_set(tmp_path)
+        for clip_id in ("00-02", "01-05"):
+            (tmp_path / "audio" / f"{clip_id}.wav").unlink()
+        assert run(["curate", "--manifest", str(manifest), "--per-class", "4",
+                    "--k", "3", "--seed", "7", "--out", str(tmp_path / "c.csv")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[:2] for line in lines] == [["error", " 00-02"], ["error", " 01-05"]]
+
     def test_oversized_field_is_validation_error(self, tmp_path, capsys):
         manifest = small_audio_set(tmp_path)
         lines = manifest.read_text().splitlines()

@@ -8,16 +8,21 @@ import pytest
 from hapticwave.audio_io import AudioClip
 from hapticwave.curation import (
     _MFCC_DCT,
+    FeatureVector,
     DatasetManifest,
     ManifestEntry,
     augment,
     augment_plan,
     extract_features,
+    _feature_tables,
+    _pitch_class_map,
+    _tempo_bpm,
     kmeans,
     load_manifest,
     stratified_sample,
     write_manifest,
 )
+from hapticwave.dsp import frame_signal, frame_spectra, hann_window, mel_filterbank
 from hapticwave.errors import SchemaError
 from hapticwave.fixtures import manifest_fixture_path
 
@@ -69,6 +74,114 @@ class TestExtractFeatures:
     def test_short_clip_rejected(self):
         with pytest.raises(ValueError):
             extract_features(sine_clip(440.0, duration=0.5))
+
+    def test_clip_shorter_than_one_frame_rejected(self):
+        # 1 s at 1500 Hz passes the duration check but holds no 2048-sample frame
+        with pytest.raises(ValueError, match="needs at least one 2048-sample frame, got 1500"):
+            extract_features(AudioClip(np.zeros(1500), 1500))
+
+    def test_feature_tables_are_cached_and_read_only(self):
+        freqs, pitch_classes = _feature_tables(SR)
+        assert _feature_tables(SR)[1] is pitch_classes
+        assert not freqs.flags.writeable and not pitch_classes.flags.writeable
+        assert pitch_classes.shape == (1025, 12)
+        # every bin above ~A0 belongs to exactly one pitch class, DC to none
+        np.testing.assert_array_equal(pitch_classes.sum(axis=1), freqs > 26.0)
+
+
+def reference_features(clip: AudioClip) -> FeatureVector:
+    """extract_features as one reduction per feature over overlapping frames (the reference)."""
+    samples = np.asarray(clip.samples, dtype=np.float64)
+    spectra = frame_spectra(samples, hann_window(2048), 512)
+    freqs = np.fft.rfftfreq(2048, 1.0 / clip.sample_rate)
+    mag_sum = np.maximum(spectra.sum(axis=1), 1e-12)
+
+    centroid_t = (spectra @ freqs) / mag_sum
+    cumulative = np.cumsum(spectra, axis=1)
+    rolloff_idx = np.argmax(cumulative >= 0.85 * mag_sum[:, None], axis=1)
+    rolloff_t = freqs[rolloff_idx]
+    spread = (freqs[None, :] - centroid_t[:, None]) ** 2
+    bandwidth_t = np.sqrt(np.sum(spectra * spread, axis=1) / mag_sum)
+
+    frames = frame_signal(samples, 2048, 512)
+    rms_t = np.sqrt(np.mean(frames * frames, axis=1))
+    zcr_t = np.mean(np.abs(np.diff(np.signbit(frames), axis=1)), axis=1)
+
+    flux = np.sum(np.maximum(spectra[1:] - spectra[:-1], 0.0), axis=1)
+    tempo = _tempo_bpm(flux, clip.sample_rate / 512)
+
+    bank = mel_filterbank(26, 2048, clip.sample_rate)
+    mel_energy = np.log(spectra ** 2 @ bank.T + 1e-10)
+    mfcc = (mel_energy @ _MFCC_DCT.T)[:, 1:14].mean(axis=0)
+
+    classes = _pitch_class_map(freqs)
+    chroma = np.zeros(12)
+    for pc in range(12):
+        cols = classes == pc
+        if np.any(cols):
+            chroma[pc] = spectra[:, cols].sum(axis=1).mean()
+    norm = np.linalg.norm(chroma)
+    if norm > 0:
+        chroma = chroma / norm
+
+    return FeatureVector(
+        centroid=float(centroid_t.mean()), rolloff=float(rolloff_t.mean()),
+        bandwidth=float(bandwidth_t.mean()), rms_energy=float(rms_t.mean()),
+        zcr=float(zcr_t.mean()), tempo=tempo, mfcc=mfcc, chroma=chroma)
+
+
+def _test_signal(kind: str, n: int, sr: int) -> np.ndarray:
+    rng = np.random.default_rng(n + sr)
+    t = np.arange(n) / sr
+    if kind == "noise":
+        return 0.3 * rng.standard_normal(n)
+    if kind == "tone":
+        return 0.5 * np.sin(2.0 * np.pi * 440.0 * t)
+    if kind == "chirp":
+        return 0.5 * np.sin(2.0 * np.pi * np.cumsum(np.linspace(50.0, 0.45 * sr, n)) / sr)
+    if kind == "bursts":
+        out = np.zeros(n)
+        burst = sr // 10
+        for start in range(0, n - burst, sr // 4):
+            out[start:start + burst] = np.hanning(burst) * np.sin(2.0 * np.pi * 700.0 * t[:burst])
+        return out
+    if kind == "silent-start":  # exact digital zeros, then noise
+        return np.concatenate([np.zeros(n // 3), 0.2 * rng.standard_normal(n - n // 3)])
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "dc":
+        return np.full(n, 0.25)
+    raise ValueError(kind)
+
+
+FEATURE_CASES = [
+    *[(kind, 44100, 44100) for kind in
+      ("noise", "tone", "chirp", "bursts", "silent-start", "zeros", "dc")],
+    *[(kind, sr, sr) for sr in (8000, 32000, 44101) for kind in ("noise", "chirp", "silent-start")],
+    # lengths that are not a multiple of the 512-sample hop
+    *[("noise", 22050, 22050 * 2 + extra) for extra in (1, 300, 511, 513, 1023)],
+    ("bursts", 16000, 16000 * 3 + 257),
+]
+
+
+class TestExtractFeaturesMatchesReference:
+    @pytest.mark.parametrize("kind, sr, n", FEATURE_CASES)
+    def test_matches_per_feature_reference(self, kind, sr, n):
+        clip = AudioClip(_test_signal(kind, n, sr), sr)
+        got, want = extract_features(clip), reference_features(clip)
+        assert got.zcr == want.zcr
+        np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=1e-12, atol=0.0)
+
+    def test_silent_frames_roll_off_at_zero_hz(self):
+        assert extract_features(AudioClip(np.zeros(SR), SR)).rolloff == 0.0
+        x = _test_signal("silent-start", SR, SR)
+        assert extract_features(AudioClip(x, SR)).rolloff == reference_features(
+            AudioClip(x, SR)).rolloff
+
+    def test_zcr_counts_only_changes_inside_each_frame(self):
+        # alternating signs: every one of a frame's 2047 sample pairs changes sign
+        x = np.where(np.arange(SR) % 2 == 0, 0.5, -0.5)
+        assert extract_features(AudioClip(x, SR)).zcr == 1.0
 
 
 def make_blobs(seed: int, sigma: float = 0.05):
