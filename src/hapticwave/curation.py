@@ -27,7 +27,7 @@ TEMPO_MAX_BPM = 300.0
 # extract_features' analysis frames
 _FFT_SIZE = 2048
 _HOP = 512
-_BLOCKS_PER_FRAME = _FFT_SIZE // _HOP  # hop blocks in one frame
+_BLOCKS_PER_FRAME = _FFT_SIZE // _HOP
 
 _KMEANS_MAX_ITER = 300
 
@@ -121,11 +121,10 @@ def _frame_totals(blocks: np.ndarray, n_frames: int) -> np.ndarray:
 
 
 def extract_features(clip: AudioClip) -> FeatureVector:
-    """Compute the 31-dimensional averaged descriptor for one clip.
+    """Compute the 31-dimensional descriptor of one clip, averaged over 2048/512 Hann frames.
 
-    Features are averaged over 2048-sample Hann frames at hop 512. RMS and
-    zero-crossing rate are summed per 512-sample hop block, so each sample is
-    read once, and a frame adds up its four blocks.
+    RMS energy and sign changes are summed once per 512-sample hop block, and
+    each frame adds up its four blocks, so every sample is read once.
     """
     if clip.duration < 1.0:
         raise ValueError("feature extraction needs at least 1 s of audio")
