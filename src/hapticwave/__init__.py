@@ -6,9 +6,7 @@ from .audio_io import (
     AudioClip,
     VibrationSignal,
     load_wav,
-    peak_normalize,
     resample,
-    rms_normalize,
     save_wav,
 )
 from .analysis import (
@@ -17,7 +15,6 @@ from .analysis import (
     RatingsTable,
     aggregate,
     blend_targets,
-    compare_to_references,
     load_ratings,
     reconstruction_metrics,
 )

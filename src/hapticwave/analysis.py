@@ -73,13 +73,6 @@ class RatingsTable:
         means = np.divide(sums, counts, out=np.full(size, np.nan), where=counts > 0)
         return clip_ids, means.reshape(-1, n_algos), counts.reshape(-1, n_algos)
 
-    def clip_means(self) -> dict[tuple[str, str], float]:
-        """Mean rating per (clip_id, algorithm) over raters."""
-        clip_ids, means, counts = self.mean_matrix()
-        values = means.tolist()
-        return {(clip_ids[i], RATING_ALGORITHMS[j]): values[i][j]
-                for i, j in zip(*np.nonzero(counts))}
-
 
 def load_ratings(path: str | Path, column_map: Mapping[str, str] | None = None) -> RatingsTable:
     """Read a ratings CSV; column_map maps canonical names to actual headers.
@@ -438,33 +431,3 @@ def reconstruction_metrics(pred, target, sample_rate: int = VIBRATION_RATE) -> M
 
     return MetricReport(mse=mse, stft_loss=stft_loss, mel_l1=mel_l1,
                         amp_loss=amp_loss, rmse=rmse)
-
-
-@dataclass
-class RmseComparison:
-    rmse: dict[str, float]
-    best: str  # label with the smallest RMSE
-
-    def to_json(self) -> str:
-        return json.dumps({"rmse": self.rmse, "best": self.best},
-                          indent=2, sort_keys=True)
-
-
-def compare_to_references(generated, refs: Mapping[str, VibrationSignal | np.ndarray],
-                          ) -> RmseComparison:
-    """RMSE of a generated waveform against each labeled reference.
-
-    Mismatched lengths are reconciled by zero-padding the shorter signal.
-    """
-    if not refs:
-        raise ValueError("empty reference set")
-    gen = _as_samples(generated)
-    out: dict[str, float] = {}
-    for label in sorted(refs):
-        ref = _as_samples(refs[label])
-        n = max(len(gen), len(ref))
-        a = np.pad(gen, (0, n - len(gen)))
-        b = np.pad(ref, (0, n - len(ref)))
-        out[label] = float(np.sqrt(np.mean((a - b) ** 2)))
-    best = min(out, key=lambda k: (out[k], k))
-    return RmseComparison(rmse=out, best=best)

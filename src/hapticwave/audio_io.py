@@ -1,4 +1,4 @@
-"""Mono PCM16 WAV I/O, band-limited resampling, and amplitude normalization.
+"""Mono PCM16 WAV I/O and band-limited resampling.
 
 Audio is held as float64 numpy arrays in [-1, 1]. Vibration waveforms are a
 dedicated type pinned to the 8 kHz output rate.
@@ -6,18 +6,16 @@ dedicated type pinned to the 8 kHz output rate.
 
 from __future__ import annotations
 
-import warnings
 import wave
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import AudioFormatError, DegenerateSignalError, NonFiniteSignalError
+from .errors import AudioFormatError, NonFiniteSignalError
 
 VIBRATION_RATE = 8000
 ALGORITHM_TAGS = ("plm", "fshift", "pitch", "hapticgen", "blended")
@@ -25,10 +23,6 @@ ALGORITHM_TAGS = ("plm", "fshift", "pitch", "hapticgen", "blended")
 # Kaiser beta for the polyphase anti-aliasing filter; beta 7.0 keeps stopband
 # rejection comfortably past the 60 dB bound.
 _KAISER_BETA = 7.0
-
-# Scaling a signal to a target RMS may push samples past full scale; they are
-# clamped and the affected fraction is reported. Warn when it stops being rare.
-CLIP_WARN_FRACTION = 1e-3
 
 
 @dataclass
@@ -42,6 +36,13 @@ class AudioClip:
     @property
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
+
+
+def require_finite(clip: AudioClip) -> None:
+    """Raise NonFiniteSignalError, naming the clip, if any sample is NaN or infinite."""
+    if not np.isfinite(clip.samples).all():
+        bad = np.count_nonzero(~np.isfinite(clip.samples))
+        raise NonFiniteSignalError(f"clip {clip.source_id}: {bad} NaN or infinite samples")
 
 
 @dataclass
@@ -135,8 +136,11 @@ def _resample_poly(samples: np.ndarray, up: int, down: int, want: int) -> np.nda
 def resample_samples(samples: np.ndarray, source_rate: int, target_rate: int) -> np.ndarray:
     """Band-limited polyphase resampling of a raw sample array.
 
-    Output length is round(len * target / source); identical rates return the
-    input unchanged.
+    The rate ratio is approximated with a denominator of at most 1000, as in
+    resample_by_ratio. That is exact for every standard rate from 8 to
+    192 kHz, while 44103 Hz to 8 kHz becomes 39/215, a 4301-tap filter rather
+    than 8000/44103. Output length is round(len * target / source); identical
+    rates return the input unchanged.
     """
     if len(samples) == 0:
         raise ValueError("cannot resample an empty signal")
@@ -145,8 +149,8 @@ def resample_samples(samples: np.ndarray, source_rate: int, target_rate: int) ->
     if target_rate == source_rate:
         return samples
 
-    g = gcd(source_rate, target_rate)
-    return _resample_poly(samples, target_rate // g, source_rate // g,
+    frac = Fraction(target_rate, source_rate).limit_denominator(1000)
+    return _resample_poly(samples, frac.numerator, frac.denominator,
                           int(round(len(samples) * target_rate / source_rate)))
 
 
@@ -179,44 +183,3 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Resample a clip to a new rate (see resample_samples)."""
     out = resample_samples(clip.samples, clip.sample_rate, target_rate)
     return AudioClip(samples=out, sample_rate=target_rate, source_id=clip.source_id)
-
-
-def peak_normalize(clip: AudioClip) -> AudioClip:
-    """Scale so the largest absolute sample is exactly 1 (0 dB headroom)."""
-    peak = float(np.max(np.abs(clip.samples))) if len(clip.samples) else 0.0
-    if peak == 0.0:
-        raise DegenerateSignalError("degenerate signal: all samples are zero")
-    return AudioClip(
-        samples=clip.samples / peak,
-        sample_rate=clip.sample_rate,
-        source_id=clip.source_id,
-    )
-
-
-def rms_normalize(samples: np.ndarray, target_rms: float) -> tuple[np.ndarray, float]:
-    """Scale a waveform to a target RMS, clamping to [-1, 1].
-
-    Returns (waveform, clipped_fraction). The clipped fraction is the share of
-    samples that hit the clamp; a warning is emitted when it exceeds
-    CLIP_WARN_FRACTION.
-    """
-    if target_rms <= 0:
-        raise ValueError("target_rms must be positive")
-    rms = float(np.sqrt(np.mean(np.square(samples)))) if len(samples) else 0.0
-    if rms < 1e-12:
-        raise DegenerateSignalError("degenerate signal: RMS is zero")
-    return scale_to_level(samples, target_rms, rms)
-
-
-def scale_to_level(samples: np.ndarray, target: float, level: float) -> tuple[np.ndarray, float]:
-    """Scale samples by target / level and clamp to [-1, 1].
-
-    Returns (waveform, clipped_fraction), the share of samples that hit the
-    clamp; a RuntimeWarning is emitted when it exceeds CLIP_WARN_FRACTION.
-    """
-    scaled = samples * (target / level)
-    fraction = int(np.count_nonzero(np.abs(scaled) > 1.0)) / len(scaled)
-    if fraction > CLIP_WARN_FRACTION:
-        warnings.warn(f"clamped {fraction:.2%} of samples to [-1, 1]", RuntimeWarning,
-                      stacklevel=3)
-    return np.clip(scaled, -1.0, 1.0), fraction

@@ -18,6 +18,7 @@ segment hits the target RMS; fshift is normalized on whole-signal RMS.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from .audio_io import (
     AudioClip,
     VibrationSignal,
     halve_rate,
+    require_finite,
     resample_samples,
-    scale_to_level,
 )
 from .dsp import (
     FilterSpec,
@@ -47,6 +48,10 @@ CONVERTER_TAGS = ("plm", "fshift", "pitch", "hapticgen")
 
 # Signals whose pre-normalization RMS falls below this are treated as silent.
 _SILENCE_RMS = 1e-9
+
+# Scaling to the target RMS may push samples past full scale; they are clamped
+# and the affected fraction is reported. Warn when it stops being rare.
+CLIP_WARN_FRACTION = 1e-3
 
 # fshift analyses at half the input rate when that is an integer of at least
 # this. Its output is band-passed at 250 Hz and written at 8 kHz, yet the
@@ -224,34 +229,33 @@ def _interp_tracks(values: np.ndarray, frame_centers_s: np.ndarray, n_out: int) 
     return np.interp(t, frame_centers_s, values)
 
 
-def normalize_vibration(raw: np.ndarray, strategy: str, cfg: ConverterConfig, *,
-                        algorithm_tag: str, segment_len: int | None = None) -> VibrationSignal:
-    """Scale output-rate samples to the target RMS, and clamp.
+def normalize_vibration(raw: np.ndarray, cfg: ConverterConfig, *, algorithm_tag: str,
+                        segment_len: int | None = None) -> VibrationSignal:
+    """Scale output-rate samples so the loudest segment lands on the target RMS, and clamp.
 
-    segment_max: scale so the loudest non-overlapping segment (the converter's
-    native frame, in output samples) lands on cfg.target_segment_rms.
-    global: scale on whole-signal RMS.
-    Either way a RuntimeWarning is emitted when more than CLIP_WARN_FRACTION
-    of the samples hit the clamp.
+    Segments are non-overlapping runs of segment_len samples (the converter's
+    native frame at the output rate), the last one possibly partial; None
+    means one segment spanning the whole signal. The share of samples that
+    hit the clamp is the clipped_fraction, and a RuntimeWarning is emitted
+    when it exceeds CLIP_WARN_FRACTION.
     """
-    if strategy not in ("segment_max", "global"):
-        raise ValueError(f"unknown normalization strategy: {strategy!r}")
     samples = np.asarray(raw, dtype=np.float64)
-    level = float(np.sqrt(np.mean(np.square(samples)))) if len(samples) else 0.0
-    if level < _SILENCE_RMS:
+    n = len(samples)
+    power = np.square(samples)
+    if not n or np.sqrt(np.mean(power)) < _SILENCE_RMS:
         raise DegenerateSignalError("degenerate signal: silent converter output")
-
-    if strategy == "segment_max":
-        if segment_len is None:
-            segment_len = ms_to_samples(10.0, VIBRATION_RATE)
-        n_full = len(samples) - len(samples) % segment_len
-        seg_ms = np.mean(np.square(samples[:n_full]).reshape(-1, segment_len), axis=1)
-        if n_full < len(samples):
-            seg_ms = np.append(seg_ms, np.mean(np.square(samples[n_full:])))
-        # no lower than the whole-signal RMS, so above the silence floor
-        level = float(np.sqrt(seg_ms.max()))
-    scaled, clipped = scale_to_level(samples, cfg.target_segment_rms, level)
-    return VibrationSignal(samples=scaled, algorithm_tag=algorithm_tag,
+    segment_len = segment_len or n
+    n_full = n - n % segment_len
+    seg_ms = np.mean(power[:n_full].reshape(-1, segment_len), axis=1)
+    if n_full < n:
+        seg_ms = np.append(seg_ms, np.mean(power[n_full:]))
+    # no lower than the whole-signal RMS, so above the silence floor
+    scaled = samples * (cfg.target_segment_rms / float(np.sqrt(seg_ms.max())))
+    clipped = int(np.count_nonzero(np.abs(scaled) > 1.0)) / n
+    if clipped > CLIP_WARN_FRACTION:
+        warnings.warn(f"clamped {clipped:.2%} of samples to [-1, 1]", RuntimeWarning,
+                      stacklevel=2)
+    return VibrationSignal(samples=np.clip(scaled, -1.0, 1.0), algorithm_tag=algorithm_tag,
                            clipped_fraction=clipped)
 
 
@@ -271,7 +275,7 @@ def _carrier_vibration(freqs: np.ndarray, amps: np.ndarray, clip: AudioClip, win
     n_out = _output_length(len(clip.samples), clip.sample_rate)
     raw = nco_synthesize(_interp_tracks(freqs, centers, n_out),
                          _interp_tracks(amps, centers, n_out), VIBRATION_RATE)
-    return normalize_vibration(raw, "segment_max", cfg, algorithm_tag=algorithm_tag,
+    return normalize_vibration(raw, cfg, algorithm_tag=algorithm_tag,
                                segment_len=ms_to_samples(segment_ms, VIBRATION_RATE))
 
 
@@ -290,6 +294,7 @@ def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarra
 
 def convert_plm(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """Loudness/roughness mapping onto two fixed sinusoidal carriers."""
+    require_finite(clip)
     cfg = cfg or default_config()
     intensity, vib_rough = plm_feature_tracks(clip, cfg)
 
@@ -309,8 +314,7 @@ def convert_plm(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vibratio
         + env_high * np.sin(2.0 * np.pi * cfg.plm.carrier_high_hz * t)
 
     segment = _output_length(cfg.plm.frame_size, clip.sample_rate)
-    return normalize_vibration(raw, "segment_max", cfg, algorithm_tag="plm",
-                               segment_len=segment)
+    return normalize_vibration(raw, cfg, algorithm_tag="plm", segment_len=segment)
 
 
 def _fshift_work_rate(sample_rate: int) -> int:
@@ -350,8 +354,9 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
 
 def convert_fshift(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """Octave down-shift summation with band-pass shaping."""
+    require_finite(clip)
     cfg = cfg or default_config()
-    return normalize_vibration(fshift_raw(clip, cfg), "global", cfg, algorithm_tag="fshift")
+    return normalize_vibration(fshift_raw(clip, cfg), cfg, algorithm_tag="fshift")
 
 
 def _pitch_window(pc: PitchConfig, sample_rate: int) -> tuple[int, int]:
@@ -376,6 +381,7 @@ def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.nda
 
 def convert_pitch(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """Bark-profile regression to a single time-varying carrier frequency."""
+    require_finite(clip)
     cfg = cfg or default_config()
     freqs, amps = pitch_frequency_track(clip, cfg)
     window, hop = _pitch_window(cfg.pitch, clip.sample_rate)
@@ -384,6 +390,7 @@ def convert_pitch(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vibrat
 
 def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """RMS-envelope mapping onto a 200 Hz carrier with +/-50 Hz modulation."""
+    require_finite(clip)
     cfg = cfg or default_config()
     hc = cfg.hapticgen
     rms = frame_rms(clip.samples, hc.window_ms, hc.window_ms, clip.sample_rate)

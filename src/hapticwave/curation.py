@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .audio_io import AudioClip
+from .audio_io import AudioClip, require_finite
 from .dsp import frame_spectra, hann_window, mel_filterbank, pitch_shift
 from .errors import SchemaError
 
@@ -126,6 +126,7 @@ def extract_features(clip: AudioClip) -> FeatureVector:
     RMS energy and sign changes are summed once per 512-sample hop block, and
     each frame adds up its four blocks, so every sample is read once.
     """
+    require_finite(clip)
     if clip.duration < 1.0:
         raise ValueError("feature extraction needs at least 1 s of audio")
     samples = np.asarray(clip.samples, dtype=np.float64)
@@ -354,6 +355,7 @@ def augment(clip: AudioClip, seed: int) -> AudioClip:
     Each transform fires independently with probability 0.5; noise sigma is
     uniform in (0, 0.5%] of the clip peak. Deterministic for a given seed.
     """
+    require_finite(clip)
     if len(clip.samples) == 0:
         raise ValueError("cannot augment an empty clip")
     rng = np.random.default_rng(seed)

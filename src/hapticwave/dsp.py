@@ -250,22 +250,6 @@ def frame_rms(signal: np.ndarray, window_ms: float, hop_ms: float, sample_rate: 
     return np.sqrt(np.mean(np.square(frames), axis=1))
 
 
-def instantaneous_frequency(signal: np.ndarray, sample_rate: int) -> np.ndarray:
-    """Frequency estimates from intervals between successive rising zero crossings.
-
-    Crossing times are refined by linear interpolation between the bracketing
-    samples. Intended as an oracle for narrowband signals.
-    """
-    x = np.asarray(signal, dtype=np.float64)
-    neg = x[:-1] < 0
-    pos = x[1:] >= 0
-    idx = np.flatnonzero(neg & pos)
-    if len(idx) < 2:
-        raise ValueError("need at least two rising zero crossings")
-    crossings = idx + x[idx] / (x[idx] - x[idx + 1])
-    return sample_rate / np.diff(crossings)
-
-
 @lru_cache(maxsize=16)
 def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """Triangular mel filterbank, (n_mels, fft_size // 2 + 1), built once and read-only.

@@ -1,4 +1,4 @@
-"""Shared fixtures: deterministic synthetic clips and temp WAV helpers."""
+"""Shared fixtures: deterministic synthetic clips, temp WAV helpers, and frequency oracles."""
 
 from __future__ import annotations
 
@@ -93,3 +93,19 @@ def wav_factory(tmp_path):
 def dominant_frequency(samples: np.ndarray, sr: int) -> float:
     spec = np.abs(np.fft.rfft(samples * np.hanning(len(samples))))
     return float(np.argmax(spec) * sr / len(samples))
+
+
+def instantaneous_frequency(signal: np.ndarray, sample_rate: int) -> np.ndarray:
+    """Frequency estimates from intervals between successive rising zero crossings.
+
+    Crossing times are refined by linear interpolation between the bracketing
+    samples. Intended as an oracle for narrowband signals.
+    """
+    x = np.asarray(signal, dtype=np.float64)
+    neg = x[:-1] < 0
+    pos = x[1:] >= 0
+    idx = np.flatnonzero(neg & pos)
+    if len(idx) < 2:
+        raise ValueError("need at least two rising zero crossings")
+    crossings = idx + x[idx] / (x[idx] - x[idx + 1])
+    return sample_rate / np.diff(crossings)

@@ -22,10 +22,10 @@ from hapticwave.audio_io import AudioClip, VibrationSignal
 from hapticwave.bench import build_bench_corpus
 from hapticwave.converters import CONVERTER_TAGS, convert, convert_fshift
 from hapticwave.curation import kmeans, load_manifest, stratified_sample
-from hapticwave.dsp import FilterSpec, butterworth_filter, instantaneous_frequency
+from hapticwave.dsp import FilterSpec, butterworth_filter
 from hapticwave.fixtures import manifest_fixture_path, ratings_fixture_path
 
-from conftest import SR, make_fixture_clips, sine_clip
+from conftest import SR, instantaneous_frequency, make_fixture_clips, sine_clip
 from test_bench import make_bench_clips
 
 EXPECTED_MEANS = {"pitch": 62.6, "hapticgen": 57.0, "fshift": 56.9, "plm": 31.2}

@@ -1,4 +1,4 @@
-"""Tests for WAV I/O, resampling, and normalization."""
+"""Tests for WAV I/O and resampling."""
 
 from __future__ import annotations
 
@@ -12,15 +12,12 @@ from hapticwave.audio_io import (
     AudioClip,
     VibrationSignal,
     load_wav,
-    peak_normalize,
     resample,
     resample_samples,
-    rms_normalize,
     save_wav,
 )
 from hapticwave.errors import (
     AudioFormatError,
-    DegenerateSignalError,
     HapticwaveError,
     NonFiniteSignalError,
 )
@@ -165,59 +162,3 @@ class TestResample:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             resample_samples(np.array([]), SR, 8000)
-
-
-class TestNormalize:
-    def test_peak_normalize_scales(self):
-        clip = AudioClip(np.array([0.0, 0.25, -0.5]), 8000)
-        out = peak_normalize(clip)
-        assert np.allclose(out.samples, [0.0, 0.5, -1.0])
-
-    def test_peak_normalize_identity(self):
-        clip = AudioClip(np.array([0.5, -1.0, 0.25]), 8000)
-        assert np.allclose(peak_normalize(clip).samples, clip.samples)
-
-    def test_peak_normalize_rejects_silence(self):
-        with pytest.raises(DegenerateSignalError):
-            peak_normalize(AudioClip(np.zeros(100), 8000))
-
-    def test_rms_constant(self):
-        out, clipped = rms_normalize(np.full(1000, 0.2), 0.1)
-        assert np.allclose(out, 0.1)
-        assert clipped == 0.0
-
-    def test_rms_idempotent(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(5000) * 0.1
-        once, _ = rms_normalize(x, 0.15)
-        twice, _ = rms_normalize(once, 0.15)
-        assert np.max(np.abs(twice - once)) < 1e-6
-
-    def test_rms_sine_scale_factor(self):
-        # unit sine has RMS 1/sqrt(2); hitting 0.15 needs a 0.15*sqrt(2) gain
-        clip = sine_clip(50.0, duration=1.0, amp=1.0)
-        out, _ = rms_normalize(clip.samples, 0.15)
-        measured = np.max(np.abs(out)) / np.max(np.abs(clip.samples))
-        assert abs(measured - 0.15 * np.sqrt(2)) < 1e-3
-        assert abs(np.sqrt(np.mean(out**2)) - 0.15) < 1e-6
-
-    def test_rms_clamp_warns_and_counts(self):
-        x = np.full(1000, 0.01)
-        x[::100] = 1.0
-        with pytest.warns(RuntimeWarning, match=r"clamped 1\.00% of samples"):
-            out, clipped = rms_normalize(x, 0.5)
-        assert clipped == 0.01
-        assert np.max(np.abs(out)) == 1.0
-
-    def test_rms_rejects_silence(self):
-        with pytest.raises(DegenerateSignalError):
-            rms_normalize(np.zeros(100), 0.15)
-
-    def test_zero_crossings_preserved(self):
-        clip = sine_clip(97.0, duration=0.5, amp=0.3)
-        out, _ = rms_normalize(clip.samples, 0.1)
-        before = np.flatnonzero(np.diff(np.signbit(clip.samples)))
-        after = np.flatnonzero(np.diff(np.signbit(out)))
-        assert np.array_equal(before, after)
-        scaled = peak_normalize(AudioClip(clip.samples, SR)).samples
-        assert np.array_equal(before, np.flatnonzero(np.diff(np.signbit(scaled))))

@@ -8,7 +8,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
-from hapticwave.audio_io import AudioClip, peak_normalize
+from hapticwave.audio_io import AudioClip
 from hapticwave.converters import (
     CONVERTER_TAGS,
     apply_config_overrides,
@@ -24,11 +24,11 @@ from hapticwave.converters import (
     pitch_frequency_track,
     plm_feature_tracks,
 )
-from hapticwave.dsp import frame_signal, instantaneous_frequency
+from hapticwave.dsp import frame_signal
 from hapticwave.psychoacoustics import loudness_roughness_frames, specific_loudness_frames
-from hapticwave.errors import DegenerateSignalError, SchemaError
+from hapticwave.errors import DegenerateSignalError, NonFiniteSignalError, SchemaError
 
-from conftest import SR, sine_clip
+from conftest import SR, instantaneous_frequency, sine_clip
 
 
 def band_energy_fraction(samples: np.ndarray, sr: int, bands: list[tuple[float, float]]) -> float:
@@ -97,7 +97,7 @@ class TestFshift:
 
     def test_input_gain_absorbed_by_normalization(self, am_clip):
         a = convert_fshift(am_clip)
-        b = convert_fshift(peak_normalize(am_clip))
+        b = convert_fshift(AudioClip(am_clip.samples / np.max(np.abs(am_clip.samples)), SR))
         assert np.sqrt(np.mean((a.samples - b.samples) ** 2)) <= 1e-4
 
 
@@ -204,16 +204,16 @@ class TestHapticgen:
 class TestNormalizeVibration:
     def test_constant_scaling(self):
         cfg = default_config()
-        out = normalize_vibration(np.full(8000, 0.5), "segment_max", cfg,
-                                  algorithm_tag="hapticgen")
+        out = normalize_vibration(np.full(8000, 0.5), cfg, algorithm_tag="hapticgen",
+                                  segment_len=80)
         assert np.allclose(out.samples, 0.15)
 
     def test_idempotent(self):
         cfg = default_config()
         rng = np.random.default_rng(3)
         raw = rng.standard_normal(8000) * 0.3
-        once = normalize_vibration(raw, "segment_max", cfg, algorithm_tag="pitch")
-        twice = normalize_vibration(once.samples, "segment_max", cfg, algorithm_tag="pitch")
+        once = normalize_vibration(raw, cfg, algorithm_tag="pitch", segment_len=80)
+        twice = normalize_vibration(once.samples, cfg, algorithm_tag="pitch", segment_len=80)
         assert np.max(np.abs(twice.samples - once.samples)) < 1e-6
 
     def test_two_burst_ratio_preserved(self):
@@ -221,8 +221,7 @@ class TestNormalizeVibration:
         seg = 80
         levels = np.concatenate([np.full(seg * 4, 0.8), np.full(seg * 4, 0.2)])
         raw = levels * (-1.0) ** np.arange(len(levels))  # alternating, |x| = level
-        out = normalize_vibration(raw, "segment_max", cfg,
-                                  algorithm_tag="plm", segment_len=seg)
+        out = normalize_vibration(raw, cfg, algorithm_tag="plm", segment_len=seg)
         loud = out.samples[: seg * 4]
         quiet = out.samples[seg * 4:]
         assert np.sqrt(np.mean(loud**2)) == pytest.approx(0.15, abs=1e-9)
@@ -232,37 +231,61 @@ class TestNormalizeVibration:
         rng = np.random.default_rng(6)
         x = 0.1 * rng.standard_normal(250)
         x[-10:] *= 8.0  # loudest samples sit in the trailing partial segment
-        out = normalize_vibration(x, "segment_max", default_config(), algorithm_tag="pitch",
-                                  segment_len=80)
+        out = normalize_vibration(x, default_config(), algorithm_tag="pitch", segment_len=80)
         peak = max(np.sqrt(np.mean(np.square(x[s:s + 80]))) for s in range(0, 250, 80))
         np.testing.assert_array_equal(out.samples, np.clip(x * (0.15 / peak), -1.0, 1.0))
 
-    def test_global_strategy_sets_rms(self):
-        cfg = default_config()
-        rng = np.random.default_rng(4)
-        out = normalize_vibration(rng.standard_normal(8000), "global", cfg,
-                                  algorithm_tag="fshift")
+    @pytest.mark.parametrize("kind", ["noise", "constant", "unit_sine", "quiet_sine"])
+    def test_whole_signal_sets_rms(self, kind):
+        x = {"noise": np.random.default_rng(4).standard_normal(8000),
+             "constant": np.full(1000, 0.2),
+             "unit_sine": sine_clip(50.0, duration=1.0, amp=1.0).samples,
+             "quiet_sine": sine_clip(97.0, duration=0.5, amp=0.3).samples}[kind]
+        out = normalize_vibration(x, default_config(), algorithm_tag="fshift")
         assert np.sqrt(np.mean(out.samples**2)) == pytest.approx(0.15, abs=1e-6)
+        assert out.clipped_fraction == 0.0
+        assert np.array_equal(np.diff(np.signbit(out.samples)), np.diff(np.signbit(x)))
+        twice = normalize_vibration(out.samples, default_config(), algorithm_tag="fshift")
+        assert np.max(np.abs(twice.samples - out.samples)) < 1e-6
 
-    @pytest.mark.parametrize("strategy", ["global", "segment_max"])
-    def test_clamp_warns_and_counts(self, strategy):
+    @pytest.mark.parametrize("n", [1, 2, 79, 8000, 40001])
+    @pytest.mark.parametrize("gain", [0.05, 40.0])
+    def test_whole_signal_is_one_full_length_segment(self, n, gain):
+        # the scale is target / whole-signal RMS, bit for bit, clamped or not
+        x = gain * np.random.default_rng(n).standard_normal(n)
+        whole = normalize_vibration(x, default_config(), algorithm_tag="fshift")
+        one = normalize_vibration(x, default_config(), algorithm_tag="fshift", segment_len=n)
+        scaled = x * (0.15 / float(np.sqrt(np.mean(np.square(x)))))
+        np.testing.assert_array_equal(whole.samples, np.clip(scaled, -1.0, 1.0))
+        np.testing.assert_array_equal(one.samples, whole.samples)
+        assert whole.clipped_fraction == one.clipped_fraction \
+            == np.count_nonzero(np.abs(scaled) > 1.0) / n
+
+    @pytest.mark.parametrize("segment_len", [None, 80])
+    def test_clamp_warns_and_counts(self, segment_len):
         # 1% of the samples are spikes that the 0.15 target pushes past full scale
         raw = np.full(8000, 0.01)
         raw[::100] = 1.0
         with pytest.warns(RuntimeWarning, match=r"clamped 1\.00% of samples"):
-            out = normalize_vibration(raw, strategy, default_config(), algorithm_tag="plm")
+            out = normalize_vibration(raw, default_config(), algorithm_tag="plm",
+                                      segment_len=segment_len)
         assert out.clipped_fraction == 0.01
         assert np.max(np.abs(out.samples)) == 1.0
 
     def test_silent_rejected(self):
         with pytest.raises(DegenerateSignalError):
-            normalize_vibration(np.zeros(8000), "global", default_config(),
-                                algorithm_tag="fshift")
+            normalize_vibration(np.zeros(8000), default_config(), algorithm_tag="fshift")
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            normalize_vibration(np.ones(10), "median", default_config(),
-                                algorithm_tag="plm")
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("converter", [convert_plm, convert_fshift, convert_pitch,
+                                           convert_hapticgen])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected_naming_the_clip(self, converter, bad):
+        clip = sine_clip(440.0, source_id="door_slam")
+        clip.samples[SR // 3] = bad
+        with pytest.raises(NonFiniteSignalError, match="door_slam"):
+            converter(clip)
 
 
 class TestDispatch:

@@ -23,7 +23,7 @@ from hapticwave.curation import (
     write_manifest,
 )
 from hapticwave.dsp import frame_signal, frame_spectra, hann_window, mel_filterbank
-from hapticwave.errors import SchemaError
+from hapticwave.errors import NonFiniteSignalError, SchemaError
 from hapticwave.fixtures import manifest_fixture_path
 
 from conftest import SR, sine_clip
@@ -315,6 +315,18 @@ class TestAugment:
         a = augment(clip, 123)
         b = augment(clip, 123)
         assert np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("entry", ["extract_features", "augment"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected_naming_the_clip(entry, bad):
+    clip = sine_clip(440.0, duration=1.5, source_id="door_slam")
+    clip.samples[SR // 3] = bad
+    with pytest.raises(NonFiniteSignalError, match="door_slam"):
+        if entry == "augment":  # the plan that would pass the samples through untouched
+            augment(clip, _find_seed(shift=False, noise=False))
+        else:
+            extract_features(clip)
 
 
 def test_mfcc_dct_basis_is_orthonormal_and_read_only():

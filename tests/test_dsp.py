@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.signal import resample_poly, sosfilt
 
+from hapticwave import audio_io
 from hapticwave.audio_io import (
     AudioClip,
     _kaiser_lowpass,
@@ -27,14 +28,20 @@ from hapticwave.dsp import (
     frame_signal,
     frame_rms,
     hann_window,
-    instantaneous_frequency,
     mel_filterbank,
     nco_synthesize,
     pitch_shift,
     stft,
 )
 
-from conftest import SR, _bursts, _chirp, dominant_frequency, sine_clip
+from conftest import (
+    SR,
+    _bursts,
+    _chirp,
+    dominant_frequency,
+    instantaneous_frequency,
+    sine_clip,
+)
 
 
 def swept_gain(spec: FilterSpec, freq: float, sr: int) -> float:
@@ -449,11 +456,30 @@ class TestCachedDesign:
         assert bank.shape == (26, 1025)
         assert np.array_equal(bank, mel_filterbank.__wrapped__(26, 2048, 44100))
 
-    @pytest.mark.parametrize("sr", [44100, 48000, 22050, 16000])
+    @pytest.mark.parametrize("sr", [8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000,
+                                    88200, 96000, 176400, 192000])
     def test_resample_samples_is_bit_identical(self, sr):
         x = np.random.default_rng(sr).standard_normal(sr)
         want = resample_poly(x, *_rates(sr), window=("kaiser", 7.0))[:8000]
         assert np.array_equal(resample_samples(x, sr, 8000), want)
+
+    @pytest.mark.parametrize("sr", [44103, 44101, 37801])
+    def test_odd_rates_design_short_filters(self, sr, monkeypatch):
+        taps = []
+        design = audio_io._kaiser_lowpass
+        monkeypatch.setattr(audio_io, "_kaiser_lowpass",
+                            lambda up, down: taps.append(len(design(up, down))) or design(up, down))
+        x = np.random.default_rng(sr).standard_normal(sr // 4)
+        out = resample_samples(x, sr, 8000)
+        assert len(out) == round(len(x) * 8000 / sr)
+        assert np.isfinite(out).all()
+        assert taps and max(taps) <= 20001
+
+    def test_fshift_at_odd_rate(self):
+        x = 0.3 * np.random.default_rng(7).standard_normal(44103)
+        out = convert_fshift(AudioClip(x, 44103))
+        assert len(out.samples) == 8000
+        assert np.isfinite(out.samples).all()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 41, 1001, 44100])
     def test_halve_rate_equals_resample_to_rounding(self, n):
@@ -530,26 +556,3 @@ class TestFrameRms:
     def test_window_longer_than_signal(self):
         with pytest.raises(ValueError):
             frame_rms(np.zeros(10), 100.0, 100.0, 8000)
-
-
-class TestInstantaneousFrequency:
-    def test_pure_tone(self):
-        t = np.arange(8000) / 8000
-        est = instantaneous_frequency(np.sin(2 * np.pi * 200 * t), 8000)
-        assert np.all(np.abs(est - 200.0) <= 2.0)
-
-    def test_low_tone(self):
-        t = np.arange(SR) / SR
-        est = instantaneous_frequency(np.sin(2 * np.pi * 50 * t), SR)
-        assert np.all(np.abs(est - 50.0) <= 1.0)
-
-    def test_nco_ramp_bounds(self):
-        freq = np.linspace(150.0, 250.0, 16000)
-        out = nco_synthesize(freq, np.ones(16000), 8000)
-        est = instantaneous_frequency(out, 8000)
-        assert est.min() >= 145.0
-        assert est.max() <= 255.0
-
-    def test_too_few_crossings(self):
-        with pytest.raises(ValueError):
-            instantaneous_frequency(np.ones(100), 8000)
