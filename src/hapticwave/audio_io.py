@@ -42,7 +42,8 @@ def require_finite(clip: AudioClip) -> None:
     """Raise NonFiniteSignalError, naming the clip, if any sample is NaN or infinite."""
     if not np.isfinite(clip.samples).all():
         bad = np.count_nonzero(~np.isfinite(clip.samples))
-        raise NonFiniteSignalError(f"clip {clip.source_id}: {bad} NaN or infinite samples")
+        name = "unnamed clip" if clip.source_id is None else f"clip {clip.source_id}"
+        raise NonFiniteSignalError(f"{name}: {bad} NaN or infinite samples")
 
 
 @dataclass

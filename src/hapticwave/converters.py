@@ -280,10 +280,17 @@ def _carrier_vibration(freqs: np.ndarray, amps: np.ndarray, clip: AudioClip, win
 
 
 def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame (intensity, roughness) tracks for the perceptual mapping."""
+    """Per-frame (intensity, roughness) tracks for the perceptual mapping.
+
+    A clip shorter than one frame is zero-padded to one frame.
+    """
+    require_finite(clip)
     frame_size = cfg.plm.frame_size
+    samples = clip.samples
+    if len(samples) < frame_size:
+        samples = np.pad(samples, (0, frame_size - len(samples)))
     loudness, raw_rough = psycho.loudness_roughness_frames(
-        clip.samples, frame_size, frame_size, clip.sample_rate, cfg.psycho)
+        samples, frame_size, frame_size, clip.sample_rate, cfg.psycho)
     a0, a1 = cfg.plm.intensity_map
     b0, b1, b2 = cfg.plm.roughness_map
     # fmax, not maximum: a NaN feature maps to 0 rather than propagating
@@ -294,7 +301,6 @@ def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarra
 
 def convert_plm(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """Loudness/roughness mapping onto two fixed sinusoidal carriers."""
-    require_finite(clip)
     cfg = cfg or default_config()
     intensity, vib_rough = plm_feature_tracks(clip, cfg)
 
@@ -331,6 +337,7 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
     span the same time as at the input rate; filtering and the resample to
     8 kHz follow at that rate.
     """
+    require_finite(clip)
     cfg = cfg or default_config()
     n = len(clip.samples)
     if n == 0:
@@ -354,7 +361,6 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
 
 def convert_fshift(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """Octave down-shift summation with band-pass shaping."""
-    require_finite(clip)
     cfg = cfg or default_config()
     return normalize_vibration(fshift_raw(clip, cfg), cfg, algorithm_tag="fshift")
 
@@ -367,6 +373,7 @@ def _pitch_window(pc: PitchConfig, sample_rate: int) -> tuple[int, int]:
 
 def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-window (frequency, amplitude) tracks for the pitch converter."""
+    require_finite(clip)
     pc = cfg.pitch
     window, hop = _pitch_window(pc, clip.sample_rate)
     specific = psycho.specific_loudness_frames(clip.samples, window, hop, clip.sample_rate,
@@ -381,7 +388,6 @@ def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.nda
 
 def convert_pitch(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """Bark-profile regression to a single time-varying carrier frequency."""
-    require_finite(clip)
     cfg = cfg or default_config()
     freqs, amps = pitch_frequency_track(clip, cfg)
     window, hop = _pitch_window(cfg.pitch, clip.sample_rate)

@@ -6,12 +6,19 @@ cache of read-only filter designs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .audio_io import AudioClip, resample_by_ratio
+
+# Frame analyses run over consecutive blocks of at most this many bytes of
+# float64 frames, so that a block's windowed frames, spectrum and magnitudes
+# stay in a core's 2 MiB L2 cache. One block holds about 1.5 s of 44.1 kHz
+# audio in non-overlapping 10 ms or 4096-sample frames.
+_BLOCK_BYTES = 1 << 19
 
 
 def hann_window(size: int) -> np.ndarray:
@@ -37,10 +44,26 @@ def frame_signal(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(signal, frame_size)[::hop]
 
 
+def _frame_blocks(signal: np.ndarray, frame_size: int,
+                  hop: int) -> tuple[int, Iterator[tuple[slice, np.ndarray]]]:
+    """n_frames and an iterator of (rows, frames[rows]) over consecutive blocks of frames.
+
+    frame_signal runs once; each block holds at most _BLOCK_BYTES of float64
+    frames, and at least one frame.
+    """
+    frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, hop)
+    step = max(1, _BLOCK_BYTES // (frames.itemsize * frame_size))
+    rows = (slice(i, i + step) for i in range(0, len(frames), step))
+    return len(frames), ((r, frames[r]) for r in rows)
+
+
 def frame_spectra(signal: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
     """Magnitude rfft of every windowed frame, (n_frames, len(window) // 2 + 1); square for power."""
-    frames = frame_signal(np.asarray(signal, dtype=np.float64), len(window), hop)
-    return np.abs(np.fft.rfft(frames * window, axis=1))
+    n_frames, blocks = _frame_blocks(signal, len(window), hop)
+    mags = np.empty((n_frames, len(window) // 2 + 1))
+    for rows, frames in blocks:
+        np.abs(np.fft.rfft(frames * window, axis=1), out=mags[rows])
+    return mags
 
 
 @dataclass
@@ -246,8 +269,11 @@ def frame_rms(signal: np.ndarray, window_ms: float, hop_ms: float, sample_rate: 
         raise ValueError("window and hop must be positive")
     window = ms_to_samples(window_ms, sample_rate)
     hop = ms_to_samples(hop_ms, sample_rate)
-    frames = frame_signal(np.asarray(signal, dtype=np.float64), window, hop)
-    return np.sqrt(np.mean(np.square(frames), axis=1))
+    n_frames, blocks = _frame_blocks(signal, window, hop)
+    rms = np.empty(n_frames)
+    for rows, frames in blocks:
+        np.mean(np.square(frames), axis=1, out=rms[rows])
+    return np.sqrt(rms, out=rms)
 
 
 @lru_cache(maxsize=16)

@@ -8,8 +8,8 @@ It is monotone in input level and contour-weighted, which is what the
 converters rely on. Roughness follows the Vassilakis pairwise spectral-peak
 model.
 
-The *_frames functions analyse a whole signal with one batched FFT and
-cached per-(frame size, rate) tables.
+The *_frames functions analyse a whole signal in cache-sized blocks of
+frames, one batched FFT per block, with cached per-(frame size, rate) tables.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsp import frame_spectra, hann_window
+from .dsp import _frame_blocks, frame_spectra, hann_window
 
 N_BARK_BANDS = 24
 
@@ -106,28 +106,39 @@ def analysis_tables(n_fft: int, sample_rate: int, contour_freqs: tuple = _CONTOU
     return tables
 
 
-def _analyse(samples: np.ndarray, frame_size: int, hop: int, sample_rate: int,
-             config: PsychoConfig, min_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitude spectra and specific loudness of every frame, from one batched FFT."""
+def _tables(frame_size: int, sample_rate: int, config: PsychoConfig,
+            min_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """analysis_tables for config's contour, after checking frame_size against min_len."""
     if frame_size < min_len:
         raise ValueError(f"frame of {frame_size} samples is too short (need >= {min_len})")
-    window, bands = analysis_tables(frame_size, sample_rate, tuple(config.contour_freqs),
-                                    tuple(config.contour_gains_db))
-    mags = frame_spectra(samples, window, hop)
-    return mags, config.loudness_scale * (mags ** 2 @ bands) ** config.loudness_exponent
+    return analysis_tables(frame_size, sample_rate, tuple(config.contour_freqs),
+                           tuple(config.contour_gains_db))
 
 
 def specific_loudness_frames(samples: np.ndarray, frame_size: int, hop: int, sample_rate: int,
                              config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> np.ndarray:
-    """Specific loudness (n_frames, 24) of every frame_size-sample frame, hop apart."""
-    return _analyse(samples, frame_size, hop, sample_rate, config, min_len=256)[1]
+    """Specific loudness (n_frames, 24) of every frame_size-sample frame, hop apart.
+
+    Each block of frames is pooled into bands straight from its spectrum,
+    whose power is re^2 + im^2 of the complex rfft read as float64 pairs.
+    """
+    window, bands = _tables(frame_size, sample_rate, config, min_len=256)
+    n_frames, blocks = _frame_blocks(samples, frame_size, hop)
+    pooled = np.empty((n_frames, N_BARK_BANDS))
+    for rows, frames in blocks:
+        parts = np.fft.rfft(frames * window, axis=1).view(np.float64)
+        np.square(parts, out=parts)
+        np.matmul(parts[:, ::2] + parts[:, 1::2], bands, out=pooled[rows])
+    return config.loudness_scale * pooled ** config.loudness_exponent
 
 
 def loudness_roughness_frames(samples: np.ndarray, frame_size: int, hop: int, sample_rate: int,
                               config: PsychoConfig = DEFAULT_PSYCHO_CONFIG,
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Total loudness and roughness per frame, both read from one spectrum per frame."""
-    mags, specific = _analyse(samples, frame_size, hop, sample_rate, config, min_len=1024)
+    window, bands = _tables(frame_size, sample_rate, config, min_len=1024)
+    mags = frame_spectra(samples, window, hop)
+    specific = config.loudness_scale * (mags ** 2 @ bands) ** config.loudness_exponent
     return specific.sum(axis=1), _roughness(*_peaks(mags, sample_rate / frame_size, config), config)
 
 

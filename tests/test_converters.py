@@ -288,6 +288,60 @@ class TestNonFiniteInput:
             converter(clip)
 
 
+class TestStageFiniteness:
+    """The public stages reject non-finite input themselves; each conversion checks once."""
+
+    @pytest.mark.parametrize("stage", [plm_feature_tracks, pitch_frequency_track, fshift_raw])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stage_rejects(self, stage, bad):
+        clip = AudioClip(0.3 * np.random.default_rng(5).standard_normal(SR), SR, "rain")
+        clip.samples[SR // 2] = bad
+        with pytest.raises(NonFiniteSignalError, match="clip rain: 1 NaN or infinite"):
+            stage(clip, default_config())
+
+    def test_unnamed_clip_named_in_words(self):
+        clip = sine_clip(440.0)
+        clip.source_id = None
+        clip.samples[0] = np.nan
+        with pytest.raises(NonFiniteSignalError) as info:
+            convert_pitch(clip)
+        assert "None" not in str(info.value)
+        assert str(info.value).startswith("unnamed clip: 1 NaN")
+
+    @pytest.mark.parametrize("algo", CONVERTER_TAGS)
+    def test_one_check_per_conversion(self, monkeypatch, algo):
+        from hapticwave import converters
+
+        calls = []
+        check = converters.require_finite
+
+        def counting(clip):
+            calls.append(clip.source_id)
+            check(clip)
+
+        monkeypatch.setattr(converters, "require_finite", counting)
+        convert(sine_clip(440.0, duration=0.5), algo)
+        assert calls == ["sine440"]
+
+
+class TestPlmShortClips:
+    def test_shorter_than_one_frame_is_padded(self):
+        x = 0.3 * np.random.default_rng(6).standard_normal(2000)
+        clip = AudioClip(x, SR, "click")
+        assert len(x) < default_config().plm.frame_size
+        out = convert_plm(clip)
+        assert len(out.samples) == 363 == len(convert_pitch(clip).samples)
+        assert np.isfinite(out.samples).all() and np.abs(out.samples).max() <= 1.0
+        intensity, _ = plm_feature_tracks(clip, default_config())
+        padded = AudioClip(np.pad(x, (0, 4096 - 2000)), SR, "click")
+        assert np.array_equal(intensity, plm_feature_tracks(padded, default_config())[0])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_output_sample_raises_typed(self, n):
+        with pytest.raises(DegenerateSignalError):
+            convert_plm(AudioClip(np.full(n, 0.5), SR, "blip"))
+
+
 class TestDispatch:
     def test_dispatch_matches_direct_call(self, am_clip):
         via_dispatch = convert(am_clip, "plm")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.signal import resample_poly, sosfilt
 
-from hapticwave import audio_io
+from hapticwave import audio_io, dsp
 from hapticwave.audio_io import (
     AudioClip,
     _kaiser_lowpass,
@@ -27,12 +27,14 @@ from hapticwave.dsp import (
     butterworth_filter,
     frame_signal,
     frame_rms,
+    frame_spectra,
     hann_window,
     mel_filterbank,
     nco_synthesize,
     pitch_shift,
     stft,
 )
+from hapticwave.psychoacoustics import loudness_roughness_frames, specific_loudness_frames
 
 from conftest import (
     SR,
@@ -556,3 +558,79 @@ class TestFrameRms:
     def test_window_longer_than_signal(self):
         with pytest.raises(ValueError):
             frame_rms(np.zeros(10), 100.0, 100.0, 8000)
+
+
+def _unblocked_frame_spectra(signal, window, hop):
+    """frame_spectra as one rfft over every frame at once."""
+    frames = frame_signal(np.asarray(signal, dtype=np.float64), len(window), hop)
+    return np.abs(np.fft.rfft(frames * window, axis=1))
+
+
+def _unblocked_frame_rms(signal, window_ms, hop_ms, sample_rate):
+    """frame_rms as one mean over every frame at once."""
+    window = round(window_ms * sample_rate / 1000)
+    hop = round(hop_ms * sample_rate / 1000)
+    frames = frame_signal(np.asarray(signal, dtype=np.float64), window, hop)
+    return np.sqrt(np.mean(np.square(frames), axis=1))
+
+
+def _seam_frame_counts(frame_size: int) -> tuple[int, ...]:
+    """1 frame, a block less one frame, one block, a block and one frame, 3.5 blocks."""
+    per_block = dsp._BLOCK_BYTES // (8 * frame_size)
+    return 1, per_block - 1, per_block, per_block + 1, 7 * per_block // 2
+
+
+SEAM_GRID = [(size, hop) for size in (256, 441, 480, 1024, 2048, 4096)
+             for hop in (size, size // 2)]
+
+
+class TestFrameBlocks:
+    """Blocked frame analyses equal the one-shot ones at every block seam."""
+
+    @pytest.mark.parametrize("frame_size, hop", SEAM_GRID)
+    def test_frame_spectra_bit_identical(self, frame_size, hop):
+        rng = np.random.default_rng(frame_size + hop)
+        window = hann_window(frame_size)
+        for n_frames in _seam_frame_counts(frame_size):
+            x = rng.standard_normal((n_frames - 1) * hop + frame_size)
+            out = frame_spectra(x, window, hop)
+            assert out.shape == (n_frames, frame_size // 2 + 1)
+            np.testing.assert_array_equal(out, _unblocked_frame_spectra(x, window, hop))
+
+    @pytest.mark.parametrize("frame_size, hop", SEAM_GRID)
+    def test_frame_rms_bit_identical(self, frame_size, hop):
+        # at 1 kHz one millisecond is one sample
+        rng = np.random.default_rng(frame_size - hop)
+        for n_frames in _seam_frame_counts(frame_size):
+            x = rng.standard_normal((n_frames - 1) * hop + frame_size)
+            out = frame_rms(x, frame_size, hop, 1000)
+            assert out.shape == (n_frames,)
+            np.testing.assert_array_equal(out, _unblocked_frame_rms(x, frame_size, hop, 1000))
+
+    def test_stft_bit_identical(self):
+        x = np.random.default_rng(11).standard_normal(5 * SR)
+        np.testing.assert_array_equal(stft(x, 2048, 512),
+                                      _unblocked_frame_spectra(x, hann_window(2048), 512))
+
+    def test_frames_once_per_analysis(self, monkeypatch):
+        """One frame_signal call per analysis, returning every frame, as the tracer counts."""
+        counted = []
+
+        def counting(signal, frame_size, hop):
+            frames = frame_signal(signal, frame_size, hop)
+            counted.append(len(frames))
+            return frames
+
+        monkeypatch.setattr(dsp, "frame_signal", counting)
+        x = np.random.default_rng(12).standard_normal(20 * SR)
+        analyses = [
+            (lambda: frame_spectra(x, hann_window(1024), 512), 1024, 512),
+            (lambda: frame_rms(x, 10.0, 10.0, SR), 441, 441),
+            (lambda: specific_loudness_frames(x, 441, 220, SR), 441, 220),
+            (lambda: loudness_roughness_frames(x, 4096, 4096, SR), 4096, 4096),
+        ]
+        for analysis, frame_size, hop in analyses:
+            counted.clear()
+            analysis()
+            assert counted == [(len(x) - frame_size) // hop + 1]
+            assert counted[0] > dsp._BLOCK_BYTES // (8 * frame_size)  # more than one block

@@ -9,6 +9,7 @@ import pytest
 
 from hapticwave.converters import load_converter_config
 from hapticwave.errors import SchemaError
+from hapticwave import dsp
 from hapticwave.dsp import frame_signal, hann_window
 from hapticwave.psychoacoustics import (
     DEFAULT_PSYCHO_CONFIG,
@@ -201,6 +202,23 @@ class TestBatchedCore:
         for row, pooled in zip(power, batched):
             np.testing.assert_allclose(pooled, row @ _band_matrix(freqs), rtol=1e-12)
             assert pooled.sum() == pytest.approx(row.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("block_bytes", ["one frame", 1 << 30])
+    @pytest.mark.parametrize("frame_size, hop, sr", [(441, 220, 44100), (480, 240, 48000),
+                                                     (960, 480, 96000), (1024, 1024, 44100)])
+    def test_blocked_power_matches_squared_magnitudes(self, monkeypatch, block_bytes,
+                                                      frame_size, hop, sr):
+        """re^2 + im^2 pooled per block equals |rfft|^2 pooled over every frame at once."""
+        if block_bytes == "one frame":
+            block_bytes = 8 * frame_size
+        monkeypatch.setattr(dsp, "_BLOCK_BYTES", block_bytes)
+        x = np.random.default_rng(frame_size).standard_normal(3 * sr // 2)
+        window, bands = analysis_tables(frame_size, sr)
+        power = np.abs(np.fft.rfft(frame_signal(x, frame_size, hop) * window, axis=1)) ** 2
+        cfg = DEFAULT_PSYCHO_CONFIG
+        expected = cfg.loudness_scale * (power @ bands) ** cfg.loudness_exponent
+        np.testing.assert_allclose(specific_loudness_frames(x, frame_size, hop, sr), expected,
+                                   rtol=1e-13, atol=0)
 
     def test_window_minimums_kept(self):
         with pytest.raises(ValueError, match="need >= 256"):
