@@ -385,12 +385,6 @@ def _as_samples(signal) -> np.ndarray:
     return np.asarray(signal, dtype=np.float64)
 
 
-def _padded_stft_mag(x: np.ndarray, fft_size: int) -> np.ndarray:
-    if len(x) < fft_size:
-        x = np.pad(x, (0, fft_size - len(x)))
-    return stft(x, fft_size, fft_size // 4)
-
-
 def _stft_resolution_loss(mag_p: np.ndarray, mag_t: np.ndarray) -> float:
     norm_t = np.linalg.norm(mag_t)
     convergence = np.linalg.norm(mag_t - mag_p) / max(norm_t, _LOG_EPS)
@@ -420,7 +414,7 @@ def reconstruction_metrics(pred, target, sample_rate: int = VIBRATION_RATE) -> M
     rmse = float(np.sqrt(mse))
     amp_loss = float(abs(np.sqrt(np.mean(p * p)) - np.sqrt(np.mean(t * t))))
 
-    mags = {n: (_padded_stft_mag(p, n), _padded_stft_mag(t, n)) for n in STFT_LOSS_FFT_SIZES}
+    mags = {n: (stft(p, n, n // 4), stft(t, n, n // 4)) for n in STFT_LOSS_FFT_SIZES}
     stft_loss = float(np.mean([_stft_resolution_loss(*mags[n]) for n in STFT_LOSS_FFT_SIZES]))
 
     mag_p, mag_t = mags[_METRIC_MEL_FFT_SIZE]

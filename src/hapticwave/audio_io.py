@@ -110,6 +110,13 @@ def save_wav(signal: AudioClip | VibrationSignal, path: str | Path) -> None:
         wav.writeframes(quantized.astype("<i2").tobytes())
 
 
+def fit_length(samples: np.ndarray, n: int) -> np.ndarray:
+    """samples zero-padded at the end, or cut, to exactly n."""
+    if len(samples) < n:
+        return np.pad(samples, (0, n - len(samples)))
+    return samples[:n]
+
+
 @lru_cache(maxsize=32)
 def _kaiser_lowpass(up: int, down: int) -> np.ndarray:
     """The anti-aliasing FIR resample_poly designs for (up, down), built once and read-only."""
@@ -129,9 +136,7 @@ def _resample_poly(samples: np.ndarray, up: int, down: int, want: int) -> np.nda
         from scipy.signal import resample_poly
 
         out = resample_poly(samples, up, down, window=_kaiser_lowpass(up, down))
-    if len(out) < want:
-        out = np.pad(out, (0, want - len(out)))
-    return out[:want]
+    return fit_length(out, want)
 
 
 def resample_samples(samples: np.ndarray, source_rate: int, target_rate: int) -> np.ndarray:

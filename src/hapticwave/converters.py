@@ -29,6 +29,7 @@ from .audio_io import (
     VIBRATION_RATE,
     AudioClip,
     VibrationSignal,
+    fit_length,
     halve_rate,
     require_finite,
     resample_samples,
@@ -148,9 +149,18 @@ class ConverterConfig:
             raise ValueError("pitch.overlap must be in [0, 1)")
         if any(abs(s) > 24 for s in self.fshift.shifts):
             raise ValueError("fshift.shifts entries are limited to +/-24 semitones")
-        if self.plm.frame_size <= 0 or self.pitch.window_ms <= 0 \
-                or self.hapticgen.window_ms <= 0:
-            raise ValueError("frame and window sizes must be positive")
+        if self.pitch.window_ms <= 0 or self.hapticgen.window_ms <= 0:
+            raise ValueError("pitch.window_ms and hapticgen.window_ms must be positive")
+        for key in ("carrier_low_hz", "carrier_high_hz"):
+            if not 0 < getattr(self.plm, key) < nyquist:
+                raise ValueError(f"plm.{key} must lie in (0, {nyquist:g}) Hz")
+        if self.plm.frame_size < 1024:
+            raise ValueError("plm.frame_size must be at least 1024 samples")
+        for key in ("hp_order", "bp_order"):
+            if getattr(self.fshift, key) not in (2, 4):
+                raise ValueError(f"fshift.{key} must be 2 or 4")
+        if self.fshift.bp_q <= 0:
+            raise ValueError("fshift.bp_q must be positive")
 
 
 def default_config() -> ConverterConfig:
@@ -280,17 +290,11 @@ def _carrier_vibration(freqs: np.ndarray, amps: np.ndarray, clip: AudioClip, win
 
 
 def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame (intensity, roughness) tracks for the perceptual mapping.
-
-    A clip shorter than one frame is zero-padded to one frame.
-    """
+    """Per-frame (intensity, roughness) tracks for the perceptual mapping."""
     require_finite(clip)
     frame_size = cfg.plm.frame_size
-    samples = clip.samples
-    if len(samples) < frame_size:
-        samples = np.pad(samples, (0, frame_size - len(samples)))
     loudness, raw_rough = psycho.loudness_roughness_frames(
-        samples, frame_size, frame_size, clip.sample_rate, cfg.psycho)
+        clip.samples, frame_size, frame_size, clip.sample_rate, cfg.psycho)
     a0, a1 = cfg.plm.intensity_map
     b0, b1, b2 = cfg.plm.roughness_map
     # fmax, not maximum: a NaN feature maps to 0 rather than propagating
@@ -339,10 +343,7 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
     """
     require_finite(clip)
     cfg = cfg or default_config()
-    n = len(clip.samples)
-    if n == 0:
-        raise ValueError("cannot convert an empty clip")
-    want = _output_length(n, clip.sample_rate)
+    want = _output_length(len(clip.samples), clip.sample_rate)
     if want == 0:  # no output sample; the decimated clip could be empty
         return np.zeros(0)
     rate = _fshift_work_rate(clip.sample_rate)
@@ -354,9 +355,7 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
     bp = FilterSpec("bandpass", cfg.fshift.bp_center_hz, q=cfg.fshift.bp_q,
                     order=cfg.fshift.bp_order)
     out = resample_samples(butterworth_filter(mixed, (hp, bp), rate), rate, VIBRATION_RATE)
-    if len(out) < want:
-        out = np.pad(out, (0, want - len(out)))
-    return out[:want]
+    return fit_length(out, want)
 
 
 def convert_fshift(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:

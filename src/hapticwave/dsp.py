@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import AudioClip, resample_by_ratio
+from .audio_io import AudioClip, fit_length, resample_by_ratio
 
 # Frame analyses run over consecutive blocks of at most this many bytes of
 # float64 frames, so that a block's windowed frames, spectrum and magnitudes
@@ -32,15 +32,15 @@ def ms_to_samples(ms: float, sample_rate: int) -> int:
 
 
 def frame_signal(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
-    """Slice a signal into (n_frames, frame_size) with no padding.
+    """Slice a signal into (n_frames, frame_size) frames hop apart.
 
     n_frames = floor((len - frame_size) / hop) + 1, so a trailing partial
-    frame is dropped. The result is a read-only strided view of the signal,
-    not a copy.
+    frame is dropped, and the result is a read-only strided view of the
+    signal. A signal shorter than one frame, empty included, is zero-padded
+    at the end to exactly one frame.
     """
-    n = len(signal)
-    if n < frame_size:
-        raise ValueError(f"signal of {n} samples is shorter than one {frame_size}-sample frame")
+    if len(signal) < frame_size:
+        signal = fit_length(signal, frame_size)
     return np.lib.stride_tricks.sliding_window_view(signal, frame_size)[::hop]
 
 
@@ -85,7 +85,11 @@ class FilterSpec:
 
 
 def stft(signal: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
-    """Magnitude STFT, (n_frames, fft_size // 2 + 1), with a Hann window and no padding."""
+    """Magnitude STFT, (n_frames, fft_size // 2 + 1), with a Hann window.
+
+    Frames are cut as by frame_signal: a signal shorter than fft_size is
+    zero-padded to one frame, and a trailing partial frame is dropped.
+    """
     if fft_size <= 0 or (fft_size & (fft_size - 1)) != 0:
         raise ValueError("fft_size must be a power of two")
     if not 0 < hop <= fft_size:
@@ -157,21 +161,18 @@ def _istft(spectrum: np.ndarray, fft_size: int, hop: int, length: int) -> np.nda
         norm[j:j + n] += w2[j]
     out = out.ravel()
     out /= np.maximum(norm.ravel(), 1e-8)
-    # past fft_size + hop * (n - 1) the sums are 0, as the zero padding below
-    if len(out) < length:
-        out = np.pad(out, (0, length - len(out)))
-    return out[:length]
+    # past fft_size + hop * (n - 1) the sums are 0, the same as fit_length's zero padding
+    return fit_length(out, length)
 
 
 def _analysis(signal: np.ndarray, fft_size: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
     """(magnitude, unit phasor) of the Hann-windowed STFT frames, (n_frames, n_bins) each.
 
     The phasor is S / |S|, or exp(i * angle(S)) where |S| == 0, so it is
-    exp(i * angle(S)) everywhere. The spectrum is divided in place.
+    exp(i * angle(S)) everywhere. The spectrum is divided in place. A signal
+    shorter than fft_size + hop is zero-padded to that length, two frames.
     """
-    x = signal
-    if len(x) < fft_size + hop:
-        x = np.pad(x, (0, fft_size + hop - len(x)))
+    x = fit_length(signal, max(len(signal), fft_size + hop))
     spectrum = np.fft.rfft(frame_signal(x, fft_size, hop) * hann_window(fft_size), axis=1)
     mags = np.abs(spectrum)
     np.divide(spectrum, mags, out=spectrum, where=mags > 0)
@@ -234,10 +235,7 @@ def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...], fft_size:
         ratio = 2.0 ** (s / 12.0)
         rate = 1.0 / ratio
         stretched = _istft(_stretch_frames(*analysis, rate), fft_size, hop, int(round(n / rate)))
-        shifted = resample_by_ratio(stretched, 1.0 / ratio)
-        if len(shifted) < n:
-            shifted = np.pad(shifted, (0, n - len(shifted)))
-        total += shifted[:n]
+        total += fit_length(resample_by_ratio(stretched, 1.0 / ratio), n)
     return AudioClip(samples=total, sample_rate=clip.sample_rate, source_id=clip.source_id)
 
 

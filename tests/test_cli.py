@@ -116,6 +116,14 @@ class TestConvert:
          "psycho.contour_freqs"),
         (["fshift.shifts=[-30]"], "fshift.shifts"),
         (["fshift.shifts=[-12,24.5]"], "fshift.shifts"),
+        (["plm.carrier_low_hz=5000"], "plm.carrier_low_hz"),
+        (["plm.carrier_high_hz=-10"], "plm.carrier_high_hz"),
+        (["plm.carrier_high_hz=4000"], "plm.carrier_high_hz"),
+        (["plm.frame_size=512"], "plm.frame_size"),
+        (["fshift.hp_order=3"], "fshift.hp_order"),
+        (["fshift.bp_order=6"], "fshift.bp_order"),
+        (["fshift.bp_q=0"], "fshift.bp_q"),
+        (["fshift.bp_q=-1"], "fshift.bp_q"),
     ])
     def test_malformed_override_names_key(self, tone_wav, tmp_path, capsys, overrides, key):
         out = tmp_path / "o.wav"

@@ -324,7 +324,7 @@ class TestStageFiniteness:
         assert calls == ["sine440"]
 
 
-class TestPlmShortClips:
+class TestShortClips:
     def test_shorter_than_one_frame_is_padded(self):
         x = 0.3 * np.random.default_rng(6).standard_normal(2000)
         clip = AudioClip(x, SR, "click")
@@ -336,10 +336,24 @@ class TestPlmShortClips:
         padded = AudioClip(np.pad(x, (0, 4096 - 2000)), SR, "click")
         assert np.array_equal(intensity, plm_feature_tracks(padded, default_config())[0])
 
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_no_output_sample_raises_typed(self, n):
+    @pytest.mark.parametrize("sr", [32000, 44100, 48000])
+    @pytest.mark.parametrize("n", [0, 1, 300, 440, 441, 4095, 4097])
+    @pytest.mark.parametrize("algo", CONVERTER_TAGS)
+    def test_length_grid(self, algo, n, sr):
+        clip = AudioClip(0.3 * np.random.default_rng(n).standard_normal(n), sr, "click")
+        want = round(n * 8000 / sr)
+        if want == 0:
+            with pytest.raises(DegenerateSignalError):
+                convert(clip, algo)
+            return
+        out = convert(clip, algo).samples
+        assert len(out) == want
+        assert np.isfinite(out).all() and np.abs(out).max() <= 1.0
+
+    @pytest.mark.parametrize("algo", CONVERTER_TAGS)
+    def test_silent_click_raises_typed(self, algo):
         with pytest.raises(DegenerateSignalError):
-            convert_plm(AudioClip(np.full(n, 0.5), SR, "blip"))
+            convert(AudioClip(np.zeros(300), SR, "click"), algo)
 
 
 class TestDispatch:

@@ -97,9 +97,12 @@ class TestStft:
         b = stft(2 * x, 512, 128)
         assert np.max(np.abs(b - 2 * a)) <= 1e-9 * np.max(b)
 
-    def test_short_signal_rejected(self):
-        with pytest.raises(ValueError):
-            stft(np.zeros(100), 1024, 256)
+    @pytest.mark.parametrize("n", [0, 1, 100, 1023])
+    def test_short_signal_padded_to_one_frame(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        out = stft(x, 1024, 256)
+        assert out.shape == (1, 513)
+        np.testing.assert_array_equal(out, stft(np.pad(x, (0, 1024 - n)), 1024, 256))
 
     def test_bad_fft_size(self):
         with pytest.raises(ValueError):
@@ -555,9 +558,22 @@ class TestFrameRms:
         out = frame_rms(np.zeros(8000), 10.0, 5.0, 8000)
         assert not out.any()
 
-    def test_window_longer_than_signal(self):
-        with pytest.raises(ValueError):
-            frame_rms(np.zeros(10), 100.0, 100.0, 8000)
+    @pytest.mark.parametrize("n", [0, 1, 10, 799])
+    def test_window_longer_than_signal(self, n):
+        # a 100 ms window is 800 samples at 8 kHz; the signal is padded to one window
+        x = np.random.default_rng(n).standard_normal(n)
+        out = frame_rms(x, 100.0, 100.0, 8000)
+        assert out.shape == (1,)
+        np.testing.assert_array_equal(out, frame_rms(np.pad(x, (0, 800 - n)), 100.0, 100.0, 8000))
+
+
+class TestFrameSignal:
+    @pytest.mark.parametrize("n", [0, 1, 300, 1023])
+    def test_short_signal_padded_to_one_frame(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        frames = frame_signal(x, 1024, 256)
+        assert frames.shape == (1, 1024)
+        np.testing.assert_array_equal(frames, np.pad(x, (0, 1024 - n))[None, :])
 
 
 def _unblocked_frame_spectra(signal, window, hop):
