@@ -38,12 +38,16 @@ class AudioClip:
         return len(self.samples) / self.sample_rate
 
 
+def clip_name(clip: AudioClip) -> str:
+    """How error messages name a clip: "clip <source_id>", or "unnamed clip"."""
+    return "unnamed clip" if clip.source_id is None else f"clip {clip.source_id}"
+
+
 def require_finite(clip: AudioClip) -> None:
     """Raise NonFiniteSignalError, naming the clip, if any sample is NaN or infinite."""
     if not np.isfinite(clip.samples).all():
         bad = np.count_nonzero(~np.isfinite(clip.samples))
-        name = "unnamed clip" if clip.source_id is None else f"clip {clip.source_id}"
-        raise NonFiniteSignalError(f"{name}: {bad} NaN or infinite samples")
+        raise NonFiniteSignalError(f"{clip_name(clip)}: {bad} NaN or infinite samples")
 
 
 @dataclass
@@ -128,10 +132,32 @@ def _kaiser_lowpass(up: int, down: int) -> np.ndarray:
     return h
 
 
+def _upsample(samples: np.ndarray, up: int) -> np.ndarray:
+    """resample_poly(samples, up, 1) with the cached filter, to rounding, on the nonzero taps only.
+
+    The Kaiser FIR resample_poly designs for 1:up is an up-th-band filter:
+    besides the centre tap, every tap a multiple of up from the centre is
+    zero (to ~1e-17). So output phase 0 is the centre tap times the input,
+    and phase p in 1..up-1 is the input convolved with the taps p, p + up, ...
+    (Crochiere & Rabiner, Multirate Digital Signal Processing, 1983).
+    """
+    n = len(samples)
+    if n == 0:  # np.convolve rejects an empty array
+        return np.zeros(0)
+    h = up * _kaiser_lowpass(up, 1)
+    out = np.empty((n, up))
+    out[:, 0] = samples * h[10 * up]
+    for p in range(1, up):
+        out[:, p] = np.convolve(samples, h[p::up])[10:10 + n]
+    return out.ravel()
+
+
 def _resample_poly(samples: np.ndarray, up: int, down: int, want: int) -> np.ndarray:
     """resample_poly with the cached filter, cut or zero-padded to want samples."""
     if up == down:  # resample_poly returns a copy without filtering
         out = np.array(samples)
+    elif down == 1:
+        out = _upsample(samples, up)
     else:
         from scipy.signal import resample_poly
 

@@ -29,6 +29,7 @@ from .audio_io import (
     VIBRATION_RATE,
     AudioClip,
     VibrationSignal,
+    clip_name,
     fit_length,
     halve_rate,
     require_finite,
@@ -401,7 +402,7 @@ def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vi
     rms = frame_rms(clip.samples, hc.window_ms, hc.window_ms, clip.sample_rate)
     peak = float(rms.max())
     if peak <= 0.0:
-        raise DegenerateSignalError("degenerate signal: silent input")
+        raise DegenerateSignalError(f"{clip_name(clip)}: degenerate signal: silent input")
     r_norm = rms / peak
 
     freqs = hc.f_center_hz - hc.f_dev_hz + 2.0 * hc.f_dev_hz * r_norm

@@ -6,13 +6,14 @@ cache of read-only filter designs.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import AudioClip, fit_length, resample_by_ratio
+from .audio_io import AudioClip, clip_name, fit_length, resample_by_ratio
+from .errors import DegenerateSignalError
 
 # Frame analyses run over consecutive blocks of at most this many bytes of
 # float64 frames, so that a block's windowed frames, spectrum and magnitudes
@@ -52,9 +53,13 @@ def _frame_blocks(signal: np.ndarray, frame_size: int,
     frames, and at least one frame.
     """
     frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, hop)
-    step = max(1, _BLOCK_BYTES // (frames.itemsize * frame_size))
-    rows = (slice(i, i + step) for i in range(0, len(frames), step))
-    return len(frames), ((r, frames[r]) for r in rows)
+    return len(frames), ((r, frames[r]) for r in _block_rows(len(frames), frame_size))
+
+
+def _block_rows(n: int, frame_size: int) -> Iterator[slice]:
+    """Consecutive slices over n frames, each of at least one and at most _BLOCK_BYTES of frames."""
+    step = max(1, _BLOCK_BYTES // (8 * frame_size))
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
 def frame_spectra(signal: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
@@ -137,52 +142,71 @@ def butterworth_filter(signal: np.ndarray, spec: FilterSpec | tuple[FilterSpec, 
     return sosfilt(sos, np.asarray(signal, dtype=np.float64))
 
 
-def _istft(spectrum: np.ndarray, fft_size: int, hop: int, length: int) -> np.ndarray:
+def _istft(n_frames: int, blocks: Iterable[tuple[slice, np.ndarray]], fft_size: int, hop: int,
+           length: int) -> np.ndarray:
     """Overlap-add inverse of a complex STFT with Hann analysis + synthesis.
 
-    Frames are zero-padded to k = ceil(fft_size / hop) blocks of hop samples;
-    block j of frame i lands on output block i + j. Adding the blocks from
-    j = k - 1 down to 0 adds each output sample's frames in ascending order.
+    The STFT arrives as (rows, spectrum[rows]) over consecutive blocks of its
+    n_frames frames. Frames are zero-padded to k = ceil(fft_size / hop)
+    blocks of hop samples; block j of frame i lands on output block i + j.
+    Adding the blocks from j = k - 1 down to 0, block of frames by block,
+    adds each output sample's frames in ascending order.
     """
     window = hann_window(fft_size)
-    frames = np.fft.irfft(spectrum, n=fft_size, axis=1)
-    frames *= window
-    n = len(frames)
     k = -(-fft_size // hop)
     pad = k * hop - fft_size
-    if pad:
-        frames = np.pad(frames, ((0, 0), (0, pad)))
-    frames = frames.reshape(n, k, hop)
+    out = np.zeros((n_frames + k - 1, hop))
+    for rows, spectrum in blocks:
+        frames = np.fft.irfft(spectrum, n=fft_size, axis=1)
+        frames *= window
+        if pad:
+            frames = np.pad(frames, ((0, 0), (0, pad)))
+        frames = frames.reshape(len(frames), k, hop)
+        for j in range(k - 1, -1, -1):
+            out[rows.start + j:rows.stop + j] += frames[:, j]
+    # Output blocks k - 1 to n_frames - 1 each sum all k window blocks, so the
+    # window-square sums are added up over at most k frames.
     w2 = np.pad(window * window, (0, pad)).reshape(k, hop)
-    out = np.zeros((n + k - 1, hop))
-    norm = np.zeros_like(out)
+    m = min(n_frames, k)
+    norm = np.zeros((m + k - 1, hop))
     for j in range(k - 1, -1, -1):
-        out[j:j + n] += frames[:, j]
-        norm[j:j + n] += w2[j]
-    out = out.ravel()
-    out /= np.maximum(norm.ravel(), 1e-8)
-    # past fft_size + hop * (n - 1) the sums are 0, the same as fit_length's zero padding
-    return fit_length(out, length)
+        norm[j:j + m] += w2[j]
+    np.maximum(norm, 1e-8, out=norm)
+    if n_frames > k:
+        out[:k - 1] /= norm[:k - 1]
+        out[k - 1:n_frames] /= norm[k - 1]
+        out[n_frames:] /= norm[k:]
+    else:
+        out /= norm
+    # past fft_size + hop * (n_frames - 1) the sums are 0, the same as fit_length's zero padding
+    return fit_length(out.ravel(), length)
 
 
 def _analysis(signal: np.ndarray, fft_size: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
     """(magnitude, unit phasor) of the Hann-windowed STFT frames, (n_frames, n_bins) each.
 
     The phasor is S / |S|, or exp(i * angle(S)) where |S| == 0, so it is
-    exp(i * angle(S)) everywhere. The spectrum is divided in place. A signal
-    shorter than fft_size + hop is zero-padded to that length, two frames.
+    exp(i * angle(S)) everywhere. Both are filled one block of frames at a
+    time. A signal shorter than fft_size + hop is zero-padded to that
+    length, two frames.
     """
-    x = fit_length(signal, max(len(signal), fft_size + hop))
-    spectrum = np.fft.rfft(frame_signal(x, fft_size, hop) * hann_window(fft_size), axis=1)
-    mags = np.abs(spectrum)
-    np.divide(spectrum, mags, out=spectrum, where=mags > 0)
-    zero = mags == 0
-    if zero.any():
-        spectrum[zero] = np.exp(1j * np.angle(spectrum[zero]))
-    return mags, spectrum
+    window = hann_window(fft_size)
+    n_frames, blocks = _frame_blocks(fit_length(signal, max(len(signal), fft_size + hop)),
+                                     fft_size, hop)
+    mags = np.empty((n_frames, fft_size // 2 + 1))
+    phasors = np.empty_like(mags, dtype=complex)
+    for rows, frames in blocks:
+        spectrum = np.fft.rfft(frames * window, axis=1)
+        mag = np.abs(spectrum, out=mags[rows])
+        phasor = np.divide(spectrum, mag, out=phasors[rows], where=mag > 0)
+        zero = mag == 0
+        if zero.any():
+            phasor[zero] = np.exp(1j * np.angle(spectrum[zero]))
+    return mags, phasors
 
 
-def _stretch_frames(mags: np.ndarray, phasors: np.ndarray, rate: float) -> np.ndarray:
+def _stretch_frames(mags: np.ndarray, phasors: np.ndarray,
+                    rate: float) -> tuple[int, Iterator[tuple[slice, np.ndarray]]]:
     """Phase-vocoder frames read every `rate` analysis frames (Laroche & Dolson 1999).
 
     Output frame j takes the magnitude interpolated at t_j = j * rate and the
@@ -190,21 +214,38 @@ def _stretch_frames(mags: np.ndarray, phasors: np.ndarray, rate: float) -> np.nd
     (int(t_m), int(t_m) + 1) for every m < j. Wrapping a phase difference by
     2 pi leaves its phasor unchanged, so the accumulated phase is a running
     product of u[i + 1] * conj(u[i]).
+
+    Returns the number of output frames and an iterator of (rows,
+    frames[rows]) over consecutive blocks of them, as _frame_blocks does. A
+    block's running product starts from the last phasor of the block before
+    it, taken before the magnitude is applied, so every block multiplies in
+    the same order as one product over all frames.
     """
     steps = np.arange(0, len(mags) - 1, rate)
     i = steps.astype(np.intp)
     frac = (steps - i)[:, None]
-    out = np.empty((len(steps), mags.shape[1]), dtype=complex)
-    out[0] = phasors[0]
-    np.conjugate(phasors[i[:-1]], out=out[1:])
-    out[1:] *= phasors[i[:-1] + 1]
-    np.cumprod(out, axis=0, out=out)
-    mag = mags[i]
-    if frac.any():
-        mag *= 1.0 - frac
-        mag += frac * mags[i + 1]
-    out *= mag
-    return out
+    interpolate = frac.any()
+    n_bins = mags.shape[1]
+
+    def blocks() -> Iterator[tuple[slice, np.ndarray]]:
+        carry = phasors[0]
+        for rows in _block_rows(len(steps), 2 * (n_bins - 1)):  # blocks of fft_size frames
+            first = max(rows.start - 1, 0)  # the carried row, or frame 0 itself
+            run = np.empty((rows.stop - first, n_bins), dtype=complex)
+            run[0] = carry
+            np.conjugate(phasors[i[first:rows.stop - 1]], out=run[1:])
+            run[1:] *= phasors[i[first:rows.stop - 1] + 1]
+            np.cumprod(run, axis=0, out=run)
+            carry = run[-1].copy()
+            out = run[rows.start - first:]
+            mag = mags[i[rows]]
+            if interpolate:
+                mag *= 1.0 - frac[rows]
+                mag += frac[rows] * mags[i[rows] + 1]
+            out *= mag
+            yield rows, out
+
+    return len(steps), blocks()
 
 
 def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...], fft_size: int = 2048,
@@ -213,14 +254,15 @@ def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...], fft_size:
 
     Phase-vocoder time scaling followed by band-limited resampling; the
     output has exactly the input's length. A tuple of shifts returns the sum
-    of the shifted copies, all read from one analysis STFT.
+    of the shifted copies, all read from one analysis STFT. An empty clip
+    raises DegenerateSignalError.
     """
     shifts = semitones if isinstance(semitones, tuple) else (semitones,)
     if any(abs(s) > 24 for s in shifts):
         raise ValueError("semitone shift limited to +/-24")
     n = len(clip.samples)
     if n == 0:
-        raise ValueError("cannot pitch-shift an empty clip")
+        raise DegenerateSignalError(f"{clip_name(clip)}: cannot pitch-shift an empty clip")
     if hop is None:
         hop = fft_size // 4
 
@@ -234,7 +276,7 @@ def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...], fft_size:
             analysis = _analysis(clip.samples, fft_size, hop)
         ratio = 2.0 ** (s / 12.0)
         rate = 1.0 / ratio
-        stretched = _istft(_stretch_frames(*analysis, rate), fft_size, hop, int(round(n / rate)))
+        stretched = _istft(*_stretch_frames(*analysis, rate), fft_size, hop, int(round(n / rate)))
         total += fit_length(resample_by_ratio(stretched, 1.0 / ratio), n)
     return AudioClip(samples=total, sample_rate=clip.sample_rate, source_id=clip.source_id)
 

@@ -177,7 +177,7 @@ class TestBatch:
         assert sorted(p.name for p in out_dir.glob("*.wav")) == \
             ["c0.hapticgen.wav", "c2.hapticgen.wav"]
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: c1 hapticgen: degenerate signal: silent input",
+        assert err == ["error: c1 hapticgen: clip c1: degenerate signal: silent input",
                        f"error: c3 hapticgen: {audio / 'c3.wav'}: file does not exist"]
 
         write_manifest(DatasetManifest(entries[2:]), manifest)

@@ -355,6 +355,11 @@ class TestShortClips:
         with pytest.raises(DegenerateSignalError):
             convert(AudioClip(np.zeros(300), SR, "click"), algo)
 
+    @pytest.mark.parametrize("source_id, name", [("click", "clip click"), (None, "unnamed clip")])
+    def test_hapticgen_silent_input_names_clip(self, source_id, name):
+        with pytest.raises(DegenerateSignalError, match=f"^{name}: degenerate signal: silent"):
+            convert(AudioClip(np.zeros(300), SR, source_id), "hapticgen")
+
 
 class TestDispatch:
     def test_dispatch_matches_direct_call(self, am_clip):

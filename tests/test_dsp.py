@@ -17,6 +17,7 @@ from hapticwave.audio_io import (
     resample_by_ratio,
     resample_samples,
 )
+from hapticwave.errors import DegenerateSignalError
 from hapticwave.converters import _fshift_work_rate, convert_fshift, default_config, fshift_raw
 from hapticwave.dsp import (
     FilterSpec,
@@ -177,8 +178,8 @@ class TestPitchShift:
             pitch_shift(sine_clip(440.0, duration=0.1), -25)
 
     def test_empty_clip(self):
-        with pytest.raises(ValueError):
-            pitch_shift(AudioClip(np.zeros(0), SR), -12)
+        with pytest.raises(DegenerateSignalError, match="^clip gap: cannot pitch-shift"):
+            pitch_shift(AudioClip(np.zeros(0), SR, "gap"), -12)
 
 
     def test_tuple_range_limit(self):
@@ -267,10 +268,15 @@ class TestVocoderEquivalence:
     @pytest.mark.parametrize("extra", [-900, 0, 1500])
     def test_overlap_add_is_bit_identical(self, hop, extra):
         rng = np.random.default_rng(hop)
-        spectrum = rng.standard_normal((37, 1025)) + 1j * rng.standard_normal((37, 1025))
-        length = 2048 + hop * 36 + extra
-        assert np.array_equal(_istft(spectrum, 2048, hop, length),
-                              _loop_istft(spectrum, 2048, hop, length))
+        for n_frames in (1, 3, 4, 37):  # fewer, as many and more frames than 2048 / hop
+            spectrum = (rng.standard_normal((n_frames, 1025))
+                        + 1j * rng.standard_normal((n_frames, 1025)))
+            length = max(0, 2048 + hop * (n_frames - 1) + extra)
+            want = _loop_istft(spectrum, 2048, hop, length)
+            for step in (1, 5, n_frames):  # blocks of frames, the last one short
+                blocks = [(slice(i, min(i + step, n_frames)), spectrum[i:i + step])
+                          for i in range(0, n_frames, step)]
+                assert np.array_equal(_istft(n_frames, blocks, 2048, hop, length), want)
 
     @pytest.mark.parametrize("kind,sr", VOCODER_CASES)
     @pytest.mark.parametrize("grid", VOCODER_GRIDS)
@@ -281,7 +287,10 @@ class TestVocoderEquivalence:
         mags, phasors = _analysis(x, fft_size, hop)
         for semitones in (-24, -12, -7, -2, 2):
             rate = 2.0 ** (-semitones / 12.0)
-            np.testing.assert_allclose(_stretch_frames(mags, phasors, rate),
+            n_frames, blocks = _stretch_frames(mags, phasors, rate)
+            stretched = np.concatenate([frames for _, frames in blocks])
+            assert len(stretched) == n_frames
+            np.testing.assert_allclose(stretched,
                                        _loop_stretch_frames(x, rate, fft_size, hop),
                                        rtol=1e-9, atol=1e-9)
 
@@ -308,11 +317,34 @@ class TestVocoderEquivalence:
         assert np.array_equal(pitch_shift(clip, ()).samples, np.zeros(44100))
 
     def test_tuple_takes_one_analysis_fft(self, monkeypatch):
-        calls = []
-        rfft = np.fft.rfft
-        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        """One framing of the clip, and rfft rows (over several blocks) summing to its frames."""
+        framed, rows = [], []
+        rfft, frame = np.fft.rfft, dsp.frame_signal
+        monkeypatch.setattr(np.fft, "rfft", lambda a, **k: rows.append(len(a)) or rfft(a, **k))
+        monkeypatch.setattr(dsp, "frame_signal",
+                            lambda *a: framed.append(len(frame(*a))) or frame(*a))
         pitch_shift(AudioClip(_vocoder_signal("noise", 44100), 44100), (-12.0, -24.0, 2.0))
-        assert len(calls) == 1
+        assert framed == [(44100 - 2048) // 512 + 1]
+        assert len(rows) > 1 and sum(rows) == framed[0]
+
+    @pytest.mark.parametrize("block_frames", ["one", "block - 1", "block + 1", "1 GiB"])
+    @pytest.mark.parametrize("sr, fft_size, hop", [(16000, 2048, 512), (44100, 2048, 512),
+                                                   (22050, 1024, 256), (44100, 2048, 300)])
+    def test_block_size_does_not_change_output(self, monkeypatch, block_frames, sr, fft_size,
+                                                hop):
+        """pitch_shift agrees with one block of every frame, whatever the block seams."""
+        x = _vocoder_signal("noise", sr)
+        x = np.concatenate([x, x[: sr // 2]])  # 1.5 s: more than one default block
+        shifts = (-24.0, -12.0, -2.0, 2.0, (-12.0, -24.0))
+        monkeypatch.setattr(dsp, "_BLOCK_BYTES", 1 << 30)
+        want = [pitch_shift(AudioClip(x, sr), s, fft_size, hop).samples for s in shifts]
+        frame_bytes = 8 * fft_size
+        block_bytes = {"one": frame_bytes, "block - 1": (1 << 19) - frame_bytes,
+                       "block + 1": (1 << 19) + frame_bytes, "1 GiB": 1 << 30}[block_frames]
+        monkeypatch.setattr(dsp, "_BLOCK_BYTES", block_bytes)
+        for s, ref in zip(shifts, want):
+            out = pitch_shift(AudioClip(x, sr), s, fft_size, hop).samples
+            np.testing.assert_allclose(out, ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
 
     @pytest.mark.parametrize("kind,sr", FSHIFT_CASES)
     def test_fshift_raw_matches_loop_pipeline(self, kind, sr):
@@ -501,10 +533,32 @@ class TestCachedDesign:
 
     @pytest.mark.parametrize("ratio", [2.0, 4.0, 2.0 ** (1.3 / 12.0)])
     def test_resample_by_ratio_is_bit_identical(self, ratio):
+        # Integer upsampling skips resample_poly's zero taps, so it matches
+        # to rounding only; every other ratio runs resample_poly itself.
         x = np.random.default_rng(5).standard_normal(20000)
         frac = Fraction(ratio).limit_denominator(1000)
         want = resample_poly(x, frac.numerator, frac.denominator, window=("kaiser", 7.0))
-        assert np.array_equal(resample_by_ratio(x, ratio), want[:int(round(20000 * ratio))])
+        want = want[:int(round(20000 * ratio))]
+        if frac.denominator == 1:
+            np.testing.assert_allclose(resample_by_ratio(x, ratio), want, rtol=0, atol=1e-14)
+        else:
+            assert np.array_equal(resample_by_ratio(x, ratio), want)
+
+    @pytest.mark.parametrize("up", [2, 3, 4, 5, 8])
+    def test_upsampling_filter_is_up_th_band(self, up):
+        h = _kaiser_lowpass(up, 1)
+        c = len(h) // 2
+        assert np.max(np.abs(np.concatenate([h[c + up::up], h[c - up::-up]]))) < 1e-16
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 41, 1001, 44100])
+    @pytest.mark.parametrize("up", [2, 3, 4, 5, 8])
+    def test_integer_upsampling_equals_resample_poly_to_rounding(self, up, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        out = resample_by_ratio(x, float(up))
+        assert len(out) == n * up
+        if n:  # resample_poly rejects an empty signal
+            np.testing.assert_allclose(out, resample_poly(x, up, 1, window=("kaiser", 7.0)),
+                                       rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("sr", [16000, 44100, 48000])
     def test_stacked_filters_are_bit_identical(self, sr):
