@@ -48,6 +48,7 @@ from .errors import (
     NonFiniteSignalError,
     ProtocolError,
     SchemaError,
+    UnsupportedRateError,
 )
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 from . import analysis, bench, converters, curation
@@ -57,7 +58,13 @@ def _resolve_config(args) -> converters.ConverterConfig:
     return cfg
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hapticwave argument parser, built once per process.
+
+    run() reuses it: parse_args returns a fresh Namespace on every call, and
+    the append action behind --set copies its default list before appending.
+    """
     parser = _Parser(prog="hapticwave",
                      description="Audio-to-vibrotactile conversion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,8 +249,11 @@ def _cmd_blend(args) -> int:
 def _cmd_metrics(args) -> int:
     pred = load_wav(args.pred)
     target = load_wav(args.target)
-    if pred.sample_rate != target.sample_rate:
-        raise _CliValidationError("pred and target sample rates differ")
+    if (pred.sample_rate, len(pred.samples)) != (target.sample_rate, len(target.samples)):
+        raise _CliValidationError(
+            f"{args.pred}: {len(pred.samples)} samples at {pred.sample_rate} Hz, but "
+            f"{args.target} has {len(target.samples)} at {target.sample_rate} Hz; "
+            "pred and target must match in length and rate")
     report = analysis.reconstruction_metrics(pred.samples, target.samples,
                                              sample_rate=pred.sample_rate)
     text = json.dumps(asdict(report), indent=2, sort_keys=True)

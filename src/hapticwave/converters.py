@@ -43,7 +43,7 @@ from .dsp import (
     nco_synthesize,
     pitch_shift,
 )
-from .errors import DegenerateSignalError, SchemaError
+from .errors import DegenerateSignalError, SchemaError, UnsupportedRateError
 from .psychoacoustics import PsychoConfig
 
 CONVERTER_TAGS = ("plm", "fshift", "pitch", "hapticgen")
@@ -372,10 +372,21 @@ def _pitch_window(pc: PitchConfig, sample_rate: int) -> tuple[int, int]:
 
 
 def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window (frequency, amplitude) tracks for the pitch converter."""
+    """Per-window (frequency, amplitude) tracks for the pitch converter.
+
+    A rate whose window is shorter than psycho.SPECIFIC_LOUDNESS_MIN_FRAME
+    samples (below 25.6 kHz for 10 ms) raises UnsupportedRateError, naming
+    the clip.
+    """
     require_finite(clip)
     pc = cfg.pitch
     window, hop = _pitch_window(pc, clip.sample_rate)
+    min_frame = psycho.SPECIFIC_LOUDNESS_MIN_FRAME
+    if window < min_frame:
+        raise UnsupportedRateError(
+            f"{clip_name(clip)}: pitch needs at least {min_frame} samples per "
+            f"{pc.window_ms:g} ms window (a rate of about {min_frame * 1000 / pc.window_ms:g} "
+            f"Hz); {clip.sample_rate} Hz gives {window}")
     specific = psycho.specific_loudness_frames(clip.samples, window, hop, clip.sample_rate,
                                                cfg.psycho)
     totals = specific.sum(axis=1, keepdims=True)

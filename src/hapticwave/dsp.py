@@ -1,7 +1,7 @@
 """Spectral and filtering primitives shared by the converters, curation, and metrics.
 
 Everything here is a pure function of its inputs; the only module state is a
-cache of read-only filter designs.
+cache of read-only windows and filter designs.
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ from .errors import DegenerateSignalError
 _BLOCK_BYTES = 1 << 19
 
 
+@lru_cache(maxsize=32)
 def hann_window(size: int) -> np.ndarray:
-    """Periodic Hann window (the DFT-friendly variant)."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(size) / size)
+    """Periodic Hann window (the DFT-friendly variant), built once per size and read-only."""
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(size) / size)
+    window.flags.writeable = False
+    return window
 
 
 def ms_to_samples(ms: float, sample_rate: int) -> int:

@@ -23,3 +23,7 @@ class ProtocolError(HapticwaveError):
 
 class NonFiniteSignalError(HapticwaveError):
     """Signal holds NaN or infinite samples."""
+
+
+class UnsupportedRateError(HapticwaveError, ValueError):
+    """Sample rate too low for a converter's analysis window; also a ValueError."""

@@ -22,6 +22,8 @@ import numpy as np
 from .dsp import _frame_blocks, frame_spectra, hann_window
 
 N_BARK_BANDS = 24
+# Shortest frame, in samples, that specific_loudness_frames analyses
+SPECIFIC_LOUDNESS_MIN_FRAME = 256
 
 # Relative sensitivity vs. frequency (dB re 1 kHz), a smoothed inverse of a
 # mid-level equal-loudness contour. Interpolated in log-frequency.
@@ -100,10 +102,9 @@ def analysis_tables(n_fft: int, sample_rate: int, contour_freqs: tuple = _CONTOU
     """Read-only (Hann window, (n_bins, 24) contour-weighted Bark pooling) for n_fft frames."""
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
     contour = PsychoConfig(contour_freqs=contour_freqs, contour_gains_db=contour_gains_db)
-    tables = (hann_window(n_fft), equal_loudness_weight(freqs, contour)[:, None] * _band_matrix(freqs))
-    for array in tables:
-        array.flags.writeable = False
-    return tables
+    bands = equal_loudness_weight(freqs, contour)[:, None] * _band_matrix(freqs)
+    bands.flags.writeable = False
+    return hann_window(n_fft), bands
 
 
 def _tables(frame_size: int, sample_rate: int, config: PsychoConfig,
@@ -122,7 +123,8 @@ def specific_loudness_frames(samples: np.ndarray, frame_size: int, hop: int, sam
     Each block of frames is pooled into bands straight from its spectrum,
     whose power is re^2 + im^2 of the complex rfft read as float64 pairs.
     """
-    window, bands = _tables(frame_size, sample_rate, config, min_len=256)
+    window, bands = _tables(frame_size, sample_rate, config,
+                            min_len=SPECIFIC_LOUDNESS_MIN_FRAME)
     n_frames, blocks = _frame_blocks(samples, frame_size, hop)
     pooled = np.empty((n_frames, N_BARK_BANDS))
     for rows, frames in blocks:

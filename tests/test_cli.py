@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import hapticwave
-from hapticwave.audio_io import AudioClip, save_wav
-from hapticwave.cli import run
+from hapticwave.audio_io import AudioClip, load_wav, save_wav
+from hapticwave.cli import build_parser, run
+from hapticwave.converters import convert
 from hapticwave.curation import DatasetManifest, ManifestEntry, write_manifest
 from hapticwave.fixtures import manifest_fixture_path, ratings_fixture_path
 from hapticwave.psychoacoustics import PsychoConfig
@@ -86,6 +87,16 @@ class TestConvert:
         save_wav(AudioClip(np.zeros(SR), SR), silent)
         assert run(["convert", "--algo", "hapticgen", "--in", str(silent),
                     "--out", str(tmp_path / "o.wav")]) == 2
+
+    def test_pitch_below_25_6k_names_clip_and_rate(self, tmp_path, capsys):
+        low = tmp_path / "low.wav"
+        save_wav(sine_clip(300.0, duration=1.0, sr=22050), low)
+        out = tmp_path / "o.wav"
+        assert run(["convert", "--algo", "pitch", "--in", str(low), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: clip low: pitch needs at least 256 samples per 10 ms window "
+            "(a rate of about 25600 Hz); 22050 Hz gives 220\n")
+        assert not out.exists()
 
     def test_unknown_flag_rejected(self, tone_wav, tmp_path):
         assert run(["convert", "--algo", "plm", "--in", str(tone_wav),
@@ -340,6 +351,54 @@ class TestMetrics:
         report = json.loads(out.read_text())
         assert set(report) == {"mse", "stft_loss", "mel_l1", "amp_loss", "rmse"}
         assert report["mse"] <= 1e-8
+
+
+    @pytest.mark.parametrize("target_n,target_rate", [(4000, 8000), (8000, 16000)])
+    def test_mismatch_names_both_paths(self, tmp_path, capsys, target_n, target_rate):
+        pred, target = tmp_path / "p.wav", tmp_path / "t.wav"
+        save_wav(AudioClip(np.full(8000, 0.1), 8000), pred)
+        save_wav(AudioClip(np.full(target_n, 0.1), target_rate), target)
+        out = tmp_path / "m.json"
+        assert run(["metrics", "--pred", str(pred), "--target", str(target),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pred}: 8000 samples at 8000 Hz, but {target} has {target_n} at "
+            f"{target_rate} Hz; pred and target must match in length and rate\n")
+        assert not out.exists()
+
+
+class TestParserReuse:
+    """run() reuses one parser per process, so no call may see another's arguments."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_set_does_not_reach_the_next_call(self, tmp_path):
+        rough = tmp_path / "rough.wav"  # two close tones beat, so carrier_mix matters
+        t = np.arange(SR) / SR
+        save_wav(AudioClip(0.4 * np.sin(2 * np.pi * 440 * t) + 0.3 * np.sin(2 * np.pi * 470 * t),
+                           SR), rough)
+        argv = ["convert", "--algo", "plm", "--in", str(rough)]
+        assert run(argv + ["--out", str(tmp_path / "set.wav"),
+                           "--set", "plm.carrier_mix=0.4"]) == 0
+        assert run(argv + ["--out", str(tmp_path / "plain.wav")]) == 0
+        save_wav(convert(load_wav(rough), "plm"), tmp_path / "ref.wav")
+        ref = (tmp_path / "ref.wav").read_bytes()
+        assert (tmp_path / "plain.wav").read_bytes() == ref
+        assert (tmp_path / "set.wav").read_bytes() != ref
+
+    def test_failed_parse_then_valid_call(self, tone_wav, tmp_path):
+        argv = ["convert", "--algo", "hapticgen", "--in", str(tone_wav),
+                "--out", str(tmp_path / "o.wav")]
+        assert run(argv + ["--frobnicate"]) == 1
+        assert run(argv) == 0
+
+    def test_help_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                run(["--help"])
+            assert info.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: hapticwave")
 
 
 class TestReport:

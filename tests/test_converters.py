@@ -26,7 +26,13 @@ from hapticwave.converters import (
 )
 from hapticwave.dsp import frame_signal
 from hapticwave.psychoacoustics import loudness_roughness_frames, specific_loudness_frames
-from hapticwave.errors import DegenerateSignalError, NonFiniteSignalError, SchemaError
+from hapticwave.errors import (
+    DegenerateSignalError,
+    HapticwaveError,
+    NonFiniteSignalError,
+    SchemaError,
+    UnsupportedRateError,
+)
 
 from conftest import SR, instantaneous_frequency, sine_clip
 
@@ -178,9 +184,18 @@ class TestBatchedTracks:
         np.testing.assert_allclose(intensity, ref_i, rtol=1e-9, atol=0)
         np.testing.assert_allclose(roughness, ref_r, rtol=1e-9, atol=0)
 
-    def test_pitch_still_rejects_16k(self):
-        with pytest.raises(ValueError, match="need >= 256"):
-            convert_pitch(_test_signal("noise", 16000))
+    @pytest.mark.parametrize("sr,window", [(8000, 80), (16000, 160), (22050, 220), (25500, 255)])
+    def test_pitch_rejects_low_rates_naming_the_clip(self, sr, window):
+        with pytest.raises(UnsupportedRateError,
+                           match=f"^clip noise: pitch needs at least 256 samples per 10 ms window "
+                                 fr"\(a rate of about 25600 Hz\); {sr} Hz gives {window}$") as info:
+            convert_pitch(_test_signal("noise", sr))
+        # still a ValueError, so callers that catch ValueError keep working
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, HapticwaveError)
+
+    def test_pitch_accepts_25_6k(self):
+        assert len(convert_pitch(_test_signal("noise", 25600)).samples) == 8000
 
 
 class TestHapticgen:

@@ -493,6 +493,13 @@ class TestCachedDesign:
         assert bank.shape == (26, 1025)
         assert np.array_equal(bank, mel_filterbank.__wrapped__(26, 2048, 44100))
 
+    @pytest.mark.parametrize("size", [1, 220, 441, 1024, 2048, 4096])
+    def test_hann_window_is_read_only_and_reused(self, size):
+        window = hann_window(size)
+        assert not window.flags.writeable
+        assert hann_window(size) is window
+        assert np.array_equal(window, 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(size) / size))
+
     @pytest.mark.parametrize("sr", [8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000,
                                     88200, 96000, 176400, 192000])
     def test_resample_samples_is_bit_identical(self, sr):
