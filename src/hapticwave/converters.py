@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .dsp import (
     nco_synthesize,
     pitch_shift,
 )
-from .errors import DegenerateSignalError, SchemaError, UnsupportedRateError
+from .errors import DegenerateSignalError, NonFiniteSignalError, SchemaError, UnsupportedRateError
 from .psychoacoustics import PsychoConfig
 
 CONVERTER_TAGS = ("plm", "fshift", "pitch", "hapticgen")
@@ -62,6 +63,12 @@ CLIP_WARN_FRACTION = 1e-3
 # (relative L2), while quartering 96 kHz moved 11% of 10-50 ms noise clips by
 # more than 2%, so the rate is halved at most once.
 _FSHIFT_MIN_WORK_RATE = 22050
+
+# The 8 kHz output stage keeps its time grid and plm's carrier sines per
+# output length, since fixed-length clips ask for the same ones on every call.
+# Only outputs of at most this many samples (2 MiB of float64, 32.8 s) are
+# kept; see _output_table for the bound on the memory held.
+_OUTPUT_CACHE_MAX_LEN = 1 << 18
 
 
 def _default_pitch_coeffs() -> tuple[float, ...]:
@@ -234,12 +241,6 @@ def apply_config_overrides(cfg: ConverterConfig, overrides: dict[str, str]) -> C
     return _merge_section(cfg, nested, "config")
 
 
-def _interp_tracks(values: np.ndarray, frame_centers_s: np.ndarray, n_out: int) -> np.ndarray:
-    """Linearly interpolate frame-rate values onto the output sample grid."""
-    t = np.arange(n_out) / VIBRATION_RATE
-    return np.interp(t, frame_centers_s, values)
-
-
 def normalize_vibration(raw: np.ndarray, cfg: ConverterConfig, *, algorithm_tag: str,
                         segment_len: int | None = None) -> VibrationSignal:
     """Scale output-rate samples so the loudest segment lands on the target RMS, and clamp.
@@ -248,7 +249,8 @@ def normalize_vibration(raw: np.ndarray, cfg: ConverterConfig, *, algorithm_tag:
     native frame at the output rate), the last one possibly partial; None
     means one segment spanning the whole signal. The share of samples that
     hit the clamp is the clipped_fraction, and a RuntimeWarning is emitted
-    when it exceeds CLIP_WARN_FRACTION.
+    when it exceeds CLIP_WARN_FRACTION. A NaN or infinite sample raises
+    NonFiniteSignalError naming algorithm_tag.
     """
     samples = np.asarray(raw, dtype=np.float64)
     n = len(samples)
@@ -260,8 +262,15 @@ def normalize_vibration(raw: np.ndarray, cfg: ConverterConfig, *, algorithm_tag:
     seg_ms = np.mean(power[:n_full].reshape(-1, segment_len), axis=1)
     if n_full < n:
         seg_ms = np.append(seg_ms, np.mean(power[n_full:]))
+    # a NaN or infinite sample makes its segment's power, and so the peak, non-finite
+    peak = float(seg_ms.max())
+    if not np.isfinite(peak):
+        raise NonFiniteSignalError(f"{algorithm_tag}: NaN or infinite converter output")
     # no lower than the whole-signal RMS, so above the silence floor
-    scaled = samples * (cfg.target_segment_rms / float(np.sqrt(seg_ms.max())))
+    scaled = samples * (cfg.target_segment_rms / np.sqrt(peak))
+    # the usual case: nothing to clamp
+    if scaled.min() >= -1.0 and scaled.max() <= 1.0:
+        return VibrationSignal(samples=scaled, algorithm_tag=algorithm_tag)
     clipped = int(np.count_nonzero(np.abs(scaled) > 1.0)) / n
     if clipped > CLIP_WARN_FRACTION:
         warnings.warn(f"clamped {clipped:.2%} of samples to [-1, 1]", RuntimeWarning,
@@ -278,16 +287,60 @@ def _frame_centers(n_frames: int, frame_size: int, hop: int, rate: int) -> np.nd
     return (np.arange(n_frames) * hop + frame_size / 2.0) / rate
 
 
-def _carrier_vibration(freqs: np.ndarray, amps: np.ndarray, clip: AudioClip, window: int,
-                       hop: int, segment_ms: float, cfg: ConverterConfig,
-                       algorithm_tag: str) -> VibrationSignal:
-    """One carrier on per-frame (frequency, amplitude) tracks, normalized per segment_ms."""
-    centers = _frame_centers(len(freqs), window, hop, clip.sample_rate)
-    n_out = _output_length(len(clip.samples), clip.sample_rate)
-    raw = nco_synthesize(_interp_tracks(freqs, centers, n_out),
-                         _interp_tracks(amps, centers, n_out), VIBRATION_RATE)
-    return normalize_vibration(raw, cfg, algorithm_tag=algorithm_tag,
-                               segment_len=ms_to_samples(segment_ms, VIBRATION_RATE))
+def _output_table(maxsize: int):
+    """Decorator keeping build(*key, n_out)'s read-only result for n_out <= _OUTPUT_CACHE_MAX_LEN.
+
+    At most maxsize results are kept (least recently used goes first), so a
+    table holds at most maxsize * 2 MiB; a longer output is built on every
+    call and not kept.
+    """
+    def decorate(build):
+        def read_only(*key):
+            table = build(*key)
+            table.flags.writeable = False
+            return table
+
+        cached = lru_cache(maxsize=maxsize)(read_only)
+
+        def table(*key):
+            return cached(*key) if key[-1] <= _OUTPUT_CACHE_MAX_LEN else read_only(*key)
+
+        table.cache_info = cached.cache_info
+        return table
+    return decorate
+
+
+# 1/2/5 s clips need three grids at a time, and plm two carriers per grid;
+# together the two caches hold at most (4 + 8) * 2 MiB = 24 MiB.
+@_output_table(maxsize=4)
+def _time_grid(n_out: int) -> np.ndarray:
+    """Output sample times in seconds, read-only."""
+    return np.arange(n_out) / VIBRATION_RATE
+
+
+@_output_table(maxsize=8)
+def _carrier_table(freq_hz: float, n_out: int) -> np.ndarray:
+    """A zero-phase sine at freq_hz on the output time grid, read-only."""
+    return np.sin(2.0 * np.pi * freq_hz * _time_grid(n_out))
+
+
+def _nco(freqs: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    return nco_synthesize(freqs, amps, VIBRATION_RATE)
+
+
+def _output_vibration(tracks: tuple[np.ndarray, ...], synthesize, clip: AudioClip, window: int,
+                      hop: int, segment_len: int, cfg: ConverterConfig,
+                      algorithm_tag: str) -> VibrationSignal:
+    """The 8 kHz output stage shared by plm, pitch and hapticgen.
+
+    Each per-frame track is interpolated linearly from the frame centres onto
+    the output time grid; synthesize(*envelopes) turns the envelopes into
+    raw samples, which are normalized per segment_len output samples.
+    """
+    centers = _frame_centers(len(tracks[0]), window, hop, clip.sample_rate)
+    t = _time_grid(_output_length(len(clip.samples), clip.sample_rate))
+    raw = synthesize(*(np.interp(t, centers, values) for values in tracks))
+    return normalize_vibration(raw, cfg, algorithm_tag=algorithm_tag, segment_len=segment_len)
 
 
 def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -307,25 +360,21 @@ def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarra
 def convert_plm(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """Loudness/roughness mapping onto two fixed sinusoidal carriers."""
     cfg = cfg or default_config()
+    pc = cfg.plm
     intensity, vib_rough = plm_feature_tracks(clip, cfg)
 
     # carrier split: the high carrier takes a roughness-controlled share
-    mix = np.clip(vib_rough * cfg.plm.carrier_mix, 0.0, 1.0)
-    amp_low = intensity * (1.0 - mix)
-    amp_high = intensity * mix
+    mix = np.clip(vib_rough * pc.carrier_mix, 0.0, 1.0)
 
-    n_out = _output_length(len(clip.samples), clip.sample_rate)
-    centers = _frame_centers(len(intensity), cfg.plm.frame_size, cfg.plm.frame_size,
-                             clip.sample_rate)
-    env_low = _interp_tracks(amp_low, centers, n_out)
-    env_high = _interp_tracks(amp_high, centers, n_out)
+    def two_carriers(env_low: np.ndarray, env_high: np.ndarray) -> np.ndarray:
+        env_low *= _carrier_table(pc.carrier_low_hz, len(env_low))
+        env_high *= _carrier_table(pc.carrier_high_hz, len(env_high))
+        env_low += env_high
+        return env_low
 
-    t = np.arange(n_out) / VIBRATION_RATE
-    raw = env_low * np.sin(2.0 * np.pi * cfg.plm.carrier_low_hz * t) \
-        + env_high * np.sin(2.0 * np.pi * cfg.plm.carrier_high_hz * t)
-
-    segment = _output_length(cfg.plm.frame_size, clip.sample_rate)
-    return normalize_vibration(raw, cfg, algorithm_tag="plm", segment_len=segment)
+    return _output_vibration((intensity * (1.0 - mix), intensity * mix), two_carriers, clip,
+                             pc.frame_size, pc.frame_size,
+                             _output_length(pc.frame_size, clip.sample_rate), cfg, "plm")
 
 
 def _fshift_work_rate(sample_rate: int) -> int:
@@ -402,7 +451,8 @@ def convert_pitch(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vibrat
     cfg = cfg or default_config()
     freqs, amps = pitch_frequency_track(clip, cfg)
     window, hop = _pitch_window(cfg.pitch, clip.sample_rate)
-    return _carrier_vibration(freqs, amps, clip, window, hop, cfg.pitch.window_ms, cfg, "pitch")
+    return _output_vibration((freqs, amps), _nco, clip, window, hop,
+                             ms_to_samples(cfg.pitch.window_ms, VIBRATION_RATE), cfg, "pitch")
 
 
 def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
@@ -418,7 +468,8 @@ def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vi
 
     freqs = hc.f_center_hz - hc.f_dev_hz + 2.0 * hc.f_dev_hz * r_norm
     window = ms_to_samples(hc.window_ms, clip.sample_rate)
-    return _carrier_vibration(freqs, r_norm, clip, window, window, hc.window_ms, cfg, "hapticgen")
+    return _output_vibration((freqs, r_norm), _nco, clip, window, window,
+                             ms_to_samples(hc.window_ms, VIBRATION_RATE), cfg, "hapticgen")
 
 
 _CONVERTERS = {

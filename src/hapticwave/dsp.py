@@ -288,7 +288,9 @@ def nco_synthesize(freq_track: np.ndarray, amp_track: np.ndarray, sample_rate: i
     """Sinusoid synthesis by per-sample phase accumulation.
 
     out[n] = amp[n] * sin(phi[n]) with phi[n+1] = phi[n] + 2*pi*freq[n]/fs and
-    phi[0] = 0, so frequency changes never reset the phase.
+    phi[0] = 0, so frequency changes never reset the phase. A frequency
+    outside (0, Nyquist), a negative or infinite amplitude, and NaN in either
+    track raise ValueError.
     """
     freq = np.asarray(freq_track, dtype=np.float64)
     amp = np.asarray(amp_track, dtype=np.float64)
@@ -296,14 +298,17 @@ def nco_synthesize(freq_track: np.ndarray, amp_track: np.ndarray, sample_rate: i
         raise ValueError("frequency and amplitude tracks must have equal length")
     if len(freq) == 0:
         return np.zeros(0)
-    if np.any(freq <= 0) or np.any(freq >= sample_rate / 2):
+    # written so that NaN, which fails every comparison, is rejected too
+    if not (0 < freq.min() and freq.max() < sample_rate / 2):
         raise ValueError("frequency track must stay inside (0, Nyquist)")
-    if np.any(amp < 0):
-        raise ValueError("amplitude track must be non-negative")
+    if not (amp.min() >= 0 and amp.max() < np.inf):
+        raise ValueError("amplitude track must be finite and non-negative")
     phase = np.empty_like(freq)
     phase[0] = 0.0
     np.cumsum(freq[:-1] * (2.0 * np.pi / sample_rate), out=phase[1:])
-    return amp * np.sin(phase)
+    np.sin(phase, out=phase)
+    phase *= amp
+    return phase
 
 
 def frame_rms(signal: np.ndarray, window_ms: float, hop_ms: float, sample_rate: int) -> np.ndarray:

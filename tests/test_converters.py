@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
+import warnings
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from hapticwave.audio_io import AudioClip
 from hapticwave.converters import (
+    _OUTPUT_CACHE_MAX_LEN,
     CONVERTER_TAGS,
+    _carrier_table,
+    _time_grid,
     apply_config_overrides,
     convert,
     convert_fshift,
@@ -24,7 +28,7 @@ from hapticwave.converters import (
     pitch_frequency_track,
     plm_feature_tracks,
 )
-from hapticwave.dsp import frame_signal
+from hapticwave.dsp import frame_rms, frame_signal, ms_to_samples
 from hapticwave.psychoacoustics import loudness_roughness_frames, specific_loudness_frames
 from hapticwave.errors import (
     DegenerateSignalError,
@@ -34,7 +38,7 @@ from hapticwave.errors import (
     UnsupportedRateError,
 )
 
-from conftest import SR, instantaneous_frequency, sine_clip
+from conftest import SR, instantaneous_frequency, make_fixture_clips, sine_clip
 
 
 def band_energy_fraction(samples: np.ndarray, sr: int, bands: list[tuple[float, float]]) -> float:
@@ -292,6 +296,62 @@ class TestNormalizeVibration:
             normalize_vibration(np.zeros(8000), default_config(), algorithm_tag="fshift")
 
 
+# normalize_vibration before its in-range shortcut, kept as the reference it
+# is checked against.
+def _reference_normalize(raw, segment_len=None, target=0.15):
+    n = len(raw)
+    power = np.square(raw)
+    segment_len = segment_len or n
+    n_full = n - n % segment_len
+    seg_ms = np.mean(power[:n_full].reshape(-1, segment_len), axis=1)
+    if n_full < n:
+        seg_ms = np.append(seg_ms, np.mean(power[n_full:]))
+    scaled = raw * (target / float(np.sqrt(seg_ms.max())))
+    return np.clip(scaled, -1.0, 1.0), int(np.count_nonzero(np.abs(scaled) > 1.0)) / n
+
+
+class TestNormalizeReference:
+    @pytest.mark.parametrize("segment_len", [None, 80])
+    @pytest.mark.parametrize("kind", ["in_range", "spikes"])
+    def test_matches_reference(self, segment_len, kind):
+        raw = np.random.default_rng(8).standard_normal(8001)
+        if kind == "spikes":  # eight samples the target pushes past full scale
+            raw *= 0.01
+            raw[500::1000] = 1.0
+        want, clipped = _reference_normalize(raw, segment_len)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = normalize_vibration(raw, default_config(), algorithm_tag="plm",
+                                      segment_len=segment_len)
+        np.testing.assert_array_equal(out.samples, want)
+        assert out.clipped_fraction == clipped
+        assert clipped == (8 / 8001 if kind == "spikes" else 0.0)
+
+    @pytest.mark.parametrize("segment_len", [None, 80])
+    def test_full_scale_is_not_clamped(self, segment_len):
+        # a target of 1 leaves a +/-1 square wave as it is: on the bounds, not past them
+        raw = (-1.0) ** np.arange(8000)
+        cfg = replace(default_config(), target_segment_rms=1.0)
+        out = normalize_vibration(raw, cfg, algorithm_tag="plm", segment_len=segment_len)
+        np.testing.assert_array_equal(out.samples, raw)
+        assert out.clipped_fraction == 0.0
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize("segment_len", [None, 80])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_normalize_rejects_naming_the_algorithm(self, segment_len, bad):
+        raw = 0.1 * np.random.default_rng(9).standard_normal(8000)
+        raw[4321] = bad
+        with pytest.raises(NonFiniteSignalError, match="^pitch: NaN or infinite"):
+            normalize_vibration(raw, default_config(), algorithm_tag="pitch",
+                                segment_len=segment_len)
+
+    def test_normalize_rejects_all_nan(self):
+        with pytest.raises(NonFiniteSignalError, match="^plm: "):
+            normalize_vibration(np.full(100, np.nan), default_config(), algorithm_tag="plm")
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("converter", [convert_plm, convert_fshift, convert_pitch,
                                            convert_hapticgen])
@@ -374,6 +434,89 @@ class TestShortClips:
     def test_hapticgen_silent_input_names_clip(self, source_id, name):
         with pytest.raises(DegenerateSignalError, match=f"^{name}: degenerate signal: silent"):
             convert(AudioClip(np.zeros(300), SR, source_id), "hapticgen")
+
+
+# The 8 kHz output stage of plm, pitch and hapticgen as it was before the
+# cached time grid and carrier tables, every array built on each call; kept as
+# the reference the converters are checked against.
+def _reference_output(clip: AudioClip, algo: str, cfg) -> tuple[np.ndarray, float]:
+    rate = clip.sample_rate
+    t = np.arange(int(round(len(clip.samples) * 8000 / rate))) / 8000
+
+    def interp(values, window, hop):
+        return np.interp(t, (np.arange(len(values)) * hop + window / 2.0) / rate, values)
+
+    if algo == "plm":
+        frame = cfg.plm.frame_size
+        intensity, rough = plm_feature_tracks(clip, cfg)
+        mix = np.clip(rough * cfg.plm.carrier_mix, 0.0, 1.0)
+        raw = interp(intensity * (1.0 - mix), frame, frame) \
+            * np.sin(2.0 * np.pi * cfg.plm.carrier_low_hz * t) \
+            + interp(intensity * mix, frame, frame) \
+            * np.sin(2.0 * np.pi * cfg.plm.carrier_high_hz * t)
+        return _reference_normalize(raw, int(round(frame * 8000 / rate)))
+    if algo == "pitch":
+        freqs, amps = pitch_frequency_track(clip, cfg)
+        window_ms = cfg.pitch.window_ms
+        window = ms_to_samples(window_ms, rate)
+        hop = max(1, int(round(window * (1.0 - cfg.pitch.overlap))))
+    else:
+        hc = cfg.hapticgen
+        rms = frame_rms(clip.samples, hc.window_ms, hc.window_ms, rate)
+        amps = rms / rms.max()
+        freqs = hc.f_center_hz - hc.f_dev_hz + 2.0 * hc.f_dev_hz * amps
+        window_ms = hc.window_ms
+        window = hop = ms_to_samples(window_ms, rate)
+    f, a = interp(freqs, window, hop), interp(amps, window, hop)
+    phase = np.concatenate([[0.0], np.cumsum(f[:-1] * (2.0 * np.pi / 8000))])
+    return _reference_normalize(a * np.sin(phase), ms_to_samples(window_ms, 8000))
+
+
+class TestOutputStage:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 8000, 16000, 40000, 160000,
+                                   _OUTPUT_CACHE_MAX_LEN + 1])
+    def test_tables_equal_formula(self, n):
+        t = np.arange(n) / 8000
+        grid = _time_grid(n)
+        np.testing.assert_array_equal(grid, t)
+        for freq in (175.0, 210.0, 97.3):
+            table = _carrier_table(freq, n)
+            np.testing.assert_array_equal(table, np.sin(2.0 * np.pi * freq * t))
+            assert not table.flags.writeable
+        assert not grid.flags.writeable
+        assert (_time_grid(n) is grid) == (n <= _OUTPUT_CACHE_MAX_LEN)
+
+    def test_caches_stay_bounded(self):
+        for n in range(1000, 1040):
+            _carrier_table(175.0, n)
+        for cache in (_time_grid, _carrier_table):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize <= 8
+        misses = _time_grid.cache_info().misses, _carrier_table.cache_info().misses
+        _carrier_table(175.0, _OUTPUT_CACHE_MAX_LEN + 1)  # built, not kept
+        assert (_time_grid.cache_info().misses, _carrier_table.cache_info().misses) == misses
+
+    @pytest.mark.parametrize("algo", CONVERTER_TAGS)
+    def test_outputs_own_their_samples(self, algo, am_clip):
+        out, again = convert(am_clip, algo), convert(am_clip, algo)
+        n = len(out.samples)
+        assert out.samples.flags.writeable
+        assert not np.shares_memory(out.samples, again.samples)
+        for table in (_time_grid(n), _carrier_table(175.0, n), _carrier_table(210.0, n)):
+            assert not np.shares_memory(out.samples, table)
+
+    @pytest.mark.parametrize("algo, sr", [(algo, sr)
+                                          for algo in ("plm", "pitch", "hapticgen")
+                                          for sr in (16000, 22050, 32000, 44100, 48000)
+                                          if algo != "pitch" or sr >= 32000])
+    def test_matches_uncached_synthesis(self, algo, sr):
+        cfg = default_config()
+        for clip in make_fixture_clips(5, sr=sr):
+            want, clipped = _reference_output(clip, algo, cfg)
+            for _ in range(2):  # the second call reads the cached tables
+                out = convert(clip, algo, cfg)
+                np.testing.assert_array_equal(out.samples, want)
+                assert out.clipped_fraction == clipped
 
 
 class TestDispatch:

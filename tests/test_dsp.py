@@ -604,6 +604,32 @@ class TestNco:
         with pytest.raises(ValueError):
             nco_synthesize(np.full(10, 4000.0), np.ones(10), 8000)
 
+    @pytest.mark.parametrize("track", ["freq", "amp"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_track_rejected(self, track, bad):
+        tracks = {"freq": np.full(4, 200.0), "amp": np.ones(4)}
+        tracks[track][2] = bad
+        with pytest.raises(ValueError, match={"freq": "frequency", "amp": "amplitude"}[track]):
+            nco_synthesize(tracks["freq"], tracks["amp"], 8000)
+
+    def test_all_nan_frequency_rejected(self):
+        with pytest.raises(ValueError, match="frequency"):
+            nco_synthesize(np.full(4, np.nan), np.ones(4), 8000)
+
+    def test_negative_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="amplitude"):
+            nco_synthesize(np.full(4, 200.0), np.array([1.0, -1e-12, 1.0, 1.0]), 8000)
+
+    @pytest.mark.parametrize("n", [1, 2, 8000])
+    def test_matches_phase_accumulation_formula(self, n):
+        rng = np.random.default_rng(n)
+        freq = rng.uniform(50.0, 400.0, n)
+        amp = rng.uniform(0.0, 2.0, n)
+        phase = np.concatenate([[0.0], np.cumsum(freq[:-1] * (2.0 * np.pi / 8000))])
+        out = nco_synthesize(freq, amp, 8000)
+        assert np.array_equal(out, amp * np.sin(phase))
+        assert out.flags.writeable and not np.shares_memory(out, freq)
+
 
 class TestFrameRms:
     def test_constant(self):
