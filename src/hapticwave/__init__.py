@@ -48,7 +48,6 @@ from .errors import (
     NonFiniteSignalError,
     ProtocolError,
     SchemaError,
-    UnsupportedRateError,
 )
 
 __version__ = "0.1.0"

@@ -44,7 +44,7 @@ from .dsp import (
     nco_synthesize,
     pitch_shift,
 )
-from .errors import DegenerateSignalError, NonFiniteSignalError, SchemaError, UnsupportedRateError
+from .errors import DegenerateSignalError, NonFiniteSignalError, SchemaError
 from .psychoacoustics import PsychoConfig
 
 CONVERTER_TAGS = ("plm", "fshift", "pitch", "hapticgen")
@@ -254,18 +254,24 @@ def normalize_vibration(raw: np.ndarray, cfg: ConverterConfig, *, algorithm_tag:
     """
     samples = np.asarray(raw, dtype=np.float64)
     n = len(samples)
-    power = np.square(samples)
-    if not n or np.sqrt(np.mean(power)) < _SILENCE_RMS:
-        raise DegenerateSignalError("degenerate signal: silent converter output")
-    segment_len = segment_len or n
-    n_full = n - n % segment_len
-    seg_ms = np.mean(power[:n_full].reshape(-1, segment_len), axis=1)
-    if n_full < n:
-        seg_ms = np.append(seg_ms, np.mean(power[n_full:]))
+    # squares of finite samples above ~1e154 overflow; see the non-finite peak below
+    with np.errstate(over="ignore"):
+        power = np.square(samples)
+        if not n or np.sqrt(np.mean(power)) < _SILENCE_RMS:
+            raise DegenerateSignalError("degenerate signal: silent converter output")
+        segment_len = segment_len or n
+        n_full = n - n % segment_len
+        seg_ms = np.mean(power[:n_full].reshape(-1, segment_len), axis=1)
+        if n_full < n:
+            seg_ms = np.append(seg_ms, np.mean(power[n_full:]))
     # a NaN or infinite sample makes its segment's power, and so the peak, non-finite
     peak = float(seg_ms.max())
     if not np.isfinite(peak):
-        raise NonFiniteSignalError(f"{algorithm_tag}: NaN or infinite converter output")
+        if not np.isfinite(samples).all():
+            raise NonFiniteSignalError(f"{algorithm_tag}: NaN or infinite converter output")
+        # finite samples whose power overflowed: scale them to a unit peak first
+        return normalize_vibration(samples / np.abs(samples).max(), cfg,
+                                   algorithm_tag=algorithm_tag, segment_len=segment_len)
     # no lower than the whole-signal RMS, so above the silence floor
     scaled = samples * (cfg.target_segment_rms / np.sqrt(peak))
     # the usual case: nothing to clamp
@@ -421,21 +427,10 @@ def _pitch_window(pc: PitchConfig, sample_rate: int) -> tuple[int, int]:
 
 
 def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window (frequency, amplitude) tracks for the pitch converter.
-
-    A rate whose window is shorter than psycho.SPECIFIC_LOUDNESS_MIN_FRAME
-    samples (below 25.6 kHz for 10 ms) raises UnsupportedRateError, naming
-    the clip.
-    """
+    """Per-window (frequency, amplitude) tracks for the pitch converter."""
     require_finite(clip)
     pc = cfg.pitch
     window, hop = _pitch_window(pc, clip.sample_rate)
-    min_frame = psycho.SPECIFIC_LOUDNESS_MIN_FRAME
-    if window < min_frame:
-        raise UnsupportedRateError(
-            f"{clip_name(clip)}: pitch needs at least {min_frame} samples per "
-            f"{pc.window_ms:g} ms window (a rate of about {min_frame * 1000 / pc.window_ms:g} "
-            f"Hz); {clip.sample_rate} Hz gives {window}")
     specific = psycho.specific_loudness_frames(clip.samples, window, hop, clip.sample_rate,
                                                cfg.psycho)
     totals = specific.sum(axis=1, keepdims=True)

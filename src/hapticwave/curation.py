@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .audio_io import AudioClip, require_finite
+from .audio_io import AudioClip, clip_name, require_finite
 from .dsp import frame_spectra, hann_window, mel_filterbank, pitch_shift
 from .errors import SchemaError
 
@@ -128,12 +128,12 @@ def extract_features(clip: AudioClip) -> FeatureVector:
     """
     require_finite(clip)
     if clip.duration < 1.0:
-        raise ValueError("feature extraction needs at least 1 s of audio")
+        raise ValueError(f"{clip_name(clip)}: feature extraction needs at least 1 s of audio")
     samples = np.asarray(clip.samples, dtype=np.float64)
     n = len(samples)
     if n < _FFT_SIZE:
-        raise ValueError(f"feature extraction needs at least one {_FFT_SIZE}-sample frame, "
-                         f"got {n} samples")
+        raise ValueError(f"{clip_name(clip)}: feature extraction needs at least one "
+                         f"{_FFT_SIZE}-sample frame, got {n} samples")
     spectra = frame_spectra(samples, hann_window(_FFT_SIZE), _HOP)
     n_frames = len(spectra)
     freqs, pitch_classes = _feature_tables(clip.sample_rate)
@@ -357,7 +357,7 @@ def augment(clip: AudioClip, seed: int) -> AudioClip:
     """
     require_finite(clip)
     if len(clip.samples) == 0:
-        raise ValueError("cannot augment an empty clip")
+        raise ValueError(f"{clip_name(clip)}: cannot augment an empty clip")
     rng = np.random.default_rng(seed)
     plan = _draw_plan(rng)
 

@@ -9,7 +9,7 @@ converters rely on. Roughness follows the Vassilakis pairwise spectral-peak
 model.
 
 The *_frames functions analyse a whole signal in cache-sized blocks of
-frames, one batched FFT per block, with cached per-(frame size, rate) tables.
+frames, one batched FFT per block, with cached per-(FFT size, rate) band tables.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 from .dsp import _frame_blocks, frame_spectra, hann_window
 
 N_BARK_BANDS = 24
-# Shortest frame, in samples, that specific_loudness_frames analyses
+# Fewest rfft points specific_loudness_frames pools into Bark bands; shorter
+# frames are zero-padded to it
 SPECIFIC_LOUDNESS_MIN_FRAME = 256
 
 # Relative sensitivity vs. frequency (dB re 1 kHz), a smoothed inverse of a
@@ -98,21 +99,17 @@ def _band_matrix(freqs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def analysis_tables(n_fft: int, sample_rate: int, contour_freqs: tuple = _CONTOUR_FREQS,
-                    contour_gains_db: tuple = _CONTOUR_GAINS_DB) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (Hann window, (n_bins, 24) contour-weighted Bark pooling) for n_fft frames."""
+                    contour_gains_db: tuple = _CONTOUR_GAINS_DB) -> np.ndarray:
+    """Read-only (n_fft // 2 + 1, 24) contour-weighted Bark pooling of an n_fft-point rfft."""
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
     contour = PsychoConfig(contour_freqs=contour_freqs, contour_gains_db=contour_gains_db)
     bands = equal_loudness_weight(freqs, contour)[:, None] * _band_matrix(freqs)
     bands.flags.writeable = False
-    return hann_window(n_fft), bands
+    return bands
 
 
-def _tables(frame_size: int, sample_rate: int, config: PsychoConfig,
-            min_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """analysis_tables for config's contour, after checking frame_size against min_len."""
-    if frame_size < min_len:
-        raise ValueError(f"frame of {frame_size} samples is too short (need >= {min_len})")
-    return analysis_tables(frame_size, sample_rate, tuple(config.contour_freqs),
+def _bands(n_fft: int, sample_rate: int, config: PsychoConfig) -> np.ndarray:
+    return analysis_tables(n_fft, sample_rate, tuple(config.contour_freqs),
                            tuple(config.contour_gains_db))
 
 
@@ -120,15 +117,17 @@ def specific_loudness_frames(samples: np.ndarray, frame_size: int, hop: int, sam
                              config: PsychoConfig = DEFAULT_PSYCHO_CONFIG) -> np.ndarray:
     """Specific loudness (n_frames, 24) of every frame_size-sample frame, hop apart.
 
-    Each block of frames is pooled into bands straight from its spectrum,
-    whose power is re^2 + im^2 of the complex rfft read as float64 pairs.
+    A Hann window spans each frame, zero-padded to SPECIFIC_LOUDNESS_MIN_FRAME
+    points when shorter (10 ms below 25.6 kHz). Each block of frames is pooled
+    into bands straight from its spectrum, whose power is re^2 + im^2 of the
+    complex rfft read as float64 pairs.
     """
-    window, bands = _tables(frame_size, sample_rate, config,
-                            min_len=SPECIFIC_LOUDNESS_MIN_FRAME)
+    n_fft = max(frame_size, SPECIFIC_LOUDNESS_MIN_FRAME)
+    window, bands = hann_window(frame_size), _bands(n_fft, sample_rate, config)
     n_frames, blocks = _frame_blocks(samples, frame_size, hop)
     pooled = np.empty((n_frames, N_BARK_BANDS))
     for rows, frames in blocks:
-        parts = np.fft.rfft(frames * window, axis=1).view(np.float64)
+        parts = np.fft.rfft(frames * window, n=n_fft, axis=1).view(np.float64)
         np.square(parts, out=parts)
         np.matmul(parts[:, ::2] + parts[:, 1::2], bands, out=pooled[rows])
     return config.loudness_scale * pooled ** config.loudness_exponent
@@ -138,9 +137,11 @@ def loudness_roughness_frames(samples: np.ndarray, frame_size: int, hop: int, sa
                               config: PsychoConfig = DEFAULT_PSYCHO_CONFIG,
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Total loudness and roughness per frame, both read from one spectrum per frame."""
-    window, bands = _tables(frame_size, sample_rate, config, min_len=1024)
-    mags = frame_spectra(samples, window, hop)
-    specific = config.loudness_scale * (mags ** 2 @ bands) ** config.loudness_exponent
+    if frame_size < 1024:
+        raise ValueError(f"frame of {frame_size} samples is too short (need >= 1024)")
+    mags = frame_spectra(samples, hann_window(frame_size), hop)
+    pooled = mags ** 2 @ _bands(frame_size, sample_rate, config)
+    specific = config.loudness_scale * pooled ** config.loudness_exponent
     return specific.sum(axis=1), _roughness(*_peaks(mags, sample_rate / frame_size, config), config)
 
 

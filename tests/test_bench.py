@@ -14,7 +14,7 @@ from hapticwave.audio_io import AudioClip
 from hapticwave.bench import BenchRunError, build_bench_corpus, run_bench
 from hapticwave.errors import ProtocolError
 
-BENCH_SR = 32000  # keeps 10 ms windows above the psychoacoustic frame minimum
+BENCH_SR = 32000  # any rate converts; 32 kHz is cheaper than 44.1 kHz
 
 
 def make_bench_clips(count: int = 50, sr: int = BENCH_SR) -> list[AudioClip]:

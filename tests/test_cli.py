@@ -88,15 +88,13 @@ class TestConvert:
         assert run(["convert", "--algo", "hapticgen", "--in", str(silent),
                     "--out", str(tmp_path / "o.wav")]) == 2
 
-    def test_pitch_below_25_6k_names_clip_and_rate(self, tmp_path, capsys):
+    def test_pitch_converts_22_05k(self, tmp_path):
         low = tmp_path / "low.wav"
         save_wav(sine_clip(300.0, duration=1.0, sr=22050), low)
         out = tmp_path / "o.wav"
-        assert run(["convert", "--algo", "pitch", "--in", str(low), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: clip low: pitch needs at least 256 samples per 10 ms window "
-            "(a rate of about 25600 Hz); 22050 Hz gives 220\n")
-        assert not out.exists()
+        assert run(["convert", "--algo", "pitch", "--in", str(low), "--out", str(out)]) == 0
+        vib = load_wav(out)
+        assert vib.sample_rate == 8000 and len(vib.samples) == 8000
 
     def test_unknown_flag_rejected(self, tone_wav, tmp_path):
         assert run(["convert", "--algo", "plm", "--in", str(tone_wav),
@@ -228,6 +226,14 @@ class TestFeatures:
         assert len(vec["mfcc"]) == 13
         assert len(vec["chroma"]) == 12
         assert abs(vec["centroid"] - 300.0) < 10.0
+
+    def test_short_clip_named(self, tmp_path, capsys):
+        short = tmp_path / "short.wav"
+        save_wav(sine_clip(300.0, duration=0.5), short)
+        assert run(["features", "--in", str(short), "--out", str(tmp_path / "f.json")]) == 1
+        assert capsys.readouterr().err == \
+            "error: clip short: feature extraction needs at least 1 s of audio\n"
+        assert not (tmp_path / "f.json").exists()
 
 
 class TestCurate:

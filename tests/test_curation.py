@@ -329,6 +329,23 @@ def test_non_finite_input_rejected_naming_the_clip(entry, bad):
             extract_features(clip)
 
 
+@pytest.mark.parametrize("source_id, name", [("door_slam", "clip door_slam"),
+                                             (None, "unnamed clip")])
+@pytest.mark.parametrize("entry, samples, sr, message", [
+    ("extract_features", np.zeros(SR // 2), SR, "feature extraction needs at least 1 s of audio"),
+    ("extract_features", np.zeros(1500), 1500,
+     "feature extraction needs at least one 2048-sample frame, got 1500 samples"),
+    ("augment", np.zeros(0), SR, "cannot augment an empty clip"),
+])
+def test_rejection_names_the_clip(entry, samples, sr, message, source_id, name):
+    clip = AudioClip(samples, sr, source_id)
+    with pytest.raises(ValueError, match=f"^{name}: {message}$"):
+        if entry == "augment":
+            augment(clip, 0)
+        else:
+            extract_features(clip)
+
+
 def test_mfcc_dct_basis_is_orthonormal_and_read_only():
     # the basis extract_features built per call before it became a constant
     m = np.arange(26)
