@@ -22,10 +22,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hapticwave.analysis import aggregate, load_ratings  # noqa: E402
+from hapticwave.analysis import RATING_ALGORITHMS as ALGOS, aggregate, load_ratings  # noqa: E402
 from hapticwave.curation import load_manifest  # noqa: E402
 
-ALGOS = ["plm", "fshift", "pitch", "hapticgen"]
 A_IDX = {a: i for i, a in enumerate(ALGOS)}
 
 TARGET_MEAN = {"pitch": 62.6, "hapticgen": 57.0, "fshift": 56.9, "plm": 31.2}

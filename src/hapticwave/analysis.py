@@ -17,12 +17,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .audio_io import VIBRATION_RATE, VibrationSignal
+from .audio_io import CONVERTER_TAGS, VIBRATION_RATE, VibrationSignal
 from .curation import DatasetManifest, open_csv, read_columns
 from .dsp import mel_filterbank, stft
 from .errors import SchemaError
 
-RATING_ALGORITHMS = ("plm", "fshift", "pitch", "hapticgen")
+RATING_ALGORITHMS = CONVERTER_TAGS
 RATINGS_HEADER = ["clip_id", "algorithm", "rater_id", "rating"]
 
 _LOG_EPS = 1e-7

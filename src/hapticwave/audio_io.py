@@ -18,7 +18,9 @@ import numpy as np
 from .errors import AudioFormatError, NonFiniteSignalError
 
 VIBRATION_RATE = 8000
-ALGORITHM_TAGS = ("plm", "fshift", "pitch", "hapticgen", "blended")
+# the four converters, in the order ratings, reports and benchmarks list them
+CONVERTER_TAGS = ("plm", "fshift", "pitch", "hapticgen")
+ALGORITHM_TAGS = CONVERTER_TAGS + ("blended",)
 
 # Kaiser beta for the polyphase anti-aliasing filter; beta 7.0 keeps stopband
 # rejection comfortably past the 60 dB bound.

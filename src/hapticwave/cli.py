@@ -45,17 +45,15 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 def _resolve_config(args) -> converters.ConverterConfig:
     cfg = converters.default_config()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = converters.load_converter_config(args.config)
     overrides = {}
-    for item in getattr(args, "overrides", []):
+    for item in args.overrides:
         if "=" not in item:
             raise _CliValidationError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key] = value
-    if overrides:
-        cfg = converters.apply_config_overrides(cfg, overrides)
-    return cfg
+    return converters.apply_config_overrides(cfg, overrides)
 
 
 @cache

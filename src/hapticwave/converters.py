@@ -27,6 +27,7 @@ import numpy as np
 
 from . import psychoacoustics as psycho
 from .audio_io import (
+    CONVERTER_TAGS,
     VIBRATION_RATE,
     AudioClip,
     VibrationSignal,
@@ -46,8 +47,6 @@ from .dsp import (
 )
 from .errors import DegenerateSignalError, NonFiniteSignalError, SchemaError
 from .psychoacoustics import PsychoConfig
-
-CONVERTER_TAGS = ("plm", "fshift", "pitch", "hapticgen")
 
 # Signals whose pre-normalization RMS falls below this are treated as silent.
 _SILENCE_RMS = 1e-9
@@ -346,7 +345,16 @@ def _output_vibration(tracks: tuple[np.ndarray, ...], synthesize, clip: AudioCli
     centers = _frame_centers(len(tracks[0]), window, hop, clip.sample_rate)
     t = _time_grid(_output_length(len(clip.samples), clip.sample_rate))
     raw = synthesize(*(np.interp(t, centers, values) for values in tracks))
-    return normalize_vibration(raw, cfg, algorithm_tag=algorithm_tag, segment_len=segment_len)
+    return _normalize_clip(raw, cfg, clip, algorithm_tag, segment_len)
+
+
+def _normalize_clip(raw: np.ndarray, cfg: ConverterConfig, clip: AudioClip, algorithm_tag: str,
+                    segment_len: int | None = None) -> VibrationSignal:
+    """normalize_vibration, with its silent or non-finite output errors naming the clip."""
+    try:
+        return normalize_vibration(raw, cfg, algorithm_tag=algorithm_tag, segment_len=segment_len)
+    except (DegenerateSignalError, NonFiniteSignalError) as exc:
+        raise type(exc)(f"{clip_name(clip)}: {exc}") from exc
 
 
 def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -417,7 +425,7 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
 def convert_fshift(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """Octave down-shift summation with band-pass shaping."""
     cfg = cfg or default_config()
-    return normalize_vibration(fshift_raw(clip, cfg), cfg, algorithm_tag="fshift")
+    return _normalize_clip(fshift_raw(clip, cfg), cfg, clip, "fshift")
 
 
 def _pitch_window(pc: PitchConfig, sample_rate: int) -> tuple[int, int]:
@@ -455,14 +463,14 @@ def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vi
     require_finite(clip)
     cfg = cfg or default_config()
     hc = cfg.hapticgen
-    rms = frame_rms(clip.samples, hc.window_ms, hc.window_ms, clip.sample_rate)
+    window = ms_to_samples(hc.window_ms, clip.sample_rate)
+    rms = frame_rms(clip.samples, window, window)
     peak = float(rms.max())
     if peak <= 0.0:
         raise DegenerateSignalError(f"{clip_name(clip)}: degenerate signal: silent input")
     r_norm = rms / peak
 
     freqs = hc.f_center_hz - hc.f_dev_hz + 2.0 * hc.f_dev_hz * r_norm
-    window = ms_to_samples(hc.window_ms, clip.sample_rate)
     return _output_vibration((freqs, r_norm), _nco, clip, window, window,
                              ms_to_samples(hc.window_ms, VIBRATION_RATE), cfg, "hapticgen")
 

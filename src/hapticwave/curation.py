@@ -198,10 +198,6 @@ class KMeansResult:
     inertia_history: list[float]
     ids: list[str] | None = None
 
-    @property
-    def inertia(self) -> float:
-        return self.inertia_history[-1]
-
     def assignment(self) -> dict[str, int]:
         if self.ids is None:
             raise ValueError("this clustering was built from a bare matrix, not ids")
@@ -284,8 +280,8 @@ def stratified_sample(assignment: Mapping[str, int], per_class_target: int,
                       seed: int) -> list[str]:
     """Pick clips proportionally to cluster sizes (largest-remainder rounding).
 
-    Any shortfall is topped up by a seeded uniform draw from the unselected
-    clips. Returns exactly per_class_target unique clip ids, sorted.
+    No cluster is allocated more clips than it holds. Returns exactly
+    per_class_target unique clip ids, sorted.
     """
     ids = sorted(assignment)
     n = len(ids)
@@ -311,13 +307,8 @@ def stratified_sample(assignment: Mapping[str, int], per_class_target: int,
     selected: list[str] = []
     for key, count in zip(cluster_keys, alloc):
         members = clusters[key]
-        take = min(count, len(members))
-        picked = rng.choice(len(members), size=take, replace=False)
+        picked = rng.choice(len(members), size=count, replace=False)
         selected.extend(members[i] for i in sorted(picked))
-    if len(selected) < per_class_target:
-        rest = sorted(set(ids) - set(selected))
-        extra = rng.choice(len(rest), size=per_class_target - len(selected), replace=False)
-        selected.extend(rest[i] for i in sorted(extra))
     return sorted(selected)
 
 

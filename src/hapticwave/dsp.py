@@ -175,12 +175,10 @@ def _istft(n_frames: int, blocks: Iterable[tuple[slice, np.ndarray]], fft_size: 
     for j in range(k - 1, -1, -1):
         norm[j:j + m] += w2[j]
     np.maximum(norm, 1e-8, out=norm)
-    if n_frames > k:
-        out[:k - 1] /= norm[:k - 1]
-        out[k - 1:n_frames] /= norm[k - 1]
-        out[n_frames:] /= norm[k:]
-    else:
-        out /= norm
+    head = min(k - 1, n_frames)
+    out[:head] /= norm[:head]
+    out[head:n_frames] /= norm[k - 1]
+    out[n_frames:] /= norm[m:]
     # past fft_size + hop * (n_frames - 1) the sums are 0, the same as fit_length's zero padding
     return fit_length(out.ravel(), length)
 
@@ -311,13 +309,11 @@ def nco_synthesize(freq_track: np.ndarray, amp_track: np.ndarray, sample_rate: i
     return phase
 
 
-def frame_rms(signal: np.ndarray, window_ms: float, hop_ms: float, sample_rate: int) -> np.ndarray:
-    """Short-term RMS over sliding windows given in milliseconds."""
-    if window_ms <= 0 or hop_ms <= 0:
-        raise ValueError("window and hop must be positive")
-    window = ms_to_samples(window_ms, sample_rate)
-    hop = ms_to_samples(hop_ms, sample_rate)
-    n_frames, blocks = _frame_blocks(signal, window, hop)
+def frame_rms(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
+    """Short-term RMS of every frame_size-sample frame, hop apart, cut as by frame_signal."""
+    if frame_size < 1 or hop < 1:
+        raise ValueError("frame size and hop must be at least 1 sample")
+    n_frames, blocks = _frame_blocks(signal, frame_size, hop)
     rms = np.empty(n_frames)
     for rows, frames in blocks:
         np.mean(np.square(frames), axis=1, out=rms[rows])

@@ -130,7 +130,12 @@ def specific_loudness_frames(samples: np.ndarray, frame_size: int, hop: int, sam
         parts = np.fft.rfft(frames * window, n=n_fft, axis=1).view(np.float64)
         np.square(parts, out=parts)
         np.matmul(parts[:, ::2] + parts[:, 1::2], bands, out=pooled[rows])
-    return config.loudness_scale * pooled ** config.loudness_exponent
+    return _loudness(pooled, config)
+
+
+def _loudness(band_power: np.ndarray, config: PsychoConfig) -> np.ndarray:
+    """Stevens power law: specific loudness of contour-weighted band powers."""
+    return config.loudness_scale * band_power ** config.loudness_exponent
 
 
 def loudness_roughness_frames(samples: np.ndarray, frame_size: int, hop: int, sample_rate: int,
@@ -140,8 +145,7 @@ def loudness_roughness_frames(samples: np.ndarray, frame_size: int, hop: int, sa
     if frame_size < 1024:
         raise ValueError(f"frame of {frame_size} samples is too short (need >= 1024)")
     mags = frame_spectra(samples, hann_window(frame_size), hop)
-    pooled = mags ** 2 @ _bands(frame_size, sample_rate, config)
-    specific = config.loudness_scale * pooled ** config.loudness_exponent
+    specific = _loudness(mags ** 2 @ _bands(frame_size, sample_rate, config), config)
     return specific.sum(axis=1), _roughness(*_peaks(mags, sample_rate / frame_size, config), config)
 
 

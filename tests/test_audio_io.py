@@ -54,6 +54,18 @@ class TestLoadSave:
         assert len(loaded.samples) == frames
         assert np.allclose(loaded.samples, 0.0, atol=1.0 / 32768.0)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_non_16_bit_rejected(self, tmp_path, width):
+        path = tmp_path / f"w{width}.wav"
+        with wave.open(str(path), "wb") as wav:
+            wav.setnchannels(1)
+            wav.setsampwidth(width)
+            wav.setframerate(8000)
+            wav.writeframes(bytes(10 * width))
+        with pytest.raises(AudioFormatError, match=f"w{width}.wav: expected 16-bit PCM, "
+                                                   f"got {8 * width}-bit"):
+            load_wav(path)
+
     def test_full_scale_negative(self, tmp_path):
         path = tmp_path / "neg.wav"
         with wave.open(str(path), "wb") as wav:
@@ -122,6 +134,14 @@ class TestLoadSave:
 
 
 class TestResample:
+    @pytest.mark.parametrize("n", [1, 7999, 16001])
+    def test_near_equal_rate_copies(self, n):
+        # 8000/7999 rounds to 1/1 under limit_denominator(1000): a plain copy, fit to length
+        x = np.random.default_rng(n).standard_normal(n)
+        want = round(n * 8000 / 7999)
+        out = resample_samples(x, 7999, 8000)
+        np.testing.assert_array_equal(out, np.pad(x, (0, want - n))[:want])
+
     def test_length_ratio(self):
         clip = sine_clip(100.0, duration=5.0)
         out = resample(clip, 24000)

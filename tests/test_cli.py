@@ -512,3 +512,19 @@ class TestBench:
         save_wav(sine_clip(200.0, duration=5.0, sr=32000), clip_dir / "only.wav")
         assert run(["bench", "--clips", str(clip_dir), "--durations", "1",
                     "--algos", "hapticgen"]) == 1
+
+    def test_end_to_end(self, tmp_path, capsys):
+        clip_dir = tmp_path / "clips"
+        clip_dir.mkdir()
+        rng = np.random.default_rng(3)
+        for i in range(50):
+            save_wav(AudioClip(rng.uniform(-0.5, 0.5, 5 * 8000), 8000), clip_dir / f"c{i:02d}.wav")
+        out = tmp_path / "bench.json"
+        assert run(["bench", "--clips", str(clip_dir), "--durations", "1", "--algos", "hapticgen",
+                    "--json", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].split() == \
+            ["duration", "clips", "algorithm", "mean", "(s)", "sd", "(s)"]
+        (result,) = json.loads(out.read_text())
+        assert (result["duration_s"], result["clip_count"], result["algorithm"]) == \
+            (1, 250, "hapticgen")
+        assert result["mean_latency_s"] > 0

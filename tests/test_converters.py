@@ -407,6 +407,25 @@ class TestNonFiniteOutput:
         with pytest.raises(NonFiniteSignalError, match="^plm: "):
             normalize_vibration(np.full(100, np.nan), default_config(), algorithm_tag="plm")
 
+    # the stage whose result goes into normalization, poisoned with one NaN
+    @pytest.mark.parametrize("algo, stage", [("plm", "_carrier_table"), ("fshift", "fshift_raw"),
+                                             ("pitch", "_nco"), ("hapticgen", "_nco")])
+    def test_converter_names_the_clip(self, monkeypatch, algo, stage):
+        from hapticwave import converters
+
+        build = getattr(converters, stage)
+
+        def poisoned(*args):
+            out = np.array(build(*args))
+            out[len(out) // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(converters, stage, poisoned)
+        clip = sine_clip(440.0, duration=0.5)
+        with pytest.raises(NonFiniteSignalError,
+                           match=f"^clip sine440: {algo}: NaN or infinite converter output$"):
+            convert(clip, algo)
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("converter", [convert_plm, convert_fshift, convert_pitch,
@@ -474,14 +493,15 @@ class TestShortClips:
         clip = AudioClip(0.3 * np.random.default_rng(n).standard_normal(n), sr, "click")
         want = round(n * 8000 / sr)
         if want == 0:
-            with pytest.raises(DegenerateSignalError):
+            with pytest.raises(DegenerateSignalError, match="^clip click: "):
                 convert(clip, algo)
             return
         try:
             out = convert(clip, algo).samples
-        except DegenerateSignalError:
+        except DegenerateSignalError as exc:
             # a lone output sample sits at t = 0, where every synthesized carrier is zero
             assert want == 1 and algo != "fshift"
+            assert str(exc).startswith("clip click: ")
             return
         assert len(out) == want
         assert np.isfinite(out).all() and np.abs(out).max() <= 1.0
@@ -492,9 +512,10 @@ class TestShortClips:
             convert(AudioClip(np.zeros(300), SR, "click"), algo)
 
     @pytest.mark.parametrize("source_id, name", [("click", "clip click"), (None, "unnamed clip")])
-    def test_hapticgen_silent_input_names_clip(self, source_id, name):
+    @pytest.mark.parametrize("algo", CONVERTER_TAGS)
+    def test_silent_input_names_clip(self, algo, source_id, name):
         with pytest.raises(DegenerateSignalError, match=f"^{name}: degenerate signal: silent"):
-            convert(AudioClip(np.zeros(300), SR, source_id), "hapticgen")
+            convert(AudioClip(np.zeros(300), SR, source_id), algo)
 
 
 # The 8 kHz output stage of plm, pitch and hapticgen as it was before the
@@ -523,11 +544,11 @@ def _reference_output(clip: AudioClip, algo: str, cfg) -> tuple[np.ndarray, floa
         hop = max(1, int(round(window * (1.0 - cfg.pitch.overlap))))
     else:
         hc = cfg.hapticgen
-        rms = frame_rms(clip.samples, hc.window_ms, hc.window_ms, rate)
-        amps = rms / rms.max()
-        freqs = hc.f_center_hz - hc.f_dev_hz + 2.0 * hc.f_dev_hz * amps
         window_ms = hc.window_ms
         window = hop = ms_to_samples(window_ms, rate)
+        rms = frame_rms(clip.samples, window, hop)
+        amps = rms / rms.max()
+        freqs = hc.f_center_hz - hc.f_dev_hz + 2.0 * hc.f_dev_hz * amps
     f, a = interp(freqs, window, hop), interp(amps, window, hop)
     phase = np.concatenate([[0.0], np.cumsum(f[:-1] * (2.0 * np.pi / 8000))])
     return _reference_normalize(a * np.sin(phase), ms_to_samples(window_ms, 8000))

@@ -213,12 +213,12 @@ class TestKmeans:
         points = rng.standard_normal((6, 3))
         result = kmeans(points, k=6, seed=0)
         assert len(set(result.labels.tolist())) == 6
-        assert result.inertia == pytest.approx(0.0, abs=1e-12)
+        assert result.inertia_history[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_duplicate_points(self):
         points = np.tile([1.0, 2.0], (10, 1))
         result = kmeans(points, k=3, seed=0)
-        assert result.inertia == pytest.approx(0.0, abs=1e-12)
+        assert result.inertia_history[-1] == pytest.approx(0.0, abs=1e-12)
         spread = result.centroids.max(axis=0) - result.centroids.min(axis=0)
         assert np.allclose(spread, 0.0)
 
@@ -270,6 +270,19 @@ class TestStratifiedSample:
     def test_target_exceeds_population(self):
         with pytest.raises(ValueError):
             stratified_sample(self._assignment([5]), 6, seed=0)
+
+    def test_allocation_fits_every_cluster(self):
+        # Below the whole population every quota T * size / N is under its cluster's size, so
+        # its floor plus one remainder seat still fits; at T = N every quota is the size itself.
+        rng = np.random.default_rng(18)
+        for _ in range(60):
+            sizes = rng.integers(1, 41, size=rng.integers(1, 9)).tolist()
+            assignment = self._assignment(sizes)
+            for target in range(1, len(assignment) + 1):
+                picked = stratified_sample(assignment, target, seed=target)
+                assert len(picked) == len(set(picked)) == target
+                counts = np.bincount([assignment[p] for p in picked], minlength=len(sizes))
+                assert (counts <= sizes).all()
 
     def test_seed_reproducible(self):
         assignment = self._assignment([15, 9, 6])

@@ -633,25 +633,30 @@ class TestNco:
 
 class TestFrameRms:
     def test_constant(self):
-        out = frame_rms(np.full(8000, 0.5), 10.0, 10.0, 8000)
+        out = frame_rms(np.full(8000, 0.5), 80, 80)
         assert np.allclose(out, 0.5)
 
     def test_sine_rms(self):
         t = np.arange(SR) / SR
-        out = frame_rms(np.sin(2 * np.pi * 440 * t), 100.0, 100.0, SR)
+        out = frame_rms(np.sin(2 * np.pi * 440 * t), 4410, 4410)
         assert np.all(np.abs(out - 1 / np.sqrt(2)) <= 0.01 / np.sqrt(2))
 
     def test_silence(self):
-        out = frame_rms(np.zeros(8000), 10.0, 5.0, 8000)
+        out = frame_rms(np.zeros(8000), 80, 40)
         assert not out.any()
+
+    @pytest.mark.parametrize("frame_size, hop", [(0, 80), (80, 0), (-1, 80), (80, -5)])
+    def test_size_and_hop_at_least_one(self, frame_size, hop):
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            frame_rms(np.ones(800), frame_size, hop)
 
     @pytest.mark.parametrize("n", [0, 1, 10, 799])
     def test_window_longer_than_signal(self, n):
-        # a 100 ms window is 800 samples at 8 kHz; the signal is padded to one window
+        # the signal is padded to one 800-sample window
         x = np.random.default_rng(n).standard_normal(n)
-        out = frame_rms(x, 100.0, 100.0, 8000)
+        out = frame_rms(x, 800, 800)
         assert out.shape == (1,)
-        np.testing.assert_array_equal(out, frame_rms(np.pad(x, (0, 800 - n)), 100.0, 100.0, 8000))
+        np.testing.assert_array_equal(out, frame_rms(np.pad(x, (0, 800 - n)), 800, 800))
 
 
 class TestFrameSignal:
@@ -669,11 +674,9 @@ def _unblocked_frame_spectra(signal, window, hop):
     return np.abs(np.fft.rfft(frames * window, axis=1))
 
 
-def _unblocked_frame_rms(signal, window_ms, hop_ms, sample_rate):
+def _unblocked_frame_rms(signal, frame_size, hop):
     """frame_rms as one mean over every frame at once."""
-    window = round(window_ms * sample_rate / 1000)
-    hop = round(hop_ms * sample_rate / 1000)
-    frames = frame_signal(np.asarray(signal, dtype=np.float64), window, hop)
+    frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, hop)
     return np.sqrt(np.mean(np.square(frames), axis=1))
 
 
@@ -702,13 +705,12 @@ class TestFrameBlocks:
 
     @pytest.mark.parametrize("frame_size, hop", SEAM_GRID)
     def test_frame_rms_bit_identical(self, frame_size, hop):
-        # at 1 kHz one millisecond is one sample
         rng = np.random.default_rng(frame_size - hop)
         for n_frames in _seam_frame_counts(frame_size):
             x = rng.standard_normal((n_frames - 1) * hop + frame_size)
-            out = frame_rms(x, frame_size, hop, 1000)
+            out = frame_rms(x, frame_size, hop)
             assert out.shape == (n_frames,)
-            np.testing.assert_array_equal(out, _unblocked_frame_rms(x, frame_size, hop, 1000))
+            np.testing.assert_array_equal(out, _unblocked_frame_rms(x, frame_size, hop))
 
     def test_stft_bit_identical(self):
         x = np.random.default_rng(11).standard_normal(5 * SR)
@@ -728,7 +730,7 @@ class TestFrameBlocks:
         x = np.random.default_rng(12).standard_normal(20 * SR)
         analyses = [
             (lambda: frame_spectra(x, hann_window(1024), 512), 1024, 512),
-            (lambda: frame_rms(x, 10.0, 10.0, SR), 441, 441),
+            (lambda: frame_rms(x, 441, 441), 441, 441),
             (lambda: specific_loudness_frames(x, 441, 220, SR), 441, 220),
             (lambda: loudness_roughness_frames(x, 4096, 4096, SR), 4096, 4096),
         ]
