@@ -356,7 +356,10 @@ def blend_targets(refs: Sequence[VibrationSignal], ratings: Sequence[float]) -> 
     weights = np.asarray(ratings, dtype=np.float64)
     if np.any(weights < 0):
         raise ValueError("ratings must be non-negative")
-    total = weights.sum()
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not np.isfinite(total):  # a NaN or infinite rating, or finite ones that overflow
+        raise ValueError(f"ratings {weights.tolist()} must have a finite sum")
     if total <= 0:
         raise ValueError("ratings must not all be zero")
     weights = weights / total

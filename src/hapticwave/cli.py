@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -163,8 +164,9 @@ def _cmd_batch(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(e.path, e.clip_id, algo, cfg, str(out_dir))
              for e in manifest.entries for algo in algos]
-    workers = args.workers if args.workers > 0 else None
-    if args.workers == 1:
+    # a fork pool starts every worker at once, so start no more than there are tasks
+    workers = min(args.workers or os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         results = [_batch_one(t) for t in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
@@ -207,8 +209,12 @@ def _cmd_curate(args) -> int:
         return _report_failures(failures)
     selected: list[str] = []
     for class_id in manifest.class_ids():
-        features = {e.clip_id: vectors[e.clip_id]
-                    for e in manifest.entries if e.class_id == class_id}
+        members = [e for e in manifest.entries if e.class_id == class_id]
+        if args.per_class > len(members):
+            raise _CliValidationError(
+                f"class {class_id} ({members[0].class_name}) has {len(members)} clips, "
+                f"fewer than --per-class {args.per_class}")
+        features = {e.clip_id: vectors[e.clip_id] for e in members}
         k = min(args.k, len(features))
         result = curation.kmeans(features, k=k, seed=args.seed)
         selected.extend(curation.stratified_sample(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +63,10 @@ CLIP_WARN_FRACTION = 1e-3
 # more than 2%, so the rate is halved at most once.
 _FSHIFT_MIN_WORK_RATE = 22050
 
-# The 8 kHz output stage keeps its time grid and plm's carrier sines per
-# output length, since fixed-length clips ask for the same ones on every call.
-# Only outputs of at most this many samples (2 MiB of float64, 32.8 s) are
-# kept; see _output_table for the bound on the memory held.
-_OUTPUT_CACHE_MAX_LEN = 1 << 18
+# The 8 kHz output stage reads its time grid and plm's carrier sines as
+# prefixes of one kept table each, this many samples (2 MiB of float64, 32.8 s)
+# long; a longer output builds its own and does not keep it.
+_TABLE_LEN = 1 << 18
 
 
 def _default_pitch_coeffs() -> tuple[float, ...]:
@@ -292,41 +291,31 @@ def _frame_centers(n_frames: int, frame_size: int, hop: int, rate: int) -> np.nd
     return (np.arange(n_frames) * hop + frame_size / 2.0) / rate
 
 
-def _output_table(maxsize: int):
-    """Decorator keeping build(*key, n_out)'s read-only result for n_out <= _OUTPUT_CACHE_MAX_LEN.
-
-    At most maxsize results are kept (least recently used goes first), so a
-    table holds at most maxsize * 2 MiB; a longer output is built on every
-    call and not kept.
-    """
-    def decorate(build):
-        def read_only(*key):
-            table = build(*key)
-            table.flags.writeable = False
-            return table
-
-        cached = lru_cache(maxsize=maxsize)(read_only)
-
-        def table(*key):
-            return cached(*key) if key[-1] <= _OUTPUT_CACHE_MAX_LEN else read_only(*key)
-
-        table.cache_info = cached.cache_info
-        return table
-    return decorate
+def _build_table(freq_hz: float | None, n_out: int) -> np.ndarray:
+    """Output sample times in seconds, or with freq_hz a zero-phase sine on them; read-only."""
+    table = np.arange(n_out) / VIBRATION_RATE
+    if freq_hz is not None:  # in place, so no second table-sized array
+        table *= 2.0 * np.pi * freq_hz
+        np.sin(table, out=table)
+    table.flags.writeable = False
+    return table
 
 
-# 1/2/5 s clips need three grids at a time, and plm two carriers per grid;
-# together the two caches hold at most (4 + 8) * 2 MiB = 24 MiB.
-@_output_table(maxsize=4)
-def _time_grid(n_out: int) -> np.ndarray:
-    """Output sample times in seconds, read-only."""
-    return np.arange(n_out) / VIBRATION_RATE
+# The time grid and each carrier frequency take one entry: at most 8 * 2 MiB = 16 MiB.
+@lru_cache(maxsize=8)
+def _full_table(freq_hz: float | None) -> np.ndarray:
+    return _build_table(freq_hz, _TABLE_LEN)
 
 
-@_output_table(maxsize=8)
-def _carrier_table(freq_hz: float, n_out: int) -> np.ndarray:
-    """A zero-phase sine at freq_hz on the output time grid, read-only."""
-    return np.sin(2.0 * np.pi * freq_hz * _time_grid(n_out))
+def _carrier_table(freq_hz: float | None, n_out: int) -> np.ndarray:
+    """A zero-phase sine at freq_hz on the output time grid, or the grid for None; read-only."""
+    if n_out <= _TABLE_LEN:
+        return _full_table(freq_hz)[:n_out]
+    return _build_table(freq_hz, n_out)
+
+
+# Output sample times in seconds, read-only.
+_time_grid = partial(_carrier_table, None)
 
 
 def _nco(freqs: np.ndarray, amps: np.ndarray) -> np.ndarray:

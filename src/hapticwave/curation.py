@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .audio_io import AudioClip, clip_name, require_finite
-from .dsp import frame_spectra, hann_window, mel_filterbank, pitch_shift
+from .dsp import mel_filterbank, pitch_shift, stft
 from .errors import SchemaError
 
 TEMPO_MIN_BPM = 30.0
@@ -134,7 +134,7 @@ def extract_features(clip: AudioClip) -> FeatureVector:
     if n < _FFT_SIZE:
         raise ValueError(f"{clip_name(clip)}: feature extraction needs at least one "
                          f"{_FFT_SIZE}-sample frame, got {n} samples")
-    spectra = frame_spectra(samples, hann_window(_FFT_SIZE), _HOP)
+    spectra = stft(samples, _FFT_SIZE, _HOP)
     n_frames = len(spectra)
     freqs, pitch_classes = _feature_tables(clip.sample_rate)
     mag_sum = np.maximum(spectra.sum(axis=1), 1e-12)

@@ -65,10 +65,18 @@ def _block_rows(n: int, frame_size: int) -> Iterator[slice]:
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
-def frame_spectra(signal: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
-    """Magnitude rfft of every windowed frame, (n_frames, len(window) // 2 + 1); square for power."""
-    n_frames, blocks = _frame_blocks(signal, len(window), hop)
-    mags = np.empty((n_frames, len(window) // 2 + 1))
+def stft(signal: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
+    """Magnitude STFT with a Hann window, (n_frames, fft_size // 2 + 1); square for power.
+
+    Frames are cut as by frame_signal: a signal shorter than fft_size is
+    zero-padded to one frame, and a trailing partial frame is dropped. Any
+    fft_size works, as rfft takes any length.
+    """
+    if not 0 < hop <= fft_size:
+        raise ValueError("hop must be in (0, fft_size]")
+    window = hann_window(fft_size)
+    n_frames, blocks = _frame_blocks(signal, fft_size, hop)
+    mags = np.empty((n_frames, fft_size // 2 + 1))
     for rows, frames in blocks:
         np.abs(np.fft.rfft(frames * window, axis=1), out=mags[rows])
     return mags
@@ -90,19 +98,6 @@ class FilterSpec:
             raise ValueError("filter order must be 2 or 4")
         if self.q <= 0:
             raise ValueError("q must be positive")
-
-
-def stft(signal: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
-    """Magnitude STFT, (n_frames, fft_size // 2 + 1), with a Hann window.
-
-    Frames are cut as by frame_signal: a signal shorter than fft_size is
-    zero-padded to one frame, and a trailing partial frame is dropped.
-    """
-    if fft_size <= 0 or (fft_size & (fft_size - 1)) != 0:
-        raise ValueError("fft_size must be a power of two")
-    if not 0 < hop <= fft_size:
-        raise ValueError("hop must be in (0, fft_size]")
-    return frame_spectra(signal, hann_window(fft_size), hop)
 
 
 @lru_cache(maxsize=32)

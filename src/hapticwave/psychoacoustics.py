@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsp import _frame_blocks, frame_spectra, hann_window
+from .dsp import _frame_blocks, hann_window, stft
 
 N_BARK_BANDS = 24
 # Fewest rfft points specific_loudness_frames pools into Bark bands; shorter
@@ -144,7 +144,7 @@ def loudness_roughness_frames(samples: np.ndarray, frame_size: int, hop: int, sa
     """Total loudness and roughness per frame, both read from one spectrum per frame."""
     if frame_size < 1024:
         raise ValueError(f"frame of {frame_size} samples is too short (need >= 1024)")
-    mags = frame_spectra(samples, hann_window(frame_size), hop)
+    mags = stft(samples, frame_size, hop)
     specific = _loudness(mags ** 2 @ _bands(frame_size, sample_rate, config), config)
     return specific.sum(axis=1), _roughness(*_peaks(mags, sample_rate / frame_size, config), config)
 

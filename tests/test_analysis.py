@@ -664,6 +664,21 @@ class TestBlend:
         with pytest.raises(ValueError):
             blend_targets(refs, [0, 0, 0, 0])
 
+    @pytest.mark.parametrize("ratings, shown", [
+        ([np.nan, 1, 1, 1], r"\[nan, 1\.0, 1\.0, 1\.0\]"),
+        ([np.inf, 1, 1, 1], r"\[inf, 1\.0, 1\.0, 1\.0\]"),
+        ([1e308, 1e308, 1, 1], r"\[1e\+308, 1e\+308, 1\.0, 1\.0\]"),
+    ])
+    def test_ratings_without_finite_sum_are_named(self, ratings, shown):
+        refs = [vib(np.full(10, 0.1))] * 4
+        with pytest.raises(ValueError, match=f"^ratings {shown} must have a finite sum$"):
+            blend_targets(refs, ratings)
+
+    def test_large_finite_ratings(self):
+        refs = [vib(np.full(10, v)) for v in (0.1, 0.2, 0.3, 0.4)]
+        out = blend_targets(refs, [8e307] * 2 + [0.0] * 2)
+        np.testing.assert_allclose(out.samples, 0.15)
+
 
 class TestMetrics:
     def test_identical_signals_zero(self):

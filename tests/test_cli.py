@@ -196,6 +196,48 @@ class TestBatch:
         assert run(argv) == 0
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+    started: list = []
+
+    def __init__(self, max_workers=None):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("clips, workers, cpus, started", [
+    (1, "0", 8, []),  # one task runs in-process, however many CPUs
+    (3, "0", 8, [3]),
+    (3, "0", 2, [2]),
+    (3, "0", None, []),  # cpu_count unknown: one worker
+    (3, "1", 8, []),
+    (3, "2", 8, [2]),
+    (2, "5", 8, [2]),
+])
+def test_batch_starts_no_more_workers_than_tasks(tmp_path, monkeypatch, clips, workers, cpus,
+                                                 started):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    manifest = small_audio_set(tmp_path, n_classes=1, per_class=clips)
+    out_dir = tmp_path / "out"
+    assert run(["batch", "--manifest", str(manifest), "--algos", "hapticgen",
+                "--out-dir", str(out_dir), "--workers", workers]) == 0
+    assert _RecordingPool.started == started
+    assert len(list(out_dir.glob("*.wav"))) == clips
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("curate", "--k", "0"),
     ("curate", "--k", "-2"),
@@ -278,6 +320,17 @@ class TestCurate:
         lines = capsys.readouterr().err.splitlines()
         assert [line.split(":")[:2] for line in lines] == [["error", " 00-02"], ["error", " 01-05"]]
 
+    def test_class_smaller_than_per_class_is_named(self, tmp_path, capsys):
+        manifest = small_audio_set(tmp_path, per_class=3)
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:-1]) + "\n")  # class 1 keeps 2 clips
+        out = tmp_path / "curated.csv"
+        assert run(["curate", "--manifest", str(manifest), "--per-class", "3",
+                    "--k", "2", "--seed", "7", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: class 1 (class1) has 2 clips, fewer than --per-class 3\n"
+        assert not out.exists()
+
     def test_oversized_field_is_validation_error(self, tmp_path, capsys):
         manifest = small_audio_set(tmp_path)
         lines = manifest.read_text().splitlines()
@@ -330,6 +383,23 @@ class TestBlend:
             in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("ratings, shown", [
+        (["nan", "1", "1", "1"], "[nan, 1.0, 1.0, 1.0]"),
+        (["inf", "1", "1", "1"], "[inf, 1.0, 1.0, 1.0]"),
+        (["1e308", "1e308", "1", "1"], "[1e+308, 1e+308, 1.0, 1.0]"),
+    ])
+    def test_ratings_without_finite_sum_are_validation_errors(self, tmp_path, capsys,
+                                                              ratings, shown):
+        paths = []
+        for i in range(4):
+            path = tmp_path / f"r{i}.wav"
+            save_wav(AudioClip(np.full(800, 0.1 * (i + 1)), 8000), path)
+            paths.append(str(path))
+        out = tmp_path / "blend.wav"
+        assert run(["blend", "--refs", *paths, "--ratings", *ratings, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: ratings {shown} must have a finite sum\n"
+        assert not out.exists()
 
     def test_short_ref_is_named(self, tmp_path, capsys):
         paths = []

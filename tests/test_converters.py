@@ -11,10 +11,11 @@ import pytest
 
 from hapticwave.audio_io import AudioClip, resample_samples
 from hapticwave.converters import (
-    _OUTPUT_CACHE_MAX_LEN,
+    _TABLE_LEN,
     CONVERTER_TAGS,
     _carrier_table,
     _frame_centers,
+    _full_table,
     _pitch_window,
     _time_grid,
     apply_config_overrides,
@@ -555,28 +556,36 @@ def _reference_output(clip: AudioClip, algo: str, cfg) -> tuple[np.ndarray, floa
 
 
 class TestOutputStage:
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 8000, 16000, 40000, 160000,
-                                   _OUTPUT_CACHE_MAX_LEN + 1])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 8000, 16000, 40000, 160000, _TABLE_LEN,
+                                   _TABLE_LEN + 1])
     def test_tables_equal_formula(self, n):
         t = np.arange(n) / 8000
         grid = _time_grid(n)
         np.testing.assert_array_equal(grid, t)
-        for freq in (175.0, 210.0, 97.3):
+        for freq in (175.0, 210.0, 97.3, 3999.9):
             table = _carrier_table(freq, n)
+            assert table.shape == (n,)
             np.testing.assert_array_equal(table, np.sin(2.0 * np.pi * freq * t))
             assert not table.flags.writeable
+            # a prefix of the kept table, or built for this output alone
+            assert np.shares_memory(table, _carrier_table(freq, n)) == (n <= _TABLE_LEN)
         assert not grid.flags.writeable
-        assert (_time_grid(n) is grid) == (n <= _OUTPUT_CACHE_MAX_LEN)
+        assert np.shares_memory(grid, _time_grid(n)) == (n <= _TABLE_LEN)
 
-    def test_caches_stay_bounded(self):
+    def test_one_table_per_carrier(self):
+        _full_table.cache_clear()
         for n in range(1000, 1040):
+            _time_grid(n)
             _carrier_table(175.0, n)
-        for cache in (_time_grid, _carrier_table):
-            info = cache.cache_info()
-            assert info.currsize <= info.maxsize <= 8
-        misses = _time_grid.cache_info().misses, _carrier_table.cache_info().misses
-        _carrier_table(175.0, _OUTPUT_CACHE_MAX_LEN + 1)  # built, not kept
-        assert (_time_grid.cache_info().misses, _carrier_table.cache_info().misses) == misses
+        info = _full_table.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (2, 78, 8)
+        for freq in np.linspace(100.0, 300.0, 20):
+            _carrier_table(float(freq), 8000)
+        assert _full_table.cache_info().currsize == 8
+        misses = _full_table.cache_info().misses
+        _carrier_table(175.0, _TABLE_LEN + 1)  # built, not kept
+        _time_grid(_TABLE_LEN + 1)
+        assert _full_table.cache_info().misses == misses
 
     @pytest.mark.parametrize("algo", CONVERTER_TAGS)
     def test_outputs_own_their_samples(self, algo, am_clip):

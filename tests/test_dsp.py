@@ -28,7 +28,6 @@ from hapticwave.dsp import (
     butterworth_filter,
     frame_signal,
     frame_rms,
-    frame_spectra,
     hann_window,
     mel_filterbank,
     nco_synthesize,
@@ -105,9 +104,14 @@ class TestStft:
         assert out.shape == (1, 513)
         np.testing.assert_array_equal(out, stft(np.pad(x, (0, 1024 - n)), 1024, 256))
 
-    def test_bad_fft_size(self):
-        with pytest.raises(ValueError):
-            stft(np.zeros(4096), 1000, 256)
+    def test_any_frame_size(self):
+        x = np.random.default_rng(5).standard_normal(4096)
+        np.testing.assert_array_equal(stft(x, 1000, 256), _unblocked_stft(x, 1000, 256))
+
+    @pytest.mark.parametrize("hop", [0, -1, 1025])
+    def test_hop_outside_frame(self, hop):
+        with pytest.raises(ValueError, match=r"hop must be in \(0, fft_size\]"):
+            stft(np.zeros(4096), 1024, hop)
 
 
 class TestButterworth:
@@ -668,9 +672,10 @@ class TestFrameSignal:
         np.testing.assert_array_equal(frames, np.pad(x, (0, 1024 - n))[None, :])
 
 
-def _unblocked_frame_spectra(signal, window, hop):
-    """frame_spectra as one rfft over every frame at once."""
-    frames = frame_signal(np.asarray(signal, dtype=np.float64), len(window), hop)
+def _unblocked_stft(signal, frame_size, hop):
+    """stft as one rfft over every Hann-windowed frame at once."""
+    frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, hop)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame_size) / frame_size)
     return np.abs(np.fft.rfft(frames * window, axis=1))
 
 
@@ -694,14 +699,13 @@ class TestFrameBlocks:
     """Blocked frame analyses equal the one-shot ones at every block seam."""
 
     @pytest.mark.parametrize("frame_size, hop", SEAM_GRID)
-    def test_frame_spectra_bit_identical(self, frame_size, hop):
+    def test_stft_seams_bit_identical(self, frame_size, hop):
         rng = np.random.default_rng(frame_size + hop)
-        window = hann_window(frame_size)
         for n_frames in _seam_frame_counts(frame_size):
             x = rng.standard_normal((n_frames - 1) * hop + frame_size)
-            out = frame_spectra(x, window, hop)
+            out = stft(x, frame_size, hop)
             assert out.shape == (n_frames, frame_size // 2 + 1)
-            np.testing.assert_array_equal(out, _unblocked_frame_spectra(x, window, hop))
+            np.testing.assert_array_equal(out, _unblocked_stft(x, frame_size, hop))
 
     @pytest.mark.parametrize("frame_size, hop", SEAM_GRID)
     def test_frame_rms_bit_identical(self, frame_size, hop):
@@ -714,8 +718,7 @@ class TestFrameBlocks:
 
     def test_stft_bit_identical(self):
         x = np.random.default_rng(11).standard_normal(5 * SR)
-        np.testing.assert_array_equal(stft(x, 2048, 512),
-                                      _unblocked_frame_spectra(x, hann_window(2048), 512))
+        np.testing.assert_array_equal(stft(x, 2048, 512), _unblocked_stft(x, 2048, 512))
 
     def test_frames_once_per_analysis(self, monkeypatch):
         """One frame_signal call per analysis, returning every frame, as the tracer counts."""
@@ -729,7 +732,7 @@ class TestFrameBlocks:
         monkeypatch.setattr(dsp, "frame_signal", counting)
         x = np.random.default_rng(12).standard_normal(20 * SR)
         analyses = [
-            (lambda: frame_spectra(x, hann_window(1024), 512), 1024, 512),
+            (lambda: stft(x, 1024, 512), 1024, 512),
             (lambda: frame_rms(x, 441, 441), 441, 441),
             (lambda: specific_loudness_frames(x, 441, 220, SR), 441, 220),
             (lambda: loudness_roughness_frames(x, 4096, 4096, SR), 4096, 4096),
