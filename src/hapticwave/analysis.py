@@ -278,26 +278,31 @@ class _GroupWriter:
         return mean_keys, sd_keys, head, tail
 
 
-def _stats_for(clip_matrix: np.ndarray) -> GroupStats:
-    """clip_matrix: (n_clips, n_algorithms) of clip-level ratings."""
-    means = clip_matrix.mean(axis=0)
-    if clip_matrix.shape[0] > 1:
-        sds = clip_matrix.std(axis=0, ddof=1)
-    else:
-        sds = np.zeros(clip_matrix.shape[1])
-    top = means.max()
-    winners = tuple(a for a, m in zip(RATING_ALGORITHMS, means) if m == top)
-    return GroupStats(
-        mean=dict(zip(RATING_ALGORITHMS, means.tolist())),
-        sd=dict(zip(RATING_ALGORITHMS, sds.tolist())),
-        winners=winners,
-        n_clips=clip_matrix.shape[0],
-    )
+def _group_stats(matrix: np.ndarray, group: np.ndarray, n_groups: int) -> list[GroupStats]:
+    """GroupStats of each group of (clip, algorithm) matrix rows; row i is in group[i].
+
+    bincount adds a group's rows in row order, as mean and std(ddof=1) over
+    axis 0 do, so both come out bit for bit; a group of one clip has SD 0.
+    """
+    n_algos = matrix.shape[1]
+    cell = (group[:, None] * n_algos + np.arange(n_algos)).ravel()
+    size = n_groups * n_algos
+    n = np.bincount(group, minlength=n_groups)
+    means = np.bincount(cell, matrix.ravel(), size).reshape(n_groups, n_algos) / n[:, None]
+    dev = (matrix - means[group]).ravel()
+    sq = np.bincount(cell, dev * dev, size).reshape(n_groups, n_algos)
+    sds = np.sqrt(sq / np.maximum(n - 1, 1)[:, None])
+    is_winner = means == means.max(axis=1, keepdims=True)
+    rows = zip(means.tolist(), sds.tolist(), is_winner.tolist(), n.tolist())
+    return [GroupStats(mean=dict(zip(RATING_ALGORITHMS, m)), sd=dict(zip(RATING_ALGORITHMS, d)),
+                       winners=tuple(compress(RATING_ALGORITHMS, w)), n_clips=k)
+            for m, d, w, k in rows]
 
 
 def aggregate(table: RatingsTable, manifest: DatasetManifest, level: str) -> AggregateReport:
     """Aggregate clip ratings at the category, class, or clip level."""
-    if level not in ("category", "class", "clip"):
+    field = {"category": "category_id", "class": "class_id", "clip": "clip_id"}.get(level)
+    if field is None:
         raise ValueError(f"unknown aggregation level: {level!r}")
     by_id = manifest.by_id()
     clip_ids, matrix, counts = table.mean_matrix()
@@ -313,26 +318,15 @@ def aggregate(table: RatingsTable, manifest: DatasetManifest, level: str) -> Agg
     winner_counts = dict(zip(RATING_ALGORITHMS, is_winner.sum(axis=0).tolist()))
     tie_count = int(np.count_nonzero(is_winner.sum(axis=1) > 1))
 
-    if level == "clip":
-        # one clip per group: its mean is its row and its SD is 0
-        groups = {
-            cid: GroupStats(mean=dict(zip(RATING_ALGORITHMS, row)),
-                            sd=dict.fromkeys(RATING_ALGORITHMS, 0.0),
-                            winners=tuple(compress(RATING_ALGORITHMS, wins)), n_clips=1)
-            for cid, row, wins in zip(clip_ids, matrix.tolist(), is_winner.tolist())
-        }
-    else:
-        field = "category_id" if level == "category" else "class_id"
-        group_rows: dict[int, list[int]] = {}
-        for i, cid in enumerate(clip_ids):
-            group_rows.setdefault(getattr(by_id[cid], field), []).append(i)
-        groups = {key: _stats_for(matrix[group_rows[key]])
-                  for key in sorted(group_rows, key=str)}
-
+    keys = [getattr(by_id[cid], field) for cid in clip_ids]
+    order = sorted(set(keys), key=str)
+    index = {key: i for i, key in enumerate(order)}
+    group = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+    (overall,) = _group_stats(matrix, np.zeros_like(group), 1)
     return AggregateReport(
         level=level,
-        groups=groups,
-        overall=_stats_for(matrix),
+        groups=dict(zip(order, _group_stats(matrix, group, len(order)))),
+        overall=overall,
         winner_counts=winner_counts,
         tie_count=tie_count,
     )

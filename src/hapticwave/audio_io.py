@@ -65,10 +65,6 @@ class VibrationSignal:
         if self.algorithm_tag not in ALGORITHM_TAGS:
             raise ValueError(f"unknown algorithm tag: {self.algorithm_tag!r}")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 def load_wav(path: str | Path) -> AudioClip:
     """Load a PCM16 WAV file as a mono AudioClip scaled to [-1, 1].

@@ -147,6 +147,9 @@ def _batch_one(task) -> tuple[str, bool] | None:
     """Convert one clip with one algorithm; a failure comes back as (message, is_validation)."""
     clip_path, clip_id, algo, cfg, out_dir = task
     try:
+        # the output is <clip_id>.<algo>.wav inside out_dir, so the id must be one file name
+        if clip_id in ("", ".", "..") or any(s in clip_id for s in ("/", os.sep, os.altsep) if s):
+            raise _CliValidationError(f"clip id {clip_id!r} is not a file name")
         clip = load_wav(clip_path)
         save_wav(converters.convert(clip, algo, cfg), Path(out_dir) / f"{clip_id}.{algo}.wav")
     except Exception as exc:  # one clip's failure never stops the others

@@ -659,6 +659,17 @@ class TestBlend:
         with pytest.raises(ValueError):
             blend_targets(refs, [1, 1, 1, 1])
 
+    @pytest.mark.parametrize("n_refs, ratings, message", [
+        (3, [1, 1, 1], "expected exactly four references and four ratings"),
+        (3, [1, 1, 1, 1], "expected exactly four references and four ratings"),
+        (4, [1, 1, 1], "expected exactly four references and four ratings"),
+        (4, [1.0, -0.5, 1.0, 1.0], "ratings must be non-negative"),
+    ])
+    def test_rejected_inputs(self, n_refs, ratings, message):
+        refs = [vib(np.full(10, 0.1))] * n_refs
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            blend_targets(refs, ratings)
+
     def test_all_zero_ratings(self):
         refs = [vib(np.zeros(10) + 0.1)] * 4
         with pytest.raises(ValueError):
@@ -728,6 +739,12 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             reconstruction_metrics(np.zeros(10), np.zeros(11))
+
+    def test_vibration_signal_arguments(self):
+        rng = np.random.default_rng(9)
+        p, t = rng.uniform(-1, 1, 3000), rng.uniform(-1, 1, 3000)
+        assert reconstruction_metrics(vib(p), vib(t)) == reconstruction_metrics(p, t)
+        assert reconstruction_metrics(vib(p), t) == reconstruction_metrics(p, vib(t))
 
 
 def _padded_stft_mag(x, fft_size):

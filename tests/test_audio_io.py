@@ -82,6 +82,10 @@ class TestLoadSave:
             raw = wav.readframes(1)
         assert struct.unpack("<h", raw)[0] == 32767
 
+    def test_vibration_rejects_unknown_tag(self):
+        with pytest.raises(ValueError, match="^unknown algorithm tag: 'vortex'$"):
+            VibrationSignal(samples=np.zeros(8), algorithm_tag="vortex")
+
     def test_vibration_header_contract(self, tmp_path):
         sig = VibrationSignal(samples=np.zeros(40000) + 0.1, algorithm_tag="hapticgen")
         path = tmp_path / "vib.wav"
@@ -182,3 +186,9 @@ class TestResample:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             resample_samples(np.array([]), SR, 8000)
+
+    @pytest.mark.parametrize("source_rate, target_rate", [(0, 8000), (-SR, 8000), (SR, 0),
+                                                          (SR, -8000)])
+    def test_non_positive_rate(self, source_rate, target_rate):
+        with pytest.raises(ValueError, match="^sample rates must be positive$"):
+            resample_samples(np.ones(100), source_rate, target_rate)

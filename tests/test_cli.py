@@ -72,6 +72,38 @@ class TestConvert:
         rms = np.sqrt(np.mean((data / 32768.0) ** 2))
         assert rms < 0.1
 
+    def test_config_file_applied(self, tone_wav, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target_segment_rms": 0.05}))
+        argv = ["convert", "--algo", "hapticgen", "--in", str(tone_wav)]
+        written = {}
+        for name, flags in [("file", ["--config", str(cfg)]),
+                            ("set", ["--set", "target_segment_rms=0.05"]),
+                            ("file_then_set", ["--config", str(cfg),
+                                               "--set", "target_segment_rms=0.15"]),
+                            ("plain", [])]:
+            assert run(argv + ["--out", str(tmp_path / f"{name}.wav")] + flags) == 0
+            written[name] = (tmp_path / f"{name}.wav").read_bytes()
+        assert written["file"] == written["set"] != written["plain"]
+        assert written["file_then_set"] == written["plain"]  # --set applies over --config
+
+    @pytest.mark.parametrize("body, message", [
+        (None, "cannot read converter config"),
+        ("{", "cannot read converter config"),
+        ("[1, 2]", "expected a JSON object"),
+        ('"plm"', "expected a JSON object"),
+    ])
+    def test_bad_config_file_is_validation_error(self, tone_wav, tmp_path, capsys, body, message):
+        cfg = tmp_path / "cfg.json"
+        if body is not None:
+            cfg.write_text(body)
+        out = tmp_path / "o.wav"
+        assert run(["convert", "--algo", "plm", "--in", str(tone_wav), "--out", str(out),
+                    "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and str(cfg) in err
+        assert not out.exists()
+
     def test_missing_input_is_validation_error(self, tmp_path):
         assert run(["convert", "--algo", "plm", "--in", str(tmp_path / "no.wav"),
                     "--out", str(tmp_path / "o.wav")]) == 1
@@ -133,6 +165,7 @@ class TestConvert:
         (["fshift.bp_order=6"], "fshift.bp_order"),
         (["fshift.bp_q=0"], "fshift.bp_q"),
         (["fshift.bp_q=-1"], "fshift.bp_q"),
+        (["plm.frame_size"], "--set expects KEY=VALUE, got 'plm.frame_size'"),
     ])
     def test_malformed_override_names_key(self, tone_wav, tmp_path, capsys, overrides, key):
         out = tmp_path / "o.wav"
@@ -194,6 +227,35 @@ class TestBatch:
         assert capsys.readouterr().err.startswith("error: c3 hapticgen: ")
         write_manifest(DatasetManifest(entries[:1]), manifest)
         assert run(argv) == 0
+
+    @pytest.mark.parametrize("clip_id", ["../escaped", "sub/escaped", "", ".", ".."])
+    def test_clip_id_that_is_not_a_file_name_fails_that_clip(self, tmp_path, capsys, clip_id):
+        tone = tmp_path / "tone.wav"
+        save_wav(sine_clip(300.0), tone)
+        entries = [ManifestEntry(cid, str(tone), 0, "tone", 1) for cid in ("keep", clip_id)]
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(DatasetManifest(entries), manifest)
+        (tmp_path / "out" / "sub").mkdir(parents=True)
+        assert run(["batch", "--manifest", str(manifest), "--algos", "hapticgen",
+                    "--out-dir", str(tmp_path / "out"), "--workers", "1"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {clip_id} hapticgen: clip id {clip_id!r} is not a file name\n"
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*") if p.is_file())
+        assert written == ["manifest.csv", "out/keep.hapticgen.wav", "tone.wav"]
+
+    @pytest.mark.parametrize("algos, message", [
+        ("", "no algorithms given"),
+        (" , ", "no algorithms given"),
+        ("hapticgen,vortex", "unknown algorithm tag: 'vortex'"),
+    ])
+    def test_bad_algos_are_validation_errors(self, tmp_path, capsys, algos, message):
+        manifest = small_audio_set(tmp_path, n_classes=1, per_class=1)
+        out_dir = tmp_path / "out"
+        assert run(["batch", "--manifest", str(manifest), "--algos", algos,
+                    "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
 
 
 class _RecordingPool:
@@ -576,6 +638,25 @@ def test_cold_start_loads_scipy_signal_only_to_filter(tmp_path, tone_wav):
 
 
 class TestBench:
+    @pytest.mark.parametrize("durations, clips, message", [
+        ("1,x", "dir", "bad duration: 'x'"),
+        ("", "dir", "bad duration: ''"),
+        ("1,3", "dir", "duration must be one of (1, 2, 5, 10, 20)"),
+        ("1", "file", "not a directory: {path}"),
+        ("1", "missing", "not a directory: {path}"),
+    ])
+    def test_bad_flags_are_validation_errors(self, tmp_path, capsys, durations, clips, message):
+        clip_path = tmp_path / "clips"
+        if clips == "dir":
+            clip_path.mkdir()
+        elif clips == "file":
+            save_wav(sine_clip(200.0, duration=5.0), clip_path)
+        json_out = tmp_path / "bench.json"
+        assert run(["bench", "--clips", str(clip_path), "--durations", durations,
+                    "--algos", "hapticgen", "--json", str(json_out)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=clip_path)}\n"
+        assert not json_out.exists()
+
     def test_validation_on_wrong_corpus(self, tmp_path):
         clip_dir = tmp_path / "clips"
         clip_dir.mkdir()

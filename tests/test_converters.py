@@ -665,6 +665,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="target_segment_rms"):
             apply_config_overrides(default_config(), {"target_segment_rms": "0"})
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"hapticgen.f_dev_hz": "200"}, "hapticgen frequency range must stay inside"),
+        ({"hapticgen.f_center_hz": "3980"}, "hapticgen frequency range must stay inside"),
+        ({"hapticgen.f_dev_hz": "-1"}, "hapticgen frequency range must stay inside"),
+        ({"pitch.regression_coeffs": "[1.0, 2.0]"}, "pitch regression needs 24 band weights"),
+        ({"pitch.regression_coeffs": json.dumps([0.5] * 26)},
+         "pitch regression needs 24 band weights"),
+        ({"pitch.window_ms": "0"}, "pitch.window_ms and hapticgen.window_ms must be positive"),
+        ({"hapticgen.window_ms": "-2.5"},
+         "pitch.window_ms and hapticgen.window_ms must be positive"),
+    ])
+    def test_out_of_range_value_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            apply_config_overrides(default_config(), overrides)
+
     def test_every_leaf_round_trips_its_default(self):
         def leaves(section, prefix=""):
             for f in fields(section):

@@ -232,6 +232,10 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 3)), k=5, seed=0)
 
+    def test_one_dimensional_input(self):
+        with pytest.raises(ValueError, match="^expected a 2-D matrix of feature vectors$"):
+            kmeans(np.zeros(10), k=2, seed=0)
+
     def test_id_mapping(self):
         points, _ = make_blobs(1)
         vectors = {f"c{i:03d}": points[i] for i in range(len(points))}
@@ -396,6 +400,23 @@ class TestManifest:
                         "a,x.wav,73,weird,1\n")
         with pytest.raises(SchemaError, match=":2:"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("category_id", [0, 6, -1])
+    def test_category_id_out_of_range_names_row(self, tmp_path, category_id):
+        path = tmp_path / "bad.csv"
+        path.write_text("clip_id,path,class_id,class_name,category_id\n"
+                        f"a,x.wav,0,dog,1\nb,y.wav,1,rooster,{category_id}\n")
+        with pytest.raises(SchemaError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}:3: category_id {category_id} outside 1-5"
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_header_without_rows_is_empty(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("clip_id,path,class_id,class_name,category_id\n" + body)
+        with pytest.raises(SchemaError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}: empty manifest"
 
     def test_bundled_fixture_loads(self):
         manifest = load_manifest(manifest_fixture_path())

@@ -152,6 +152,24 @@ class TestButterworth:
         with pytest.raises(ValueError):
             FilterSpec("bandpass", 250.0, q=1.0, order=3)
 
+    @pytest.mark.parametrize("kind, q, message", [
+        ("lowpass", 1.0, "unknown filter kind: 'lowpass'"),
+        ("bandpass", 0.0, "q must be positive"),
+        ("bandpass", -1.0, "q must be positive"),
+    ])
+    def test_bad_spec(self, kind, q, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FilterSpec(kind, 250.0, q=q)
+
+    @pytest.mark.parametrize("center, q", [
+        (2000.0, 2.0 / 3.0),  # Q = 2/3 puts the edges at f0 / 2 and 2 f0: exactly Nyquist
+        (3000.0, 1.0),
+        (3990.0, 50.0),
+    ])
+    def test_band_edge_at_or_above_nyquist(self, center, q):
+        with pytest.raises(ValueError, match="^upper band edge must be below Nyquist$"):
+            butterworth_filter(np.ones(100), FilterSpec("bandpass", center, q=q), 8000)
+
 
 class TestPitchShift:
     def test_octave_down(self):
