@@ -128,9 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_algos(text: str) -> tuple[str, ...]:
     algos = tuple(a.strip() for a in text.split(",") if a.strip())
-    for a in algos:
+    for i, a in enumerate(algos):
         if a not in converters.CONVERTER_TAGS:
             raise _CliValidationError(f"unknown algorithm tag: {a!r}")
+        if a in algos[:i]:
+            raise _CliValidationError(f"algorithm tag given twice: {a!r}")
     if not algos:
         raise _CliValidationError("no algorithms given")
     return algos

@@ -48,15 +48,17 @@ def frame_signal(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(signal, frame_size)[::hop]
 
 
-def _frame_blocks(signal: np.ndarray, frame_size: int,
-                  hop: int) -> tuple[int, Iterator[tuple[slice, np.ndarray]]]:
-    """n_frames and an iterator of (rows, frames[rows]) over consecutive blocks of frames.
+def _spectrum_blocks(signal: np.ndarray, frame_size: int, hop: int,
+                     n_fft: int | None = None) -> tuple[int, Iterator[tuple[slice, np.ndarray]]]:
+    """n_frames and an iterator of (rows, rfft of the Hann-windowed frames[rows]) over blocks.
 
     frame_signal runs once; each block holds at most _BLOCK_BYTES of float64
-    frames, and at least one frame.
+    frames, and at least one frame. n_fft > frame_size zero-pads every frame.
     """
+    window = hann_window(frame_size)
     frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, hop)
-    return len(frames), ((r, frames[r]) for r in _block_rows(len(frames), frame_size))
+    return len(frames), ((r, np.fft.rfft(frames[r] * window, n=n_fft, axis=1))
+                         for r in _block_rows(len(frames), frame_size))
 
 
 def _block_rows(n: int, frame_size: int) -> Iterator[slice]:
@@ -74,11 +76,10 @@ def stft(signal: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
     """
     if not 0 < hop <= fft_size:
         raise ValueError("hop must be in (0, fft_size]")
-    window = hann_window(fft_size)
-    n_frames, blocks = _frame_blocks(signal, fft_size, hop)
+    n_frames, blocks = _spectrum_blocks(signal, fft_size, hop)
     mags = np.empty((n_frames, fft_size // 2 + 1))
-    for rows, frames in blocks:
-        np.abs(np.fft.rfft(frames * window, axis=1), out=mags[rows])
+    for rows, spectrum in blocks:
+        np.abs(spectrum, out=mags[rows])
     return mags
 
 
@@ -186,18 +187,15 @@ def _analysis(signal: np.ndarray, fft_size: int, hop: int) -> tuple[np.ndarray, 
     time. A signal shorter than fft_size + hop is zero-padded to that
     length, two frames.
     """
-    window = hann_window(fft_size)
-    n_frames, blocks = _frame_blocks(fit_length(signal, max(len(signal), fft_size + hop)),
-                                     fft_size, hop)
+    n_frames, blocks = _spectrum_blocks(fit_length(signal, max(len(signal), fft_size + hop)),
+                                        fft_size, hop)
     mags = np.empty((n_frames, fft_size // 2 + 1))
     phasors = np.empty_like(mags, dtype=complex)
-    for rows, frames in blocks:
-        spectrum = np.fft.rfft(frames * window, axis=1)
+    for rows, spectrum in blocks:
         mag = np.abs(spectrum, out=mags[rows])
         phasor = np.divide(spectrum, mag, out=phasors[rows], where=mag > 0)
         zero = mag == 0
-        if zero.any():
-            phasor[zero] = np.exp(1j * np.angle(spectrum[zero]))
+        phasor[zero] = np.exp(1j * np.angle(spectrum[zero]))
     return mags, phasors
 
 
@@ -212,7 +210,7 @@ def _stretch_frames(mags: np.ndarray, phasors: np.ndarray,
     product of u[i + 1] * conj(u[i]).
 
     Returns the number of output frames and an iterator of (rows,
-    frames[rows]) over consecutive blocks of them, as _frame_blocks does. A
+    frames[rows]) over the consecutive _block_rows slices of them. A
     block's running product starts from the last phasor of the block before
     it, taken before the magnitude is applied, so every block multiplies in
     the same order as one product over all frames.
@@ -308,10 +306,10 @@ def frame_rms(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     """Short-term RMS of every frame_size-sample frame, hop apart, cut as by frame_signal."""
     if frame_size < 1 or hop < 1:
         raise ValueError("frame size and hop must be at least 1 sample")
-    n_frames, blocks = _frame_blocks(signal, frame_size, hop)
-    rms = np.empty(n_frames)
-    for rows, frames in blocks:
-        np.mean(np.square(frames), axis=1, out=rms[rows])
+    frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, hop)
+    rms = np.empty(len(frames))
+    for rows in _block_rows(len(frames), frame_size):
+        np.mean(np.square(frames[rows]), axis=1, out=rms[rows])
     return np.sqrt(rms, out=rms)
 
 

@@ -9,7 +9,7 @@ converters rely on. Roughness follows the Vassilakis pairwise spectral-peak
 model.
 
 The *_frames functions analyse a whole signal in cache-sized blocks of
-frames, one batched FFT per block, with cached per-(FFT size, rate) band tables.
+frames from dsp._spectrum_blocks, with cached per-(FFT size, rate) band tables.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsp import _frame_blocks, hann_window, stft
+from .dsp import _spectrum_blocks, hann_window, stft  # hann_window: for perfbench/selftest.py
 
 N_BARK_BANDS = 24
 # Fewest rfft points specific_loudness_frames pools into Bark bands; shorter
@@ -123,11 +123,11 @@ def specific_loudness_frames(samples: np.ndarray, frame_size: int, hop: int, sam
     complex rfft read as float64 pairs.
     """
     n_fft = max(frame_size, SPECIFIC_LOUDNESS_MIN_FRAME)
-    window, bands = hann_window(frame_size), _bands(n_fft, sample_rate, config)
-    n_frames, blocks = _frame_blocks(samples, frame_size, hop)
+    bands = _bands(n_fft, sample_rate, config)
+    n_frames, blocks = _spectrum_blocks(samples, frame_size, hop, n_fft)
     pooled = np.empty((n_frames, N_BARK_BANDS))
-    for rows, frames in blocks:
-        parts = np.fft.rfft(frames * window, n=n_fft, axis=1).view(np.float64)
+    for rows, spectrum in blocks:
+        parts = spectrum.view(np.float64)
         np.square(parts, out=parts)
         np.matmul(parts[:, ::2] + parts[:, 1::2], bands, out=pooled[rows])
     return _loudness(pooled, config)

@@ -248,6 +248,8 @@ class TestBatch:
         ("", "no algorithms given"),
         (" , ", "no algorithms given"),
         ("hapticgen,vortex", "unknown algorithm tag: 'vortex'"),
+        ("hapticgen,hapticgen", "algorithm tag given twice: 'hapticgen'"),
+        ("plm, fshift,plm", "algorithm tag given twice: 'plm'"),
     ])
     def test_bad_algos_are_validation_errors(self, tmp_path, capsys, algos, message):
         manifest = small_audio_set(tmp_path, n_classes=1, per_class=1)
@@ -638,14 +640,16 @@ def test_cold_start_loads_scipy_signal_only_to_filter(tmp_path, tone_wav):
 
 
 class TestBench:
-    @pytest.mark.parametrize("durations, clips, message", [
-        ("1,x", "dir", "bad duration: 'x'"),
-        ("", "dir", "bad duration: ''"),
-        ("1,3", "dir", "duration must be one of (1, 2, 5, 10, 20)"),
-        ("1", "file", "not a directory: {path}"),
-        ("1", "missing", "not a directory: {path}"),
+    @pytest.mark.parametrize("durations, clips, algos, message", [
+        ("1,x", "dir", "hapticgen", "bad duration: 'x'"),
+        ("", "dir", "hapticgen", "bad duration: ''"),
+        ("1,3", "dir", "hapticgen", "duration must be one of (1, 2, 5, 10, 20)"),
+        ("1", "file", "hapticgen", "not a directory: {path}"),
+        ("1", "missing", "hapticgen", "not a directory: {path}"),
+        ("1", "dir", "hapticgen,hapticgen", "algorithm tag given twice: 'hapticgen'"),
     ])
-    def test_bad_flags_are_validation_errors(self, tmp_path, capsys, durations, clips, message):
+    def test_bad_flags_are_validation_errors(self, tmp_path, capsys, durations, clips, algos,
+                                             message):
         clip_path = tmp_path / "clips"
         if clips == "dir":
             clip_path.mkdir()
@@ -653,7 +657,7 @@ class TestBench:
             save_wav(sine_clip(200.0, duration=5.0), clip_path)
         json_out = tmp_path / "bench.json"
         assert run(["bench", "--clips", str(clip_path), "--durations", durations,
-                    "--algos", "hapticgen", "--json", str(json_out)]) == 1
+                    "--algos", algos, "--json", str(json_out)]) == 1
         assert capsys.readouterr().err == f"error: {message.format(path=clip_path)}\n"
         assert not json_out.exists()
 

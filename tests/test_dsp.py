@@ -19,6 +19,7 @@ from hapticwave.audio_io import (
 )
 from hapticwave.errors import DegenerateSignalError
 from hapticwave.converters import _fshift_work_rate, convert_fshift, default_config, fshift_raw
+from hapticwave.curation import extract_features
 from hapticwave.dsp import (
     FilterSpec,
     _analysis,
@@ -703,6 +704,17 @@ def _unblocked_frame_rms(signal, frame_size, hop):
     return np.sqrt(np.mean(np.square(frames), axis=1))
 
 
+def _unblocked_analysis(signal, fft_size, hop):
+    """_analysis as one rfft over every frame, with exp(i * angle) on zero bins."""
+    x = np.pad(signal, (0, max(0, fft_size + hop - len(signal))))
+    spectrum = np.fft.rfft(frame_signal(x, fft_size, hop) * hann_window(fft_size), axis=1)
+    mags = np.abs(spectrum)
+    zero = mags == 0
+    phasors = spectrum / np.where(zero, 1.0, mags)
+    phasors[zero] = np.exp(1j * np.angle(spectrum[zero]))
+    return mags, phasors
+
+
 def _seam_frame_counts(frame_size: int) -> tuple[int, ...]:
     """1 frame, a block less one frame, one block, a block and one frame, 3.5 blocks."""
     per_block = dsp._BLOCK_BYTES // (8 * frame_size)
@@ -734,6 +746,22 @@ class TestFrameBlocks:
             assert out.shape == (n_frames,)
             np.testing.assert_array_equal(out, _unblocked_frame_rms(x, frame_size, hop))
 
+    @pytest.mark.parametrize("frame_size, hop", SEAM_GRID)
+    def test_analysis_seams_bit_identical(self, frame_size, hop):
+        """Vocoder magnitudes and phasors, with zero frames, and a signal under two frames."""
+        rng = np.random.default_rng(frame_size * hop)
+        lengths = [(n - 1) * hop + frame_size for n in _seam_frame_counts(frame_size)]
+        zero_bins = 0
+        for n in lengths + [frame_size + hop - 1]:
+            x = rng.standard_normal(n)
+            x[n // 2:n // 2 + frame_size + hop] = 0.0  # holds a whole zero frame once n is long
+            mags, phasors = _analysis(x, frame_size, hop)
+            ref_mags, ref_phasors = _unblocked_analysis(x, frame_size, hop)
+            np.testing.assert_array_equal(mags, ref_mags)
+            np.testing.assert_array_equal(phasors, ref_phasors)
+            zero_bins += np.count_nonzero(mags == 0)
+        assert zero_bins > 0
+
     def test_stft_bit_identical(self):
         x = np.random.default_rng(11).standard_normal(5 * SR)
         np.testing.assert_array_equal(stft(x, 2048, 512), _unblocked_stft(x, 2048, 512))
@@ -754,6 +782,8 @@ class TestFrameBlocks:
             (lambda: frame_rms(x, 441, 441), 441, 441),
             (lambda: specific_loudness_frames(x, 441, 220, SR), 441, 220),
             (lambda: loudness_roughness_frames(x, 4096, 4096, SR), 4096, 4096),
+            (lambda: pitch_shift(AudioClip(x, SR), (-12.0, -24.0)), 2048, 512),
+            (lambda: extract_features(AudioClip(x, SR)), 2048, 512),
         ]
         for analysis, frame_size, hop in analyses:
             counted.clear()
