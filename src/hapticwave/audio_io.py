@@ -6,6 +6,8 @@ dedicated type pinned to the 8 kHz output rate.
 
 from __future__ import annotations
 
+import os
+import secrets
 import wave
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,23 +101,36 @@ def save_wav(signal: AudioClip | VibrationSignal, path: str | Path) -> None:
 
     Values are quantized with saturation, so a sample at exactly +1.0 is
     stored as 32767 and round-trips within 1/32768. NaN or infinite samples
-    raise NonFiniteSignalError before the file is opened.
+    raise NonFiniteSignalError before the file is opened. The file is
+    written under a temporary name in path's directory and renamed onto
+    path once complete, so a write that fails leaves the old file (or none)
+    and no partial one.
     """
     bad = np.count_nonzero(~np.isfinite(signal.samples))
     if bad:
         raise NonFiniteSignalError(f"{path}: refusing to write {bad} non-finite samples")
     quantized = np.clip(np.rint(signal.samples * 32768.0), -32768, 32767)
-    with wave.open(str(path), "wb") as wav:
-        wav.setnchannels(1)
-        wav.setsampwidth(2)
-        wav.setframerate(signal.sample_rate)
-        wav.writeframes(quantized.astype("<i2").tobytes())
+    path = Path(path)
+    # opened with "x" rather than by tempfile, whose files are private (0600)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as file, wave.open(file, "wb") as wav:
+            wav.setnchannels(1)
+            wav.setsampwidth(2)
+            wav.setframerate(signal.sample_rate)
+            wav.writeframes(quantized.astype("<i2").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def fit_length(samples: np.ndarray, n: int) -> np.ndarray:
-    """samples zero-padded at the end, or cut, to exactly n."""
+    """samples zero-padded at the end (a new array of the same dtype), or cut, to exactly n."""
     if len(samples) < n:
-        return np.pad(samples, (0, n - len(samples)))
+        out = np.zeros(n, dtype=samples.dtype)
+        out[:len(samples)] = samples
+        return out
     return samples[:n]
 
 
@@ -163,6 +178,13 @@ def _resample_poly(samples: np.ndarray, up: int, down: int, want: int) -> np.nda
     return fit_length(out, want)
 
 
+@lru_cache(maxsize=64)
+def _ratio(target: float, source: int = 1) -> tuple[int, int]:
+    """(up, down) of target / source with a denominator of at most 1000, computed once."""
+    frac = (Fraction(target) / source).limit_denominator(1000)
+    return frac.numerator, frac.denominator
+
+
 def resample_samples(samples: np.ndarray, source_rate: int, target_rate: int) -> np.ndarray:
     """Band-limited polyphase resampling of a raw sample array.
 
@@ -179,8 +201,7 @@ def resample_samples(samples: np.ndarray, source_rate: int, target_rate: int) ->
     if target_rate == source_rate:
         return samples
 
-    frac = Fraction(target_rate, source_rate).limit_denominator(1000)
-    return _resample_poly(samples, frac.numerator, frac.denominator,
+    return _resample_poly(samples, *_ratio(target_rate, source_rate),
                           int(round(len(samples) * target_rate / source_rate)))
 
 
@@ -204,9 +225,7 @@ def halve_rate(samples: np.ndarray) -> np.ndarray:
 
 def resample_by_ratio(samples: np.ndarray, ratio: float) -> np.ndarray:
     """Resample by an arbitrary length ratio via a rational approximation (denominator <= 1000)."""
-    frac = Fraction(ratio).limit_denominator(1000)
-    return _resample_poly(samples, frac.numerator, frac.denominator,
-                          int(round(len(samples) * ratio)))
+    return _resample_poly(samples, *_ratio(ratio), int(round(len(samples) * ratio)))
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:

@@ -18,9 +18,10 @@ segment hits the target RMS; fshift is normalized on whole-signal RMS.
 from __future__ import annotations
 
 import json
+import threading
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +65,12 @@ CLIP_WARN_FRACTION = 1e-3
 _FSHIFT_MIN_WORK_RATE = 22050
 
 # The 8 kHz output stage reads its time grid and plm's carrier sines as
-# prefixes of one kept table each, this many samples (2 MiB of float64, 32.8 s)
-# long; a longer output builds its own and does not keep it.
+# prefixes of one kept table each, of the next power of two at or above the
+# longest output read so far, up to this many samples (2 MiB of float64,
+# 32.8 s); a longer output builds its own and does not keep it.
 _TABLE_LEN = 1 << 18
+# Tables kept, one per carrier frequency and one for the grid: at most 16 MiB.
+_MAX_TABLES = 8
 
 
 def _default_pitch_coeffs() -> tuple[float, ...]:
@@ -173,6 +177,11 @@ def default_config() -> ConverterConfig:
     return ConverterConfig()
 
 
+# The config convert and every convert_* use when given none: built and
+# validated once, and never handed out, so nothing mutates it.
+_DEFAULT_CONFIG = default_config()
+
+
 def _is_number(value) -> bool:
     # json.loads reads NaN and Infinity as floats
     return (isinstance(value, int) and not isinstance(value, bool)
@@ -255,15 +264,17 @@ def normalize_vibration(raw: np.ndarray, cfg: ConverterConfig, *, algorithm_tag:
     # squares of finite samples above ~1e154 overflow; see the non-finite peak below
     with np.errstate(over="ignore"):
         power = np.square(samples)
-        if not n or np.sqrt(np.mean(power)) < _SILENCE_RMS:
+        # every mean is a sum divided by its count, as np.mean computes it
+        if not n or np.sqrt(power.sum() / n) < _SILENCE_RMS:
             raise DegenerateSignalError("degenerate signal: silent converter output")
         segment_len = segment_len or n
         n_full = n - n % segment_len
-        seg_ms = np.mean(power[:n_full].reshape(-1, segment_len), axis=1)
+        # dividing by one count keeps the order, so the largest mean is the largest sum's
+        peak = power[:n_full].reshape(-1, segment_len).sum(axis=1).max(initial=0.0) / segment_len
         if n_full < n:
-            seg_ms = np.append(seg_ms, np.mean(power[n_full:]))
+            peak = np.maximum(peak, power[n_full:].sum() / (n - n_full))
     # a NaN or infinite sample makes its segment's power, and so the peak, non-finite
-    peak = float(seg_ms.max())
+    peak = float(peak)
     if not np.isfinite(peak):
         if not np.isfinite(samples).all():
             raise NonFiniteSignalError(f"{algorithm_tag}: NaN or infinite converter output")
@@ -301,17 +312,28 @@ def _build_table(freq_hz: float | None, n_out: int) -> np.ndarray:
     return table
 
 
-# The time grid and each carrier frequency take one entry: at most 8 * 2 MiB = 16 MiB.
-@lru_cache(maxsize=8)
-def _full_table(freq_hz: float | None) -> np.ndarray:
-    return _build_table(freq_hz, _TABLE_LEN)
+# The kept tables by carrier frequency (None for the grid), least recently used
+# first; _tables_lock guards every read and update.
+_tables: dict[float | None, np.ndarray] = {}
+_tables_lock = threading.Lock()
 
 
 def _carrier_table(freq_hz: float | None, n_out: int) -> np.ndarray:
-    """A zero-phase sine at freq_hz on the output time grid, or the grid for None; read-only."""
-    if n_out <= _TABLE_LEN:
-        return _full_table(freq_hz)[:n_out]
-    return _build_table(freq_hz, n_out)
+    """A zero-phase sine at freq_hz on the output time grid, or the grid for None; read-only.
+
+    Every table is elementwise in the sample index, so a prefix of a longer
+    table equals the table built at n_out, bit for bit.
+    """
+    if n_out > _TABLE_LEN:
+        return _build_table(freq_hz, n_out)
+    with _tables_lock:
+        table = _tables.pop(freq_hz, None)
+        if table is None or len(table) < n_out:
+            table = _build_table(freq_hz, 1 << (n_out - 1).bit_length())
+        _tables[freq_hz] = table
+        if len(_tables) > _MAX_TABLES:
+            del _tables[next(iter(_tables))]
+    return table[:n_out]
 
 
 # Output sample times in seconds, read-only.
@@ -346,12 +368,25 @@ def _normalize_clip(raw: np.ndarray, cfg: ConverterConfig, clip: AudioClip, algo
         raise type(exc)(f"{clip_name(clip)}: {exc}") from exc
 
 
+def _require_finite_features(clip: AudioClip, feature: str, *tracks: np.ndarray) -> None:
+    """Raise NonFiniteSignalError naming the clip if a per-frame feature track is not finite.
+
+    Finite input of huge amplitude (a peak near 1e152 and above) overflows
+    squared spectra and frame powers. The features are computed with
+    overflow warnings off and checked here, on frame-rate arrays.
+    """
+    if not all(np.isfinite(track).all() for track in tracks):
+        raise NonFiniteSignalError(f"{clip_name(clip)}: input overflowed: non-finite {feature}")
+
+
 def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (intensity, roughness) tracks for the perceptual mapping."""
     require_finite(clip)
     frame_size = cfg.plm.frame_size
-    loudness, raw_rough = psycho.loudness_roughness_frames(
-        clip.samples, frame_size, frame_size, clip.sample_rate, cfg.psycho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loudness, raw_rough = psycho.loudness_roughness_frames(
+            clip.samples, frame_size, frame_size, clip.sample_rate, cfg.psycho)
+    _require_finite_features(clip, "loudness or roughness", loudness, raw_rough)
     a0, a1 = cfg.plm.intensity_map
     b0, b1, b2 = cfg.plm.roughness_map
     # fmax, not maximum: a NaN feature maps to 0 rather than propagating
@@ -362,7 +397,7 @@ def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarra
 
 def convert_plm(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """Loudness/roughness mapping onto two fixed sinusoidal carriers."""
-    cfg = cfg or default_config()
+    cfg = cfg or _DEFAULT_CONFIG
     pc = cfg.plm
     intensity, vib_rough = plm_feature_tracks(clip, cfg)
 
@@ -395,7 +430,7 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
     8 kHz follow at that rate.
     """
     require_finite(clip)
-    cfg = cfg or default_config()
+    cfg = cfg or _DEFAULT_CONFIG
     want = _output_length(len(clip.samples), clip.sample_rate)
     if want == 0:  # no output sample; the decimated clip could be empty
         return np.zeros(0)
@@ -413,7 +448,7 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
 
 def convert_fshift(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """Octave down-shift summation with band-pass shaping."""
-    cfg = cfg or default_config()
+    cfg = cfg or _DEFAULT_CONFIG
     return _normalize_clip(fshift_raw(clip, cfg), cfg, clip, "fshift")
 
 
@@ -428,9 +463,12 @@ def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.nda
     require_finite(clip)
     pc = cfg.pitch
     window, hop = _pitch_window(pc, clip.sample_rate)
-    specific = psycho.specific_loudness_frames(clip.samples, window, hop, clip.sample_rate,
-                                               cfg.psycho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        specific = psycho.specific_loudness_frames(clip.samples, window, hop, clip.sample_rate,
+                                                   cfg.psycho)
+    # a NaN or infinite band makes its frame's total so
     totals = specific.sum(axis=1, keepdims=True)
+    _require_finite_features(clip, "specific loudness", totals)
     features = np.divide(specific, totals, out=specific.copy(),
                          where=(totals > 0) & pc.normalize_features)
     freqs = np.clip(pc.regression_coeffs[-1] + features @ np.asarray(pc.regression_coeffs[:-1]),
@@ -440,7 +478,7 @@ def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.nda
 
 def convert_pitch(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """Bark-profile regression to a single time-varying carrier frequency."""
-    cfg = cfg or default_config()
+    cfg = cfg or _DEFAULT_CONFIG
     freqs, amps = pitch_frequency_track(clip, cfg)
     window, hop = _pitch_window(cfg.pitch, clip.sample_rate)
     return _output_vibration((freqs, amps), _nco, clip, window, hop,
@@ -450,10 +488,12 @@ def convert_pitch(clip: AudioClip, cfg: ConverterConfig | None = None) -> Vibrat
 def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
     """RMS-envelope mapping onto a 200 Hz carrier with +/-50 Hz modulation."""
     require_finite(clip)
-    cfg = cfg or default_config()
+    cfg = cfg or _DEFAULT_CONFIG
     hc = cfg.hapticgen
     window = ms_to_samples(hc.window_ms, clip.sample_rate)
-    rms = frame_rms(clip.samples, window, window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rms = frame_rms(clip.samples, window, window)
+    _require_finite_features(clip, "frame RMS", rms)
     peak = float(rms.max())
     if peak <= 0.0:
         raise DegenerateSignalError(f"{clip_name(clip)}: degenerate signal: silent input")
@@ -478,4 +518,4 @@ def convert(clip: AudioClip, algorithm: str, cfg: ConverterConfig | None = None)
         converter = _CONVERTERS[algorithm]
     except KeyError:
         raise ValueError(f"unknown algorithm tag: {algorithm!r}") from None
-    return converter(clip, cfg or default_config())
+    return converter(clip, cfg or _DEFAULT_CONFIG)

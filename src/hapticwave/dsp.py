@@ -45,7 +45,11 @@ def frame_signal(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     """
     if len(signal) < frame_size:
         signal = fit_length(signal, frame_size)
-    return np.lib.stride_tricks.sliding_window_view(signal, frame_size)[::hop]
+    # the shape and strides of sliding_window_view(signal, frame_size)[::hop]
+    step = signal.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        signal, ((len(signal) - frame_size) // hop + 1, frame_size), (hop * step, step),
+        writeable=False)
 
 
 def _spectrum_blocks(signal: np.ndarray, frame_size: int, hop: int,
@@ -125,6 +129,14 @@ def _butter_sos(kind: str, cutoff: float, q: float, order: int, sample_rate: int
     return sos
 
 
+@lru_cache(maxsize=32)
+def _stacked_sos(specs: tuple[tuple[str, float, float, int], ...], sample_rate: int) -> np.ndarray:
+    """The sections of each (kind, cutoff, q, order) spec at one rate, stacked once; read-only."""
+    sos = np.vstack([_butter_sos(*spec, sample_rate) for spec in specs])
+    sos.flags.writeable = False
+    return sos
+
+
 def butterworth_filter(signal: np.ndarray, spec: FilterSpec | tuple[FilterSpec, ...],
                        sample_rate: int) -> np.ndarray:
     """Causal Butterworth filtering as a cascade of biquad sections.
@@ -135,10 +147,28 @@ def butterworth_filter(signal: np.ndarray, spec: FilterSpec | tuple[FilterSpec, 
     from scipy.signal import sosfilt
 
     specs = spec if isinstance(spec, tuple) else (spec,)
-    # vstack copies the cached sections: sosfilt needs a writable array
-    sos = np.vstack([_butter_sos(s.kind, s.center_or_cutoff, s.q, s.order, sample_rate)
-                     for s in specs])
-    return sosfilt(sos, np.asarray(signal, dtype=np.float64))
+    sos = _stacked_sos(tuple((s.kind, s.center_or_cutoff, s.q, s.order) for s in specs),
+                       sample_rate)
+    # sosfilt needs a writable array
+    return sosfilt(sos.copy(), np.asarray(signal, dtype=np.float64))
+
+
+@lru_cache(maxsize=32)
+def _overlap_norm(fft_size: int, hop: int, m: int) -> np.ndarray:
+    """_istft's window-square sums over m = min(n_frames, k) frames, (m + k - 1, hop); read-only.
+
+    Output blocks k - 1 to n_frames - 1 each sum all k window blocks, so the
+    sums are added up over at most k frames; each is floored at 1e-8.
+    """
+    k = -(-fft_size // hop)
+    window = hann_window(fft_size)
+    w2 = np.pad(window * window, (0, k * hop - fft_size)).reshape(k, hop)
+    norm = np.zeros((m + k - 1, hop))
+    for j in range(k - 1, -1, -1):
+        norm[j:j + m] += w2[j]
+    np.maximum(norm, 1e-8, out=norm)
+    norm.flags.writeable = False
+    return norm
 
 
 def _istft(n_frames: int, blocks: Iterable[tuple[slice, np.ndarray]], fft_size: int, hop: int,
@@ -163,14 +193,8 @@ def _istft(n_frames: int, blocks: Iterable[tuple[slice, np.ndarray]], fft_size: 
         frames = frames.reshape(len(frames), k, hop)
         for j in range(k - 1, -1, -1):
             out[rows.start + j:rows.stop + j] += frames[:, j]
-    # Output blocks k - 1 to n_frames - 1 each sum all k window blocks, so the
-    # window-square sums are added up over at most k frames.
-    w2 = np.pad(window * window, (0, pad)).reshape(k, hop)
     m = min(n_frames, k)
-    norm = np.zeros((m + k - 1, hop))
-    for j in range(k - 1, -1, -1):
-        norm[j:j + m] += w2[j]
-    np.maximum(norm, 1e-8, out=norm)
+    norm = _overlap_norm(fft_size, hop, m)
     head = min(k - 1, n_frames)
     out[:head] /= norm[:head]
     out[head:n_frames] /= norm[k - 1]
@@ -309,7 +333,8 @@ def frame_rms(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, hop)
     rms = np.empty(len(frames))
     for rows in _block_rows(len(frames), frame_size):
-        np.mean(np.square(frames[rows]), axis=1, out=rms[rows])
+        np.square(frames[rows]).sum(axis=1, out=rms[rows])
+    rms /= frame_size  # the division np.mean makes
     return np.sqrt(rms, out=rms)
 
 

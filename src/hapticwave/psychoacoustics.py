@@ -160,13 +160,17 @@ def _peaks(mags: np.ndarray, bin_hz: float, config: PsychoConfig) -> tuple[np.nd
     inner = mags[:, 1:-1]
     floor = mags.max(axis=1, keepdims=True) * 10.0 ** (config.peak_floor_db / 20.0)
     is_peak = (inner > mags[:, :-2]) & (inner >= mags[:, 2:]) & (inner >= floor)
-    score = np.where(is_peak, inner, -np.inf)
-    k = min(config.max_peaks, score.shape[1])
-    top = np.sort(np.argpartition(-score, k - 1, axis=1)[:, :k], axis=1)
-    valid = np.take_along_axis(score, top, axis=1) > -np.inf
+    # Each peak exceeds its left neighbour (>= 0), so it is positive and costs
+    # -magnitude < 0; every other bin costs -0.0. The bins compare as they
+    # would with +inf for every other bin, so argpartition picks the same ones.
+    cost = np.multiply(inner, is_peak)
+    np.negative(cost, out=cost)
+    k = min(config.max_peaks, cost.shape[1])
+    top = np.sort(np.argpartition(cost, k - 1, axis=1)[:, :k], axis=1)
+    rows = np.arange(len(mags))[:, None]
+    valid = cost[rows, top] < 0.0
     bins = top + 1
-    a, b, c = (np.where(valid, np.log(np.take_along_axis(mags, bins + o, axis=1) + 1e-30), np.nan)
-               for o in (-1, 0, 1))
+    a, b, c = (np.where(valid, np.log(mags[rows, bins + o] + 1e-30), np.nan) for o in (-1, 0, 1))
     denom = a - 2.0 * b + c
     flat = np.abs(denom) <= 1e-12
     delta = np.where(flat, 0.0, 0.5 * (a - c) / np.where(flat, 1.0, denom))
@@ -183,8 +187,17 @@ def _pair_roughness(f1: np.ndarray, a1: np.ndarray, f2: np.ndarray, a2: np.ndarr
     return amplitude * fluctuation * separation
 
 
+@lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1): every (i, j) with i < j < n, built once per n and read-only."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _roughness(freqs: np.ndarray, amps: np.ndarray, config: PsychoConfig) -> np.ndarray:
     """Per-row sum of the pair terms over every two peaks; NaN slots add nothing."""
-    i, j = np.triu_indices(freqs.shape[-1], k=1)
+    i, j = _pairs(freqs.shape[-1])
     return np.nansum(_pair_roughness(freqs[..., i], amps[..., i], freqs[..., j], amps[..., j],
                                      config), axis=-1)

@@ -11,6 +11,7 @@ import pytest
 from hapticwave.audio_io import (
     AudioClip,
     VibrationSignal,
+    fit_length,
     load_wav,
     resample,
     resample_samples,
@@ -105,6 +106,32 @@ class TestLoadSave:
         assert issubclass(NonFiniteSignalError, HapticwaveError)
         assert not path.exists()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "out.wav"
+        old = sine_clip(100.0, duration=0.2)
+        if existing:
+            save_wav(old, path)
+            before = path.read_bytes()
+
+        def half_then_fail(self, data):
+            self.writeframesraw(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(wave.Wave_write, "writeframes", half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_wav(sine_clip(300.0, duration=0.5), path)
+        assert [p.name for p in tmp_path.iterdir()] == (["out.wav"] if existing else [])
+        if existing:
+            assert path.read_bytes() == before
+
+    def test_write_replaces_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.wav"
+        save_wav(sine_clip(100.0, duration=0.2), path)
+        save_wav(AudioClip(np.full(10, 0.25), 8000), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.wav"]
+        np.testing.assert_array_equal(load_wav(path).samples, np.full(10, 0.25))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_wav(tmp_path / "nope.wav")
@@ -135,6 +162,19 @@ class TestLoadSave:
         save_wav(clip, p1)
         save_wav(clip, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestFitLength:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.int16, np.int64])
+    def test_keeps_dtype(self, dtype):
+        x = np.arange(1, 6).astype(dtype)
+        padded = fit_length(x, 8)
+        assert padded.dtype == dtype
+        np.testing.assert_array_equal(padded, np.pad(x, (0, 3)))
+        assert not np.shares_memory(padded, x)
+        cut = fit_length(x, 3)
+        assert cut.dtype == dtype and np.array_equal(cut, x[:3])
+        assert fit_length(x, 5).dtype == dtype
 
 
 class TestResample:

@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import warnings
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from hapticwave.audio_io import AudioClip, resample_samples
+from hapticwave import converters
 from hapticwave.converters import (
+    _DEFAULT_CONFIG,
+    _MAX_TABLES,
     _TABLE_LEN,
     CONVERTER_TAGS,
     _carrier_table,
     _frame_centers,
-    _full_table,
     _pitch_window,
+    _tables,
     _time_grid,
     apply_config_overrides,
     convert,
@@ -395,7 +400,8 @@ class TestNormalizeReference:
 
 
 class TestNonFiniteOutput:
-    @pytest.mark.parametrize("segment_len", [None, 80])
+    # at 4200 the bad sample lies in the partial last segment
+    @pytest.mark.parametrize("segment_len", [None, 80, 4200])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_normalize_rejects_naming_the_algorithm(self, segment_len, bad):
         raw = 0.1 * np.random.default_rng(9).standard_normal(8000)
@@ -437,6 +443,22 @@ class TestNonFiniteInput:
         clip.samples[SR // 3] = bad
         with pytest.raises(NonFiniteSignalError, match="door_slam"):
             converter(clip)
+
+
+class TestHugeFiniteInput:
+    """Finite input whose powers overflow: a typed error naming the clip, or fshift's output."""
+
+    @pytest.mark.parametrize("algo", CONVERTER_TAGS)
+    def test_peak_1e154(self, algo):
+        x = np.random.default_rng(21).standard_normal(SR)
+        clip = AudioClip(x * (1e154 / np.abs(x).max()), SR, "jet_engine")
+        if algo == "fshift":
+            out = convert(clip, algo)
+            assert len(out.samples) == 8000
+            assert np.all(np.isfinite(out.samples)) and np.abs(out.samples).max() <= 1.0
+            return
+        with pytest.raises(NonFiniteSignalError, match="^clip jet_engine: input overflowed: "):
+            convert(clip, algo)
 
 
 class TestStageFiniteness:
@@ -573,19 +595,64 @@ class TestOutputStage:
         assert np.shares_memory(grid, _time_grid(n)) == (n <= _TABLE_LEN)
 
     def test_one_table_per_carrier(self):
-        _full_table.cache_clear()
+        _tables.clear()
         for n in range(1000, 1040):
             _time_grid(n)
             _carrier_table(175.0, n)
-        info = _full_table.cache_info()
-        assert (info.misses, info.hits, info.maxsize) == (2, 78, 8)
+        assert list(_tables) == [None, 175.0]
         for freq in np.linspace(100.0, 300.0, 20):
             _carrier_table(float(freq), 8000)
-        assert _full_table.cache_info().currsize == 8
-        misses = _full_table.cache_info().misses
-        _carrier_table(175.0, _TABLE_LEN + 1)  # built, not kept
+        # the least recently used go first
+        assert len(_tables) == _MAX_TABLES == 8
+        assert list(_tables) == [float(f) for f in np.linspace(100.0, 300.0, 20)[-8:]]
+        kept = dict(_tables)
+        _carrier_table(300.0, _TABLE_LEN + 1)  # built, not kept
         _time_grid(_TABLE_LEN + 1)
-        assert _full_table.cache_info().misses == misses
+        assert all(_tables[f] is kept[f] for f in kept) and len(_tables) == 8
+
+    def test_tables_sized_to_need(self):
+        _tables.clear()
+        first = _carrier_table(175.0, 1000)
+        assert len(_tables[175.0]) == 1024
+        assert np.shares_memory(first, _carrier_table(175.0, 1024))  # read from the kept table
+        for n, size in [(1025, 2048), (10, 2048), (8000, 8192), (_TABLE_LEN, _TABLE_LEN),
+                        (_TABLE_LEN + 1, _TABLE_LEN), (1, _TABLE_LEN)]:
+            table = _carrier_table(175.0, n)
+            assert len(_tables[175.0]) == size
+            t = np.arange(n) / 8000
+            np.testing.assert_array_equal(table, np.sin(2.0 * np.pi * 175.0 * t))
+
+    def test_tables_shared_by_threads(self):
+        freqs = [None] + [100.0 + 10.0 * i for i in range(11)]  # more carriers than kept tables
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for i in range(5000):  # every call evicts a table, mostly on a short output
+                    freq = freqs[(seed + i) % len(freqs)]
+                    n = int(rng.integers(1, 20000 if i % 100 == 0 else 64))
+                    table = _carrier_table(freq, n)
+                    t = np.arange(n) / 8000
+                    want = t if freq is None else np.sin(2.0 * np.pi * freq * t)
+                    if not np.array_equal(table, want):
+                        errors.append((freq, n))
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append((seed, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(_tables) <= _MAX_TABLES
 
     @pytest.mark.parametrize("algo", CONVERTER_TAGS)
     def test_outputs_own_their_samples(self, algo, am_clip):
@@ -615,6 +682,19 @@ class TestDispatch:
         via_dispatch = convert(am_clip, "plm")
         direct = convert_plm(am_clip)
         assert np.array_equal(via_dispatch.samples, direct.samples)
+
+    @pytest.mark.parametrize("algo", CONVERTER_TAGS)
+    def test_shared_default_config(self, am_clip, algo):
+        before = asdict(_DEFAULT_CONFIG)
+        assert before == asdict(default_config())
+        assert default_config() is not _DEFAULT_CONFIG
+        want = convert(am_clip, algo, default_config())
+        for out in (convert(am_clip, algo), converters._CONVERTERS[algo](am_clip)):
+            assert np.array_equal(out.samples, want.samples)
+            assert out.clipped_fraction == want.clipped_fraction
+        apply_config_overrides(default_config(), {"plm.carrier_mix": "0.9", "psycho.max_peaks": "3",
+                                                  "pitch.regression_coeffs": str([1.0] * 25)})
+        assert asdict(_DEFAULT_CONFIG) == before
 
     def test_deterministic(self, am_clip):
         a = convert(am_clip, "fshift")

@@ -13,6 +13,7 @@ from hapticwave import audio_io, dsp
 from hapticwave.audio_io import (
     AudioClip,
     _kaiser_lowpass,
+    _ratio,
     halve_rate,
     resample_by_ratio,
     resample_samples,
@@ -25,6 +26,8 @@ from hapticwave.dsp import (
     _analysis,
     _butter_sos,
     _istft,
+    _overlap_norm,
+    _stacked_sos,
     _stretch_frames,
     butterworth_filter,
     frame_signal,
@@ -301,6 +304,21 @@ class TestVocoderEquivalence:
                           for i in range(0, n_frames, step)]
                 assert np.array_equal(_istft(n_frames, blocks, 2048, hop, length), want)
 
+    @pytest.mark.parametrize("grid", VOCODER_GRIDS)
+    def test_overlap_norm_equals_inline_sums(self, grid):
+        fft_size, hop = grid
+        hop = hop or fft_size // 4
+        k = -(-fft_size // hop)
+        w2 = np.pad(hann_window(fft_size) ** 2, (0, k * hop - fft_size)).reshape(k, hop)
+        for m in range(1, k + 1):
+            want = np.zeros((m + k - 1, hop))
+            for j in range(k - 1, -1, -1):
+                want[j:j + m] += w2[j]
+            norm = _overlap_norm(fft_size, hop, m)
+            assert np.array_equal(norm, np.maximum(want, 1e-8))
+            assert not norm.flags.writeable
+            assert _overlap_norm(fft_size, hop, m) is norm
+
     @pytest.mark.parametrize("kind,sr", VOCODER_CASES)
     @pytest.mark.parametrize("grid", VOCODER_GRIDS)
     def test_stretch_frames_match_loop(self, kind, sr, grid):
@@ -509,6 +527,23 @@ class TestCachedDesign:
         assert not h.flags.writeable
         assert _kaiser_lowpass(80, 441) is h
 
+    def test_stacked_filters_are_read_only_and_reused(self):
+        specs = (("highpass", 10.0, 1.0, 2), ("bandpass", 250.0, 1.0, 4))
+        sos = _stacked_sos(specs, 22050)
+        assert not sos.flags.writeable
+        assert _stacked_sos(specs, 22050) is sos
+        assert np.array_equal(sos, np.vstack([_butter_sos(*spec, 22050) for spec in specs]))
+
+    @pytest.mark.parametrize("target, source", [(8000, 44100), (8000, 44103), (8000, 7999),
+                                                (22050, 44100), (1, 1),
+                                                (2.0 ** (-12 / 12.0), 1), (2.0 ** (1.3 / 12.0), 1)])
+    def test_ratios_equal_limit_denominator(self, target, source):
+        frac = (Fraction(target) / source).limit_denominator(1000)
+        assert _ratio(target, source) == (frac.numerator, frac.denominator)
+        if source != 1:
+            assert _ratio(target, source) == (Fraction(target, source).limit_denominator(1000)
+                                              .as_integer_ratio())
+
     def test_mel_filterbank_is_read_only_and_reused(self):
         bank = mel_filterbank(26, 2048, 44100)
         assert not bank.flags.writeable
@@ -683,6 +718,26 @@ class TestFrameRms:
 
 
 class TestFrameSignal:
+    @pytest.mark.parametrize("frame_size, hop", [(1024, 256), (441, 220), (64, 64), (16, 40),
+                                                 (5, 1)])
+    def test_equals_sliding_window_view(self, frame_size, hop):
+        rng = np.random.default_rng(frame_size + hop)
+        for n in (0, 1, frame_size - 1, frame_size, frame_size + 1, frame_size + hop,
+                  3 * frame_size + 2 * hop + 1):
+            x = rng.standard_normal(n)
+            frames = frame_signal(x, frame_size, hop)
+            padded = np.pad(x, (0, max(0, frame_size - n)))
+            want = np.lib.stride_tricks.sliding_window_view(padded, frame_size)[::hop]
+            assert frames.shape == want.shape and frames.strides == want.strides
+            assert np.array_equal(frames, want)
+            assert not frames.flags.writeable
+            assert n < frame_size or np.shares_memory(frames, x)
+
+    def test_strided_input(self):
+        x = np.random.default_rng(1).standard_normal(5000)[::3]
+        want = np.lib.stride_tricks.sliding_window_view(x, 100)[::30]
+        assert np.array_equal(frame_signal(x, 100, 30), want)
+
     @pytest.mark.parametrize("n", [0, 1, 300, 1023])
     def test_short_signal_padded_to_one_frame(self, n):
         x = np.random.default_rng(n).standard_normal(n)

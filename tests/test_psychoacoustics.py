@@ -17,6 +17,7 @@ from hapticwave.psychoacoustics import (
     SPECIFIC_LOUDNESS_MIN_FRAME,
     PsychoConfig,
     _band_matrix,
+    _pairs,
     _peaks,
     analysis_tables,
     bark_band_index,
@@ -142,7 +143,57 @@ def _scalar_pair_roughness(f1, a1, f2, a2, c=DEFAULT_PSYCHO_CONFIG):
     return amplitude * fluctuation * (np.exp(c.kernel_b1 * s * df) - np.exp(c.kernel_b2 * s * df))
 
 
+def _reference_peaks(mags, bin_hz, config):
+    """_peaks with a -inf score for every bin that is no peak and take_along_axis gathers."""
+    inner = mags[:, 1:-1]
+    floor = mags.max(axis=1, keepdims=True) * 10.0 ** (config.peak_floor_db / 20.0)
+    is_peak = (inner > mags[:, :-2]) & (inner >= mags[:, 2:]) & (inner >= floor)
+    score = np.where(is_peak, inner, -np.inf)
+    k = min(config.max_peaks, score.shape[1])
+    top = np.sort(np.argpartition(-score, k - 1, axis=1)[:, :k], axis=1)
+    valid = np.take_along_axis(score, top, axis=1) > -np.inf
+    bins = top + 1
+    a, b, c = (np.where(valid, np.log(np.take_along_axis(mags, bins + o, axis=1) + 1e-30), np.nan)
+               for o in (-1, 0, 1))
+    denom = a - 2.0 * b + c
+    flat = np.abs(denom) <= 1e-12
+    delta = np.where(flat, 0.0, 0.5 * (a - c) / np.where(flat, 1.0, denom))
+    return (bins + delta) * bin_hz, np.exp(b - 0.25 * (a - c) * delta)
+
+
+def _peak_rows(n_bins: int, seed: int) -> np.ndarray:
+    """Seeded magnitude rows: noise, a few tones, quantized levels with tied peaks, flat, zero."""
+    rng = np.random.default_rng(seed)
+    noise = np.abs(rng.standard_normal((6, n_bins)))
+    sparse = np.zeros((4, n_bins))
+    for row in sparse:  # 1 to 4 peaks, fewer than max_peaks
+        inner = np.arange(1, n_bins - 1)
+        row[rng.choice(inner, size=min(len(inner), rng.integers(1, 5)), replace=False)] = 1.0
+    tied = np.round(4.0 * rng.random((4, n_bins)))
+    floored = noise[:2] * np.where(rng.random((2, n_bins)) < 0.02, 1.0, 1e-6)  # few above the floor
+    return np.vstack([noise, sparse, tied, floored, np.full((2, n_bins), 0.7),
+                      np.zeros((2, n_bins))])
+
+
 class TestBatchedCore:
+    @pytest.mark.parametrize("n_bins", [3, 5, 12, 257, 2049])
+    @pytest.mark.parametrize("max_peaks", [1, 3, 10, 40])
+    def test_peaks_equal_reference(self, n_bins, max_peaks):
+        config = PsychoConfig(max_peaks=max_peaks)
+        for seed in range(3):
+            mags = _peak_rows(n_bins, seed)
+            for got, want in zip(_peaks(mags, 10.7, config), _reference_peaks(mags, 10.7, config)):
+                assert got.shape == want.shape == (len(mags), min(max_peaks, n_bins - 2))
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 40])
+    def test_pairs_cached_and_read_only(self, n):
+        i, j = _pairs(n)
+        want_i, want_j = np.triu_indices(n, k=1)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        assert not i.flags.writeable and not j.flags.writeable
+        assert _pairs(n)[0] is i
+
     def test_tables_cached_and_read_only(self):
         bands = analysis_tables(441, SR)
         assert analysis_tables(441, SR) is bands
