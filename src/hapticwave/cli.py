@@ -44,19 +44,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      help="override a config field, e.g. --set plm.carrier_mix=0.4")
 
 
-def _resolve_config(args) -> converters.ConverterConfig:
-    cfg = converters.default_config()
-    if args.config:
-        cfg = converters.load_converter_config(args.config)
-    overrides = {}
-    for item in args.overrides:
-        if "=" not in item:
-            raise _CliValidationError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key] = value
-    return converters.apply_config_overrides(cfg, overrides)
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The hapticwave argument parser, built once per process.
@@ -139,7 +126,7 @@ def _parse_algos(text: str) -> tuple[str, ...]:
 
 
 def _cmd_convert(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = converters.load_converter_config(args.config, args.overrides)
     clip = load_wav(args.input)
     save_wav(converters.convert(clip, args.algo, cfg), args.out)
     return EXIT_OK
@@ -160,7 +147,7 @@ def _batch_one(task) -> tuple[str, bool] | None:
 
 
 def _cmd_batch(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = converters.load_converter_config(args.config, args.overrides)
     algos = _parse_algos(args.algos)
     if args.workers < 0:
         raise _CliValidationError(f"--workers must be >= 0, got {args.workers}")

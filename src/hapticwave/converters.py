@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import threading
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -220,32 +221,34 @@ def _merge_section(section, overrides, context: str):
     return replace(section, **kwargs)
 
 
-def load_converter_config(path: str | Path) -> ConverterConfig:
-    """Apply a JSON config file (nested by section) on top of the defaults."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read converter config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    return _merge_section(default_config(), raw, "config")
-
-
-def apply_config_overrides(cfg: ConverterConfig, overrides: dict[str, str]) -> ConverterConfig:
-    """Apply dotted-path overrides like {"plm.carrier_mix": "0.4"}."""
-    nested: dict = {}
-    for dotted, text in overrides.items():
-        parts = dotted.split(".")
-        node = nested
-        for part in parts[:-1]:
+def load_converter_config(path: str | Path | None = None,
+                          overrides: Iterable[str] = ()) -> ConverterConfig:
+    """The defaults, then a JSON config file (nested by section), then dotted KEY=VALUE
+    overrides such as "plm.carrier_mix=0.4" in order, merged into one object and validated once."""
+    raw = {}
+    if path:  # "" (an empty --config) reads no file, as None does
+        try:
+            raw = json.loads(Path(path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise SchemaError(f"cannot read converter config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{path}: expected a JSON object")
+    for item in overrides:
+        dotted, sep, text = item.partition("=")
+        if not sep:
+            raise SchemaError(f"--set expects KEY=VALUE, got {item!r}")
+        *sections, key = dotted.split(".")
+        node = raw
+        for part in sections:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise SchemaError(f"config key config.{dotted}: {part} is not a section")
         try:
-            node[parts[-1]] = json.loads(text)
+            node[key] = json.loads(text)
         except json.JSONDecodeError:
-            node[parts[-1]] = text
-    return _merge_section(cfg, nested, "config")
+            node[key] = text
+    # a fresh config, not _DEFAULT_CONFIG: replace() hands back the sections it leaves alone
+    return _merge_section(default_config(), raw, "config")
 
 
 def normalize_vibration(raw: np.ndarray, cfg: ConverterConfig, *, algorithm_tag: str,

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import AudioClip, clip_name, fit_length, resample_by_ratio
+from .audio_io import AudioClip, clip_name, fit_length, require_finite, resample_by_ratio
 from .errors import DegenerateSignalError
 
 # Frame analyses run over consecutive blocks of at most this many bytes of
@@ -41,8 +41,10 @@ def frame_signal(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     n_frames = floor((len - frame_size) / hop) + 1, so a trailing partial
     frame is dropped, and the result is a read-only strided view of the
     signal. A signal shorter than one frame, empty included, is zero-padded
-    at the end to exactly one frame.
+    at the end to exactly one frame. frame_size or hop below 1 raises ValueError.
     """
+    if frame_size < 1 or hop < 1:
+        raise ValueError("frame size and hop must be at least 1 sample")
     if len(signal) < frame_size:
         signal = fit_length(signal, frame_size)
     # the shape and strides of sliding_window_view(signal, frame_size)[::hop]
@@ -273,8 +275,10 @@ def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...], fft_size:
     Phase-vocoder time scaling followed by band-limited resampling; the
     output has exactly the input's length. A tuple of shifts returns the sum
     of the shifted copies, all read from one analysis STFT. An empty clip
-    raises DegenerateSignalError.
+    raises DegenerateSignalError, and NaN or infinite samples raise
+    NonFiniteSignalError.
     """
+    require_finite(clip)
     shifts = semitones if isinstance(semitones, tuple) else (semitones,)
     if any(abs(s) > 24 for s in shifts):
         raise ValueError("semitone shift limited to +/-24")
@@ -328,8 +332,6 @@ def nco_synthesize(freq_track: np.ndarray, amp_track: np.ndarray, sample_rate: i
 
 def frame_rms(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     """Short-term RMS of every frame_size-sample frame, hop apart, cut as by frame_signal."""
-    if frame_size < 1 or hop < 1:
-        raise ValueError("frame size and hop must be at least 1 sample")
     frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, hop)
     rms = np.empty(len(frames))
     for rows in _block_rows(len(frames), frame_size):

@@ -87,6 +87,28 @@ class TestConvert:
         assert written["file"] == written["set"] != written["plain"]
         assert written["file_then_set"] == written["plain"]  # --set applies over --config
 
+    def test_config_file_and_set_validated_together(self, tone_wav, tmp_path):
+        # f_min 500 alone breaks f_min < f_max; with the --set f_max it is valid
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pitch": {"f_min_hz": 500}}))
+        argv = ["convert", "--algo", "pitch", "--in", str(tone_wav)]
+        split, both_set = tmp_path / "split.wav", tmp_path / "both_set.wav"
+        assert run(argv + ["--out", str(split), "--config", str(cfg),
+                           "--set", "pitch.f_max_hz=800"]) == 0
+        assert run(argv + ["--out", str(both_set), "--set", "pitch.f_min_hz=500",
+                           "--set", "pitch.f_max_hz=800"]) == 0
+        assert split.read_bytes() == both_set.read_bytes()
+
+    def test_set_invalidating_valid_config_file(self, tone_wav, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fshift": {"bp_q": 2.0}}))
+        argv = ["convert", "--algo", "fshift", "--in", str(tone_wav), "--config", str(cfg)]
+        assert run(argv + ["--out", str(tmp_path / "ok.wav")]) == 0
+        out = tmp_path / "o.wav"
+        assert run(argv + ["--out", str(out), "--set", "fshift.bp_q=0"]) == 1
+        assert capsys.readouterr().err == "error: fshift.bp_q must be positive\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("body, message", [
         (None, "cannot read converter config"),
         ("{", "cannot read converter config"),

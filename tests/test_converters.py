@@ -23,7 +23,6 @@ from hapticwave.converters import (
     _pitch_window,
     _tables,
     _time_grid,
-    apply_config_overrides,
     convert,
     convert_fshift,
     convert_hapticgen,
@@ -692,8 +691,8 @@ class TestDispatch:
         for out in (convert(am_clip, algo), converters._CONVERTERS[algo](am_clip)):
             assert np.array_equal(out.samples, want.samples)
             assert out.clipped_fraction == want.clipped_fraction
-        apply_config_overrides(default_config(), {"plm.carrier_mix": "0.9", "psycho.max_peaks": "3",
-                                                  "pitch.regression_coeffs": str([1.0] * 25)})
+        load_converter_config(overrides=["plm.carrier_mix=0.9", "psycho.max_peaks=3",
+                                         f"pitch.regression_coeffs={[1.0] * 25}"])
         assert asdict(_DEFAULT_CONFIG) == before
 
     def test_deterministic(self, am_clip):
@@ -735,30 +734,63 @@ class TestConfig:
         with pytest.raises(SchemaError):
             load_converter_config(path)
 
+    def test_file_and_overrides_merge_into_one_config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pitch": {"f_min_hz": 500.0},
+                                    "plm": {"carrier_mix": 0.9, "frame_size": 2048}}))
+        # f_min 500 is only valid with the f_max the override brings
+        cfg = load_converter_config(path, ["pitch.f_max_hz=800", "plm.carrier_mix=0.4"])
+        assert (cfg.pitch.f_min_hz, cfg.pitch.f_max_hz) == (500.0, 800.0)
+        assert cfg.plm.carrier_mix == 0.4
+        assert cfg.plm.frame_size == 2048
+        assert cfg == load_converter_config(overrides=[
+            "pitch.f_min_hz=500", "plm.frame_size=2048", "pitch.f_max_hz=800",
+            "plm.carrier_mix=0.4"])
+
+    def test_override_through_a_file_leaf_is_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"plm": 3}))
+        with pytest.raises(SchemaError,
+                           match="^config key config.plm.frame_size: plm is not a section$"):
+            load_converter_config(path, ["plm.frame_size=2048"])
+
+    @pytest.mark.parametrize("with_input", [False, True])
+    def test_result_shares_no_section_with_default(self, tmp_path, with_input):
+        args = ()
+        if with_input:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"plm": {"carrier_mix": 0.9}}))
+            args = (path, ["pitch.f_max_hz=800"])
+        cfg = load_converter_config(*args)
+        for f in fields(cfg):
+            section = getattr(cfg, f.name)
+            if is_dataclass(section):
+                assert section is not getattr(_DEFAULT_CONFIG, f.name), f.name
+
     def test_dotted_overrides(self):
-        cfg = apply_config_overrides(default_config(), {"plm.carrier_mix": "0.4"})
+        cfg = load_converter_config(overrides=["plm.carrier_mix=0.4"])
         assert cfg.plm.carrier_mix == 0.4
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
-            apply_config_overrides(default_config(), {"pitch.f_min_hz": "500"})
+            load_converter_config(overrides=["pitch.f_min_hz=500"])
         with pytest.raises(ValueError, match="target_segment_rms"):
-            apply_config_overrides(default_config(), {"target_segment_rms": "0"})
+            load_converter_config(overrides=["target_segment_rms=0"])
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"hapticgen.f_dev_hz": "200"}, "hapticgen frequency range must stay inside"),
-        ({"hapticgen.f_center_hz": "3980"}, "hapticgen frequency range must stay inside"),
-        ({"hapticgen.f_dev_hz": "-1"}, "hapticgen frequency range must stay inside"),
-        ({"pitch.regression_coeffs": "[1.0, 2.0]"}, "pitch regression needs 24 band weights"),
-        ({"pitch.regression_coeffs": json.dumps([0.5] * 26)},
+        (["hapticgen.f_dev_hz=200"], "hapticgen frequency range must stay inside"),
+        (["hapticgen.f_center_hz=3980"], "hapticgen frequency range must stay inside"),
+        (["hapticgen.f_dev_hz=-1"], "hapticgen frequency range must stay inside"),
+        (["pitch.regression_coeffs=[1.0, 2.0]"], "pitch regression needs 24 band weights"),
+        ([f"pitch.regression_coeffs={json.dumps([0.5] * 26)}"],
          "pitch regression needs 24 band weights"),
-        ({"pitch.window_ms": "0"}, "pitch.window_ms and hapticgen.window_ms must be positive"),
-        ({"hapticgen.window_ms": "-2.5"},
+        (["pitch.window_ms=0"], "pitch.window_ms and hapticgen.window_ms must be positive"),
+        (["hapticgen.window_ms=-2.5"],
          "pitch.window_ms and hapticgen.window_ms must be positive"),
     ])
     def test_out_of_range_value_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=f"^{message}"):
-            apply_config_overrides(default_config(), overrides)
+            load_converter_config(overrides=overrides)
 
     def test_every_leaf_round_trips_its_default(self):
         def leaves(section, prefix=""):
@@ -773,7 +805,7 @@ class TestConfig:
         assert len(found) == 35
         assert sum(dotted.startswith("psycho.") for dotted, _ in found) == 13
         for dotted, default in found:
-            cfg = apply_config_overrides(default_config(), {dotted: json.dumps(default)})
+            cfg = load_converter_config(overrides=[f"{dotted}={json.dumps(default)}"])
             assert cfg == default_config(), dotted
 
     @pytest.mark.parametrize("dotted,value,algos", [
@@ -781,7 +813,7 @@ class TestConfig:
         ("psycho.kernel_scale", "0.5", ("plm",)),
     ])
     def test_psycho_override_reaches_converters(self, am_clip, dotted, value, algos):
-        cfg = apply_config_overrides(default_config(), {dotted: value})
+        cfg = load_converter_config(overrides=[f"{dotted}={value}"])
         for algo in algos:
             assert not np.array_equal(convert(am_clip, algo, cfg).samples,
                                       convert(am_clip, algo).samples), algo

@@ -18,7 +18,7 @@ from hapticwave.audio_io import (
     resample_by_ratio,
     resample_samples,
 )
-from hapticwave.errors import DegenerateSignalError
+from hapticwave.errors import DegenerateSignalError, NonFiniteSignalError
 from hapticwave.converters import _fshift_work_rate, convert_fshift, default_config, fshift_raw
 from hapticwave.curation import extract_features
 from hapticwave.dsp import (
@@ -211,6 +211,14 @@ class TestPitchShift:
     def test_tuple_range_limit(self):
         with pytest.raises(ValueError):
             pitch_shift(sine_clip(440.0, duration=0.1), (-12.0, 25.0))
+
+    @pytest.mark.parametrize("semitones", [-2.0, (-12.0, -24.0), (0.0,)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_names_clip(self, semitones, bad):
+        x = np.random.default_rng(4).standard_normal(8000)
+        x[4000] = bad
+        with pytest.raises(NonFiniteSignalError, match="^clip hum: 1 NaN or infinite samples$"):
+            pitch_shift(AudioClip(x, 16000, "hum"), semitones)
 
 
 # The per-frame phase vocoder and overlap-add that pitch_shift replaced, kept
@@ -703,10 +711,12 @@ class TestFrameRms:
         out = frame_rms(np.zeros(8000), 80, 40)
         assert not out.any()
 
-    @pytest.mark.parametrize("frame_size, hop", [(0, 80), (80, 0), (-1, 80), (80, -5)])
+    @pytest.mark.parametrize("frame_size, hop", [(0, 80), (80, 0), (-1, 80), (80, -5),
+                                                 (4, 0), (0, 2)])
     def test_size_and_hop_at_least_one(self, frame_size, hop):
-        with pytest.raises(ValueError, match="at least 1 sample"):
-            frame_rms(np.ones(800), frame_size, hop)
+        for frame in (frame_rms, frame_signal):
+            with pytest.raises(ValueError, match="^frame size and hop must be at least 1 sample$"):
+                frame(np.ones(10), frame_size, hop)
 
     @pytest.mark.parametrize("n", [0, 1, 10, 799])
     def test_window_longer_than_signal(self, n):
