@@ -6,7 +6,6 @@ from .audio_io import (
     AudioClip,
     VibrationSignal,
     load_wav,
-    resample,
     save_wav,
 )
 from .analysis import (

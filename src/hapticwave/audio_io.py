@@ -87,6 +87,8 @@ def load_wav(path: str | Path) -> AudioClip:
         raise AudioFormatError(f"{path}: {exc}") from exc
     if width != 2:
         raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
+    if rate == 0:  # read unsigned, so no rate is negative
+        raise AudioFormatError(f"{path}: sample rate 0 Hz")
     if n_frames == 0 or not raw:
         raise AudioFormatError(f"{path}: empty data chunk")
 
@@ -226,9 +228,3 @@ def halve_rate(samples: np.ndarray) -> np.ndarray:
 def resample_by_ratio(samples: np.ndarray, ratio: float) -> np.ndarray:
     """Resample by an arbitrary length ratio via a rational approximation (denominator <= 1000)."""
     return _resample_poly(samples, *_ratio(ratio), int(round(len(samples) * ratio)))
-
-
-def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Resample a clip to a new rate (see resample_samples)."""
-    out = resample_samples(clip.samples, clip.sample_rate, target_rate)
-    return AudioClip(samples=out, sample_rate=target_rate, source_id=clip.source_id)

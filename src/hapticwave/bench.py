@@ -20,7 +20,7 @@ from statistics import mean, stdev
 import numpy as np
 
 from .audio_io import AudioClip
-from .converters import CONVERTER_TAGS, convert, default_config
+from .converters import CONVERTER_TAGS, convert
 from .errors import HapticwaveError, ProtocolError
 
 BENCH_DURATIONS = (1, 2, 5, 10, 20)
@@ -83,15 +83,12 @@ def build_bench_corpus(clips: list[AudioClip]) -> dict[int, Sequence[AudioClip]]
     return {**corpus, 10: _RepeatedSet(clips, 2), 20: _RepeatedSet(clips, 4)}
 
 
-def run_bench(corpus: dict[int, Sequence[AudioClip]], algorithms: tuple[str, ...] = CONVERTER_TAGS,
-              warmup: int = 1) -> list[BenchResult]:
-    """Time each (duration, algorithm) cell under the default config; warmups are discarded."""
-    if warmup < 1:
-        raise ValueError("warmup must be at least 1")
+def run_bench(corpus: dict[int, Sequence[AudioClip]],
+              algorithms: tuple[str, ...] = CONVERTER_TAGS) -> list[BenchResult]:
+    """Time each (duration, algorithm) cell under the default config, after one untimed warm-up."""
     for algo in algorithms:
         if algo not in CONVERTER_TAGS:
             raise ValueError(f"unknown algorithm tag: {algo!r}")
-    cfg = default_config()
 
     results: list[BenchResult] = []
     for duration in sorted(corpus):
@@ -103,13 +100,12 @@ def run_bench(corpus: dict[int, Sequence[AudioClip]], algorithms: tuple[str, ...
         for algo in algorithms:
             clip_id = clips[0].source_id
             try:
-                for _ in range(warmup):
-                    convert(clips[0], algo, cfg)
+                convert(clips[0], algo)
                 latencies = []
                 for clip in clips:
                     clip_id = clip.source_id
                     start = time.perf_counter()
-                    convert(clip, algo, cfg)
+                    convert(clip, algo)
                     latencies.append(time.perf_counter() - start)
             except Exception as exc:
                 raise BenchRunError(clip_id, exc) from exc

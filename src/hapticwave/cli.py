@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Audio-to-vibrotactile conversion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", parents=[], help="convert one WAV to a vibration WAV")
+    p = sub.add_parser("convert", help="convert one WAV to a vibration WAV")
     p.add_argument("--algo", required=True, choices=converters.CONVERTER_TAGS)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clips", required=True, help="directory of 50 five-second WAVs")
     p.add_argument("--durations", default="1,2,5,10,20")
     p.add_argument("--algos", default=",".join(converters.CONVERTER_TAGS))
-    p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--json", dest="json_out", help="write results as JSON")
 
     return parser
@@ -286,7 +285,7 @@ def _cmd_bench(args) -> int:
     clips = [load_wav(p) for p in sorted(clip_dir.glob("*.wav"))]
     corpus = bench.build_bench_corpus(clips)
     corpus = {d: corpus[d] for d in durations}
-    results = bench.run_bench(corpus, algorithms=algos, warmup=args.warmup)
+    results = bench.run_bench(corpus, algorithms=algos)
     print(bench.format_results(results))
     if args.json_out:
         Path(args.json_out).write_text(bench.results_to_json(results))

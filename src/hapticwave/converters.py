@@ -259,16 +259,19 @@ def normalize_vibration(raw: np.ndarray, cfg: ConverterConfig, *, algorithm_tag:
     native frame at the output rate), the last one possibly partial; None
     means one segment spanning the whole signal. The share of samples that
     hit the clamp is the clipped_fraction, and a RuntimeWarning is emitted
-    when it exceeds CLIP_WARN_FRACTION. A NaN or infinite sample raises
-    NonFiniteSignalError naming algorithm_tag.
+    when it exceeds CLIP_WARN_FRACTION. No samples, or an RMS below the
+    silence floor, raise DegenerateSignalError; a NaN or infinite sample
+    raises NonFiniteSignalError naming algorithm_tag.
     """
     samples = np.asarray(raw, dtype=np.float64)
     n = len(samples)
+    if not n:
+        raise DegenerateSignalError("degenerate signal: no output samples")
     # squares of finite samples above ~1e154 overflow; see the non-finite peak below
     with np.errstate(over="ignore"):
         power = np.square(samples)
         # every mean is a sum divided by its count, as np.mean computes it
-        if not n or np.sqrt(power.sum() / n) < _SILENCE_RMS:
+        if np.sqrt(power.sum() / n) < _SILENCE_RMS:
             raise DegenerateSignalError("degenerate signal: silent converter output")
         segment_len = segment_len or n
         n_full = n - n % segment_len

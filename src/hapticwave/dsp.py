@@ -89,9 +89,9 @@ def stft(signal: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
     return mags
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterSpec:
-    """Butterworth filter description; bandpass Q is center over bandwidth."""
+    """Butterworth filter description; bandpass Q is center over bandwidth. Frozen, so hashable."""
 
     kind: str  # "highpass" | "bandpass"
     center_or_cutoff: float
@@ -107,34 +107,31 @@ class FilterSpec:
             raise ValueError("q must be positive")
 
 
-@lru_cache(maxsize=32)
-def _butter_sos(kind: str, cutoff: float, q: float, order: int, sample_rate: int) -> np.ndarray:
-    """Second-order sections for one FilterSpec at one rate, designed once and read-only."""
+def _butter_sos(spec: FilterSpec, sample_rate: int) -> np.ndarray:
+    """Second-order sections for one FilterSpec at one rate."""
     from scipy.signal import butter  # ~1 s to load, so only on the first filter design
 
+    kind, cutoff, q, order = spec.kind, spec.center_or_cutoff, spec.q, spec.order
     nyquist = sample_rate / 2.0
     if kind == "highpass":
         if cutoff >= nyquist:
             raise ValueError("cutoff must be below Nyquist")
-        sos = butter(order, cutoff, btype="highpass", fs=sample_rate, output="sos")
-    else:
-        # Bandpass edges from center frequency and Q = f0 / bandwidth, with f0
-        # the geometric mean of the edges. scipy's N doubles for bandpass, so
-        # N = order/2 yields the requested composite order.
-        half = np.sqrt(1.0 + 1.0 / (4.0 * q**2))
-        low = cutoff * (half - 1.0 / (2.0 * q))
-        high = cutoff * (half + 1.0 / (2.0 * q))
-        if high >= nyquist:
-            raise ValueError("upper band edge must be below Nyquist")
-        sos = butter(order // 2, [low, high], btype="bandpass", fs=sample_rate, output="sos")
-    sos.flags.writeable = False
-    return sos
+        return butter(order, cutoff, btype="highpass", fs=sample_rate, output="sos")
+    # Bandpass edges from center frequency and Q = f0 / bandwidth, with f0
+    # the geometric mean of the edges. scipy's N doubles for bandpass, so
+    # N = order/2 yields the requested composite order.
+    half = np.sqrt(1.0 + 1.0 / (4.0 * q**2))
+    low = cutoff * (half - 1.0 / (2.0 * q))
+    high = cutoff * (half + 1.0 / (2.0 * q))
+    if high >= nyquist:
+        raise ValueError("upper band edge must be below Nyquist")
+    return butter(order // 2, [low, high], btype="bandpass", fs=sample_rate, output="sos")
 
 
 @lru_cache(maxsize=32)
-def _stacked_sos(specs: tuple[tuple[str, float, float, int], ...], sample_rate: int) -> np.ndarray:
-    """The sections of each (kind, cutoff, q, order) spec at one rate, stacked once; read-only."""
-    sos = np.vstack([_butter_sos(*spec, sample_rate) for spec in specs])
+def _stacked_sos(specs: tuple[FilterSpec, ...], sample_rate: int) -> np.ndarray:
+    """The sections of each spec at one rate, designed and stacked once; read-only."""
+    sos = np.vstack([_butter_sos(spec, sample_rate) for spec in specs])
     sos.flags.writeable = False
     return sos
 
@@ -148,9 +145,7 @@ def butterworth_filter(signal: np.ndarray, spec: FilterSpec | tuple[FilterSpec, 
     """
     from scipy.signal import sosfilt
 
-    specs = spec if isinstance(spec, tuple) else (spec,)
-    sos = _stacked_sos(tuple((s.kind, s.center_or_cutoff, s.q, s.order) for s in specs),
-                       sample_rate)
+    sos = _stacked_sos(spec if isinstance(spec, tuple) else (spec,), sample_rate)
     # sosfilt needs a writable array
     return sosfilt(sos.copy(), np.asarray(signal, dtype=np.float64))
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,16 @@ def wav_factory(tmp_path):
         return path
 
     return _make
+
+
+def write_pcm16_wav(path: Path, samples: list[int], rate: int) -> Path:
+    """A mono 16-bit PCM WAV built byte by byte, so its header can hold any rate, 0 included."""
+    data = struct.pack(f"<{len(samples)}h", *samples)
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
+        + b"data" + struct.pack("<I", len(data)) + data
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return path
 
 
 def dominant_frequency(samples: np.ndarray, sr: int) -> float:

@@ -13,7 +13,6 @@ from hapticwave.audio_io import (
     VibrationSignal,
     fit_length,
     load_wav,
-    resample,
     resample_samples,
     save_wav,
 )
@@ -23,7 +22,7 @@ from hapticwave.errors import (
     NonFiniteSignalError,
 )
 
-from conftest import SR, dominant_frequency, sine_clip
+from conftest import SR, dominant_frequency, sine_clip, write_pcm16_wav
 
 
 class TestLoadSave:
@@ -147,6 +146,14 @@ class TestLoadSave:
         with pytest.raises(AudioFormatError):
             load_wav(path)
 
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        samples = [0, 1000, -1000, 32767]
+        assert load_wav(write_pcm16_wav(tmp_path / "ok.wav", samples, 8000)).sample_rate == 8000
+        path = write_pcm16_wav(tmp_path / "norate.wav", samples, 0)
+        with pytest.raises(AudioFormatError) as err:
+            load_wav(path)
+        assert str(err.value) == f"{path}: sample rate 0 Hz"
+
     def test_zero_length_rejected(self, tmp_path):
         path = tmp_path / "empty.wav"
         with wave.open(str(path), "wb") as wav:
@@ -188,20 +195,19 @@ class TestResample:
 
     def test_length_ratio(self):
         clip = sine_clip(100.0, duration=5.0)
-        out = resample(clip, 24000)
-        assert len(out.samples) == 120000
-        assert out.sample_rate == 24000
+        out = resample_samples(clip.samples, SR, 24000)
+        assert len(out) == 120000
 
     def test_identity_rate(self):
         clip = sine_clip(100.0, duration=0.2)
-        out = resample(clip, SR)
-        assert np.array_equal(out.samples, clip.samples)
+        out = resample_samples(clip.samples, SR, SR)
+        assert np.array_equal(out, clip.samples)
 
     def test_tone_survives(self):
         clip = sine_clip(1000.0, duration=1.0)
-        out = resample(clip, 8000)
-        bin_hz = 8000 / len(out.samples)
-        assert abs(dominant_frequency(out.samples, 8000) - 1000.0) <= bin_hz
+        out = resample_samples(clip.samples, SR, 8000)
+        bin_hz = 8000 / len(out)
+        assert abs(dominant_frequency(out, 8000) - 1000.0) <= bin_hz
 
     def test_linearity(self):
         rng = np.random.default_rng(3)

@@ -93,7 +93,7 @@ class TestRunBench:
     def test_result_grid(self, bench_clips):
         corpus = build_bench_corpus(bench_clips)
         subset = {1: corpus[1]}
-        results = run_bench(subset, algorithms=("hapticgen",), warmup=1)
+        results = run_bench(subset, algorithms=("hapticgen",))
         assert len(results) == 1
         row = results[0]
         assert row.clip_count == 250
@@ -107,7 +107,7 @@ class TestRunBench:
         subset = {1: corpus[1], 2: corpus[2], 5: corpus[5]}
         latencies = np.full(3, np.inf)
         for _ in range(3):
-            results = run_bench(subset, algorithms=("hapticgen",), warmup=1)
+            results = run_bench(subset, algorithms=("hapticgen",))
             latencies = np.minimum(latencies, [
                 r.mean_latency_s for r in sorted(results, key=lambda r: r.duration_s)])
             if np.all(np.diff(latencies) >= 0):
@@ -119,18 +119,13 @@ class TestRunBench:
         silent = AudioClip(np.zeros(BENCH_SR), BENCH_SR, "dead-clip")
         broken = {1: [silent] + corpus[1][:249]}
         with pytest.raises(BenchRunError) as err:
-            run_bench(broken, algorithms=("hapticgen",), warmup=1)
+            run_bench(broken, algorithms=("hapticgen",))
         assert "dead-clip" in str(err.value)
-
-    def test_warmup_validated(self, bench_clips):
-        corpus = build_bench_corpus(bench_clips)
-        with pytest.raises(ValueError):
-            run_bench({1: corpus[1]}, algorithms=("hapticgen",), warmup=0)
 
     def test_unknown_algorithm(self, bench_clips):
         corpus = build_bench_corpus(bench_clips)
         with pytest.raises(ValueError):
-            run_bench({1: corpus[1]}, algorithms=("nope",), warmup=1)
+            run_bench({1: corpus[1]}, algorithms=("nope",))
 
 
 # Layers perfbench/tracer.py still lists although the function is gone.

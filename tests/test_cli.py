@@ -20,7 +20,7 @@ from hapticwave.curation import DatasetManifest, ManifestEntry, write_manifest
 from hapticwave.fixtures import manifest_fixture_path, ratings_fixture_path
 from hapticwave.psychoacoustics import PsychoConfig
 
-from conftest import SR, sine_clip
+from conftest import SR, sine_clip, write_pcm16_wav
 
 
 @pytest.fixture
@@ -149,6 +149,14 @@ class TestConvert:
         assert run(["convert", "--algo", "pitch", "--in", str(low), "--out", str(out)]) == 0
         vib = load_wav(out)
         assert vib.sample_rate == 8000 and len(vib.samples) == 8000
+
+    def test_pitch_without_feature_normalization(self, tone_wav, tmp_path):
+        argv = ["convert", "--algo", "pitch", "--in", str(tone_wav), "--out"]
+        raw, unit = tmp_path / "raw.wav", tmp_path / "unit.wav"
+        assert run(argv + [str(raw), "--set", "pitch.normalize_features=false"]) == 0
+        assert run(argv + [str(unit)]) == 0
+        assert len(load_wav(raw).samples) == 8000
+        assert raw.read_bytes() != unit.read_bytes()
 
     def test_unknown_flag_rejected(self, tone_wav, tmp_path):
         assert run(["convert", "--algo", "plm", "--in", str(tone_wav),
@@ -280,6 +288,31 @@ class TestBatch:
                     "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
+
+    def test_zero_sample_rate_is_a_validation_failure(self, tmp_path, capsys):
+        tone = tmp_path / "tone.wav"
+        save_wav(sine_clip(300.0), tone)
+        norate = write_pcm16_wav(tmp_path / "norate.wav", [1000, -1000] * 4000, 0)
+        entries = [ManifestEntry("tone", str(tone), 0, "tone", 1),
+                   ManifestEntry("norate", str(norate), 0, "tone", 1)]
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(DatasetManifest(entries), manifest)
+        out_dir = tmp_path / "out"
+        assert run(["batch", "--manifest", str(manifest), "--algos", "plm",
+                    "--out-dir", str(out_dir), "--workers", "1"]) == 1
+        assert capsys.readouterr() == (f"wrote 1 files to {out_dir}\n",
+                                       f"error: norate plm: {norate}: sample rate 0 Hz\n")
+        assert [p.name for p in out_dir.iterdir()] == ["tone.plm.wav"]
+
+
+@pytest.mark.parametrize("argv", [["convert", "--algo", "plm"], ["features"],
+                                  ["augment", "--seed", "1"]])
+def test_zero_sample_rate_is_named_validation_error(tmp_path, capsys, argv):
+    norate = write_pcm16_wav(tmp_path / "norate.wav", [1000, -1000] * 4000, 0)
+    out = tmp_path / "out"
+    assert run(argv + ["--in", str(norate), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {norate}: sample rate 0 Hz\n"
+    assert not out.exists()
 
 
 class _RecordingPool:
@@ -682,6 +715,10 @@ class TestBench:
                     "--algos", algos, "--json", str(json_out)]) == 1
         assert capsys.readouterr().err == f"error: {message.format(path=clip_path)}\n"
         assert not json_out.exists()
+
+    def test_warmup_is_an_unknown_flag(self, tmp_path, capsys):
+        assert run(["bench", "--clips", str(tmp_path), "--warmup", "1"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --warmup 1\n"
 
     def test_validation_on_wrong_corpus(self, tmp_path):
         clip_dir = tmp_path / "clips"

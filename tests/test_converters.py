@@ -133,6 +133,21 @@ class TestPitch:
         edges = np.concatenate([out.samples[:n // 3 - 400], out.samples[2 * n // 3 + 400:]])
         assert np.sqrt(np.mean(middle**2)) < 0.02 * np.sqrt(np.mean(edges**2))
 
+    @pytest.mark.parametrize("sr,kind", [(44100, "tones"), (16000, "noise"), (48000, "burst")])
+    def test_unnormalized_features_are_the_raw_profile(self, sr, kind):
+        # quiet, so the raw profile keeps part of the track inside (f_min, f_max)
+        clip = AudioClip(1e-4 * _test_signal(kind, sr).samples, sr, kind)
+        cfg = load_converter_config(overrides=["pitch.normalize_features=false"])
+        pc = cfg.pitch
+        specific = specific_loudness_frames(clip.samples, *_pitch_window(pc, sr), sr, cfg.psycho)
+        freqs, amps = pitch_frequency_track(clip, cfg)
+        assert np.array_equal(freqs, np.clip(
+            pc.regression_coeffs[-1] + specific @ np.asarray(pc.regression_coeffs[:-1]),
+            pc.f_min_hz, pc.f_max_hz))
+        assert np.any((pc.f_min_hz < freqs) & (freqs < pc.f_max_hz))
+        assert np.array_equal(amps, specific.sum(axis=1))
+        assert not np.array_equal(freqs, pitch_frequency_track(clip, default_config())[0])
+
     def test_stationary_tone_constant_track(self):
         clip = sine_clip(200.0, duration=1.0)  # 10 ms windows hold whole periods
         freqs, _ = pitch_frequency_track(clip, default_config())
@@ -515,7 +530,10 @@ class TestShortClips:
         clip = AudioClip(0.3 * np.random.default_rng(n).standard_normal(n), sr, "click")
         want = round(n * 8000 / sr)
         if want == 0:
-            with pytest.raises(DegenerateSignalError, match="^clip click: "):
+            # hapticgen finds an empty clip silent before any output exists
+            reason = "silent input" if algo == "hapticgen" and n == 0 else "no output samples"
+            with pytest.raises(DegenerateSignalError,
+                               match=f"^clip click: degenerate signal: {reason}$"):
                 convert(clip, algo)
             return
         try:

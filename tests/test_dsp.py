@@ -528,19 +528,19 @@ class TestDecimatedFshift:
 
 class TestCachedDesign:
     def test_filters_are_read_only_and_reused(self):
-        sos = _butter_sos("bandpass", 250.0, 1.0, 4, 44100)
+        sos = _stacked_sos((FilterSpec("bandpass", 250.0, q=1.0, order=4),), 44100)
         assert not sos.flags.writeable
-        assert _butter_sos("bandpass", 250.0, 1.0, 4, 44100) is sos
+        assert _stacked_sos((FilterSpec("bandpass", 250.0, q=1.0, order=4),), 44100) is sos
         h = _kaiser_lowpass(80, 441)
         assert not h.flags.writeable
         assert _kaiser_lowpass(80, 441) is h
 
     def test_stacked_filters_are_read_only_and_reused(self):
-        specs = (("highpass", 10.0, 1.0, 2), ("bandpass", 250.0, 1.0, 4))
+        specs = (FilterSpec("highpass", 10.0, order=2), FilterSpec("bandpass", 250.0, q=1.0))
         sos = _stacked_sos(specs, 22050)
         assert not sos.flags.writeable
         assert _stacked_sos(specs, 22050) is sos
-        assert np.array_equal(sos, np.vstack([_butter_sos(*spec, 22050) for spec in specs]))
+        assert np.array_equal(sos, np.vstack([_butter_sos(spec, 22050) for spec in specs]))
 
     @pytest.mark.parametrize("target, source", [(8000, 44100), (8000, 44103), (8000, 7999),
                                                 (22050, 44100), (1, 1),
@@ -640,8 +640,7 @@ class TestCachedDesign:
         bp = FilterSpec("bandpass", 250.0, q=1.0, order=4)
         sequential = butterworth_filter(butterworth_filter(x, hp, sr), bp, sr)
         assert np.array_equal(butterworth_filter(x, (hp, bp), sr), sequential)
-        assert np.array_equal(butterworth_filter(x, bp, sr), sosfilt(np.array(_butter_sos(
-            "bandpass", 250.0, 1.0, 4, sr)), x))
+        assert np.array_equal(butterworth_filter(x, bp, sr), sosfilt(_butter_sos(bp, sr), x))
 
 
 class TestNco:
