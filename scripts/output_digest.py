@@ -5,7 +5,8 @@ Every (rate, duration) cell of the grid gets one seeded noise clip whose first
 quarter is digital silence. The digest covers, per clip:
 
 * each converter's output samples and clipped fraction (`converters.convert`
-  with the default config), or the error's type and message;
+  with the default config, then with the config `CONFIG_OVERRIDES` loads),
+  or the error's type and message;
 * `curation.extract_features` (clips shorter than 1 s raise, and the error
   is digested);
 * `curation.augment` under a few seeds;
@@ -32,13 +33,17 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hapticwave.audio_io import CONVERTER_TAGS, AudioClip  # noqa: E402
-from hapticwave.converters import convert  # noqa: E402
+from hapticwave.converters import convert, load_converter_config  # noqa: E402
 from hapticwave.curation import augment, extract_features  # noqa: E402
 from hapticwave.dsp import pitch_shift  # noqa: E402
 
 RATES = (8000, 11025, 16000, 22050, 44100, 48000, 96000)
 DURATIONS = (0.005, 0.05, 0.2, 1.0, 1.5, 2.5)
 AUGMENT_SEEDS = (0, 1, 2, 3)
+# One override in each config section, plus target_segment_rms
+CONFIG_OVERRIDES = ("plm.carrier_mix=0.4", "fshift.hp_cutoff_hz=20", "pitch.overlap=0.25",
+                    "hapticgen.f_dev_hz=30", "psycho.loudness_exponent=0.3",
+                    "target_segment_rms=0.2")
 
 
 def noise_clip(rate: int, duration: float, seed: int) -> AudioClip:
@@ -71,14 +76,16 @@ def _feed(h, label: str, compute) -> None:
 def output_digest(rates=RATES, durations=DURATIONS) -> str:
     """The hex SHA-256 over every output on the rates x durations grid."""
     h = hashlib.sha256()
+    overridden = load_converter_config(overrides=CONFIG_OVERRIDES)
     for seed, (rate, duration) in enumerate(itertools.product(rates, durations)):
         clip = noise_clip(rate, duration, seed)
         name = clip.source_id
         for algo in CONVERTER_TAGS:
-            def converted(algo=algo):
-                vib = convert(clip, algo)
-                return vib.samples, vib.clipped_fraction
-            _feed(h, f"{algo} {name}", converted)
+            for label, cfg_args in ((algo, ()), (f"{algo} overridden", (overridden,))):
+                def converted(algo=algo, cfg_args=cfg_args):
+                    vib = convert(clip, algo, *cfg_args)
+                    return vib.samples, vib.clipped_fraction
+                _feed(h, f"{label} {name}", converted)
         _feed(h, f"features {name}", lambda: (extract_features(clip).as_array(),))
         for aug_seed in AUGMENT_SEEDS:
             _feed(h, f"augment {aug_seed} {name}",

@@ -20,13 +20,13 @@ from .analysis import (
 from .bench import BenchResult, build_bench_corpus, run_bench
 from .converters import (
     CONVERTER_TAGS,
+    DEFAULT_CONFIG,
     ConverterConfig,
     convert,
     convert_fshift,
     convert_hapticgen,
     convert_pitch,
     convert_plm,
-    default_config,
     load_converter_config,
     normalize_vibration,
 )

@@ -91,6 +91,9 @@ def load_wav(path: str | Path) -> AudioClip:
         raise AudioFormatError(f"{path}: sample rate 0 Hz")
     if n_frames == 0 or not raw:
         raise AudioFormatError(f"{path}: empty data chunk")
+    if len(raw) % (width * n_channels):
+        raise AudioFormatError(f"{path}: data chunk ends mid-frame ({len(raw)} bytes, "
+                               f"{width * n_channels}-byte frames)")
 
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if n_channels > 1:

@@ -21,7 +21,7 @@ import json
 import threading
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -48,7 +48,7 @@ from .dsp import (
     pitch_shift,
 )
 from .errors import DegenerateSignalError, NonFiniteSignalError, SchemaError
-from .psychoacoustics import PsychoConfig
+from .psychoacoustics import DEFAULT_PSYCHO_CONFIG, PsychoConfig
 
 # Signals whose pre-normalization RMS falls below this are treated as silent.
 _SILENCE_RMS = 1e-9
@@ -74,15 +74,7 @@ _TABLE_LEN = 1 << 18
 _MAX_TABLES = 8
 
 
-def _default_pitch_coeffs() -> tuple[float, ...]:
-    # Placeholder regression: weights rise linearly across the 24 bands so the
-    # loudness-weighted band centroid maps onto [f_min, f_max]; the published
-    # perceptual coefficients can be dropped in via config.
-    weights = [350.0 * b / 23.0 for b in range(24)]
-    return tuple(weights) + (50.0,)
-
-
-@dataclass
+@dataclass(frozen=True)
 class PlmConfig:
     frame_size: int = 4096
     carrier_low_hz: float = 175.0
@@ -95,7 +87,7 @@ class PlmConfig:
     carrier_mix: float = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class FshiftConfig:
     shifts: tuple[float, ...] = (-12.0, -24.0)
     hp_cutoff_hz: float = 10.0
@@ -105,32 +97,35 @@ class FshiftConfig:
     bp_order: int = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class PitchConfig:
     window_ms: float = 10.0
     overlap: float = 0.5
     f_min_hz: float = 50.0
     f_max_hz: float = 400.0
-    # 24 band weights + intercept; applied to the specific-loudness profile
-    regression_coeffs: tuple[float, ...] = field(default_factory=_default_pitch_coeffs)
+    # 24 band weights + intercept; applied to the specific-loudness profile. A
+    # placeholder: weights rise linearly across the bands so the loudness-weighted
+    # band centroid maps onto [f_min, f_max]; the published coefficients can be
+    # dropped in via config.
+    regression_coeffs: tuple[float, ...] = tuple(350.0 * b / 23.0 for b in range(24)) + (50.0,)
     # regress on the unit-sum profile rather than raw band values
     normalize_features: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class HapticgenConfig:
     window_ms: float = 10.0
     f_center_hz: float = 200.0
     f_dev_hz: float = 50.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConverterConfig:
-    plm: PlmConfig = field(default_factory=PlmConfig)
-    fshift: FshiftConfig = field(default_factory=FshiftConfig)
-    pitch: PitchConfig = field(default_factory=PitchConfig)
-    hapticgen: HapticgenConfig = field(default_factory=HapticgenConfig)
-    psycho: PsychoConfig = field(default_factory=PsychoConfig)
+    plm: PlmConfig = PlmConfig()
+    fshift: FshiftConfig = FshiftConfig()
+    pitch: PitchConfig = PitchConfig()
+    hapticgen: HapticgenConfig = HapticgenConfig()
+    psycho: PsychoConfig = DEFAULT_PSYCHO_CONFIG
     target_segment_rms: float = 0.15
 
     def __post_init__(self) -> None:
@@ -150,10 +145,13 @@ class ConverterConfig:
             raise ValueError("psycho.contour_gains_db and psycho.contour_freqs differ in length")
         if np.any(np.diff(self.psycho.contour_freqs) <= 0):
             raise ValueError("psycho.contour_freqs must be strictly ascending")
+        if any(f <= 0 for f in self.psycho.contour_freqs):
+            raise ValueError("psycho.contour_freqs must be positive")
         if self.psycho.max_peaks < 1:
             raise ValueError("psycho.max_peaks must be at least 1")
-        if self.psycho.loudness_exponent <= 0:
-            raise ValueError("psycho.loudness_exponent must be positive")
+        for key in ("loudness_exponent", "loudness_scale"):
+            if getattr(self.psycho, key) <= 0:
+                raise ValueError(f"psycho.{key} must be positive")
         if self.target_segment_rms <= 0:
             raise ValueError("target_segment_rms must be positive")
         if not 0 <= self.pitch.overlap < 1:
@@ -174,13 +172,8 @@ class ConverterConfig:
             raise ValueError("fshift.bp_q must be positive")
 
 
-def default_config() -> ConverterConfig:
-    return ConverterConfig()
-
-
-# The config convert and every convert_* use when given none: built and
-# validated once, and never handed out, so nothing mutates it.
-_DEFAULT_CONFIG = default_config()
+# The config convert and every convert_* use when given none; frozen, so safe to share.
+DEFAULT_CONFIG = ConverterConfig()
 
 
 def _is_number(value) -> bool:
@@ -247,8 +240,7 @@ def load_converter_config(path: str | Path | None = None,
             node[key] = json.loads(text)
         except json.JSONDecodeError:
             node[key] = text
-    # a fresh config, not _DEFAULT_CONFIG: replace() hands back the sections it leaves alone
-    return _merge_section(default_config(), raw, "config")
+    return _merge_section(DEFAULT_CONFIG, raw, "config")
 
 
 def normalize_vibration(raw: np.ndarray, cfg: ConverterConfig, *, algorithm_tag: str,
@@ -357,10 +349,15 @@ def _output_vibration(tracks: tuple[np.ndarray, ...], synthesize, clip: AudioCli
 
     Each per-frame track is interpolated linearly from the frame centres onto
     the output time grid; synthesize(*envelopes) turns the envelopes into
-    raw samples, which are normalized per segment_len output samples.
+    raw samples, which are normalized per segment_len output samples. A lone
+    output sample sits at t = 0, where every carrier is 0, and is refused.
     """
+    n_out = _output_length(len(clip.samples), clip.sample_rate)
+    if n_out == 1:
+        raise DegenerateSignalError(f"{clip_name(clip)}: degenerate signal: one output sample, "
+                                    "at t = 0, where every carrier is 0")
     centers = _frame_centers(len(tracks[0]), window, hop, clip.sample_rate)
-    t = _time_grid(_output_length(len(clip.samples), clip.sample_rate))
+    t = _time_grid(n_out)
     raw = synthesize(*(np.interp(t, centers, values) for values in tracks))
     return _normalize_clip(raw, cfg, clip, algorithm_tag, segment_len)
 
@@ -401,9 +398,8 @@ def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarra
     return intensity, vib_rough
 
 
-def convert_plm(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
+def convert_plm(clip: AudioClip, cfg: ConverterConfig = DEFAULT_CONFIG) -> VibrationSignal:
     """Loudness/roughness mapping onto two fixed sinusoidal carriers."""
-    cfg = cfg or _DEFAULT_CONFIG
     pc = cfg.plm
     intensity, vib_rough = plm_feature_tracks(clip, cfg)
 
@@ -427,7 +423,7 @@ def _fshift_work_rate(sample_rate: int) -> int:
     return half if not odd and half >= _FSHIFT_MIN_WORK_RATE else sample_rate
 
 
-def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarray:
+def fshift_raw(clip: AudioClip, cfg: ConverterConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Frequency-shift pipeline before normalization, at the output rate.
 
     The vocoder runs at the working rate (see _fshift_work_rate) on a grid
@@ -436,7 +432,6 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
     8 kHz follow at that rate.
     """
     require_finite(clip)
-    cfg = cfg or _DEFAULT_CONFIG
     want = _output_length(len(clip.samples), clip.sample_rate)
     if want == 0:  # no output sample; the decimated clip could be empty
         return np.zeros(0)
@@ -452,9 +447,8 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig | None = None) -> np.ndarra
     return fit_length(out, want)
 
 
-def convert_fshift(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
+def convert_fshift(clip: AudioClip, cfg: ConverterConfig = DEFAULT_CONFIG) -> VibrationSignal:
     """Octave down-shift summation with band-pass shaping."""
-    cfg = cfg or _DEFAULT_CONFIG
     return _normalize_clip(fshift_raw(clip, cfg), cfg, clip, "fshift")
 
 
@@ -482,19 +476,17 @@ def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.nda
     return freqs, totals[:, 0]
 
 
-def convert_pitch(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
+def convert_pitch(clip: AudioClip, cfg: ConverterConfig = DEFAULT_CONFIG) -> VibrationSignal:
     """Bark-profile regression to a single time-varying carrier frequency."""
-    cfg = cfg or _DEFAULT_CONFIG
     freqs, amps = pitch_frequency_track(clip, cfg)
     window, hop = _pitch_window(cfg.pitch, clip.sample_rate)
     return _output_vibration((freqs, amps), _nco, clip, window, hop,
                              ms_to_samples(cfg.pitch.window_ms, VIBRATION_RATE), cfg, "pitch")
 
 
-def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig | None = None) -> VibrationSignal:
+def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig = DEFAULT_CONFIG) -> VibrationSignal:
     """RMS-envelope mapping onto a 200 Hz carrier with +/-50 Hz modulation."""
     require_finite(clip)
-    cfg = cfg or _DEFAULT_CONFIG
     hc = cfg.hapticgen
     window = ms_to_samples(hc.window_ms, clip.sample_rate)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -518,10 +510,11 @@ _CONVERTERS = {
 }
 
 
-def convert(clip: AudioClip, algorithm: str, cfg: ConverterConfig | None = None) -> VibrationSignal:
+def convert(clip: AudioClip, algorithm: str,
+            cfg: ConverterConfig = DEFAULT_CONFIG) -> VibrationSignal:
     """Dispatch to one of the four converters by tag."""
     try:
         converter = _CONVERTERS[algorithm]
     except KeyError:
         raise ValueError(f"unknown algorithm tag: {algorithm!r}") from None
-    return converter(clip, cfg or _DEFAULT_CONFIG)
+    return converter(clip, cfg)

@@ -9,7 +9,7 @@ converters rely on. Roughness follows the Vassilakis pairwise spectral-peak
 model.
 
 The *_frames functions analyse a whole signal in cache-sized blocks of
-frames from dsp._spectrum_blocks, with cached per-(FFT size, rate) band tables.
+frames from dsp._spectrum_blocks, with band tables cached per (FFT size, rate, config).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ _CONTOUR_GAINS_DB = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsychoConfig:
     """Tunable constants with embedded defaults; the converters read ConverterConfig.psycho."""
 
@@ -98,19 +98,12 @@ def _band_matrix(freqs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def analysis_tables(n_fft: int, sample_rate: int, contour_freqs: tuple = _CONTOUR_FREQS,
-                    contour_gains_db: tuple = _CONTOUR_GAINS_DB) -> np.ndarray:
+def _bands(n_fft: int, sample_rate: int, config: PsychoConfig) -> np.ndarray:
     """Read-only (n_fft // 2 + 1, 24) contour-weighted Bark pooling of an n_fft-point rfft."""
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
-    contour = PsychoConfig(contour_freqs=contour_freqs, contour_gains_db=contour_gains_db)
-    bands = equal_loudness_weight(freqs, contour)[:, None] * _band_matrix(freqs)
+    bands = equal_loudness_weight(freqs, config)[:, None] * _band_matrix(freqs)
     bands.flags.writeable = False
     return bands
-
-
-def _bands(n_fft: int, sample_rate: int, config: PsychoConfig) -> np.ndarray:
-    return analysis_tables(n_fft, sample_rate, tuple(config.contour_freqs),
-                           tuple(config.contour_gains_db))
 
 
 def specific_loudness_frames(samples: np.ndarray, frame_size: int, hop: int, sample_rate: int,

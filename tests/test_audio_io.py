@@ -16,6 +16,7 @@ from hapticwave.audio_io import (
     resample_samples,
     save_wav,
 )
+from hapticwave.cli import run
 from hapticwave.errors import (
     AudioFormatError,
     HapticwaveError,
@@ -162,6 +163,25 @@ class TestLoadSave:
             wav.setframerate(8000)
         with pytest.raises(AudioFormatError):
             load_wav(path)
+
+    @pytest.mark.parametrize("channels, cut", [(1, 1), (2, 2)])
+    def test_data_chunk_cut_mid_frame_rejected(self, tmp_path, capsys, channels, cut):
+        path = tmp_path / "cut.wav"
+        with wave.open(str(path), "wb") as wav:
+            wav.setnchannels(channels)
+            wav.setsampwidth(2)
+            wav.setframerate(16000)
+            wav.writeframes(np.full(1000 * channels, 1000, dtype="<i2").tobytes())
+        path.write_bytes(path.read_bytes()[:-cut])
+        message = (f"{path}: data chunk ends mid-frame ({2000 * channels - cut} bytes, "
+                   f"{2 * channels}-byte frames)")
+        with pytest.raises(AudioFormatError) as err:
+            load_wav(path)
+        assert str(err.value) == message
+        out = tmp_path / "out.wav"
+        assert run(["convert", "--algo", "plm", "--in", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_save_is_deterministic(self, tmp_path):
         clip = sine_clip(333.0, duration=0.3)

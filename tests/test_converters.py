@@ -6,7 +6,7 @@ import json
 import sys
 import threading
 import warnings
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,10 +14,11 @@ import pytest
 from hapticwave.audio_io import AudioClip, resample_samples
 from hapticwave import converters
 from hapticwave.converters import (
-    _DEFAULT_CONFIG,
     _MAX_TABLES,
     _TABLE_LEN,
     CONVERTER_TAGS,
+    DEFAULT_CONFIG,
+    ConverterConfig,
     _carrier_table,
     _frame_centers,
     _pitch_window,
@@ -28,7 +29,6 @@ from hapticwave.converters import (
     convert_hapticgen,
     convert_pitch,
     convert_plm,
-    default_config,
     fshift_raw,
     load_converter_config,
     normalize_vibration,
@@ -36,7 +36,11 @@ from hapticwave.converters import (
     plm_feature_tracks,
 )
 from hapticwave.dsp import frame_rms, frame_signal, ms_to_samples
-from hapticwave.psychoacoustics import loudness_roughness_frames, specific_loudness_frames
+from hapticwave.psychoacoustics import (
+    DEFAULT_PSYCHO_CONFIG,
+    loudness_roughness_frames,
+    specific_loudness_frames,
+)
 from hapticwave.errors import (
     DegenerateSignalError,
     NonFiniteSignalError,
@@ -76,7 +80,7 @@ class TestPlm:
         assert frac >= 0.90
 
     def test_intensity_monotone_in_level(self, am_clip):
-        cfg = default_config()
+        cfg = DEFAULT_CONFIG
         quiet = AudioClip(am_clip.samples * 0.4, SR)
         loud = AudioClip(am_clip.samples * 0.8, SR)
         iv_quiet, _ = plm_feature_tracks(quiet, cfg)
@@ -146,11 +150,11 @@ class TestPitch:
             pc.f_min_hz, pc.f_max_hz))
         assert np.any((pc.f_min_hz < freqs) & (freqs < pc.f_max_hz))
         assert np.array_equal(amps, specific.sum(axis=1))
-        assert not np.array_equal(freqs, pitch_frequency_track(clip, default_config())[0])
+        assert not np.array_equal(freqs, pitch_frequency_track(clip, DEFAULT_CONFIG)[0])
 
     def test_stationary_tone_constant_track(self):
         clip = sine_clip(200.0, duration=1.0)  # 10 ms windows hold whole periods
-        freqs, _ = pitch_frequency_track(clip, default_config())
+        freqs, _ = pitch_frequency_track(clip, DEFAULT_CONFIG)
         assert np.ptp(freqs) <= 1.0
 
 
@@ -173,7 +177,7 @@ def _band_limited(kind: str) -> np.ndarray:
 
 def _timed_pitch_track(x: np.ndarray, sr: int) -> tuple[np.ndarray, np.ndarray]:
     """(frame centre times in s, pitch frequency track) of x at sr."""
-    cfg = default_config()
+    cfg = DEFAULT_CONFIG
     freqs, _ = pitch_frequency_track(AudioClip(x, sr, "track"), cfg)
     return _frame_centers(len(freqs), *_pitch_window(cfg.pitch, sr), sr), freqs
 
@@ -213,7 +217,7 @@ class TestBatchedTracks:
 
     @pytest.mark.parametrize("sr,kind", BATCH_CASES)
     def test_pitch_track_matches_per_frame(self, sr, kind):
-        clip, cfg = _test_signal(kind, sr), default_config()
+        clip, cfg = _test_signal(kind, sr), DEFAULT_CONFIG
         pc = cfg.pitch
         window = int(round(pc.window_ms * sr / 1000.0))
         hop = int(round(window * (1.0 - pc.overlap)))
@@ -232,7 +236,7 @@ class TestBatchedTracks:
 
     @pytest.mark.parametrize("sr,kind", BATCH_CASES)
     def test_plm_tracks_match_per_frame(self, sr, kind):
-        clip, cfg = _test_signal(kind, sr), default_config()
+        clip, cfg = _test_signal(kind, sr), DEFAULT_CONFIG
         a0, a1 = cfg.plm.intensity_map
         b0, b1, b2 = cfg.plm.roughness_map
         size = cfg.plm.frame_size
@@ -277,13 +281,13 @@ class TestHapticgen:
 
 class TestNormalizeVibration:
     def test_constant_scaling(self):
-        cfg = default_config()
+        cfg = DEFAULT_CONFIG
         out = normalize_vibration(np.full(8000, 0.5), cfg, algorithm_tag="hapticgen",
                                   segment_len=80)
         assert np.allclose(out.samples, 0.15)
 
     def test_idempotent(self):
-        cfg = default_config()
+        cfg = DEFAULT_CONFIG
         rng = np.random.default_rng(3)
         raw = rng.standard_normal(8000) * 0.3
         once = normalize_vibration(raw, cfg, algorithm_tag="pitch", segment_len=80)
@@ -291,7 +295,7 @@ class TestNormalizeVibration:
         assert np.max(np.abs(twice.samples - once.samples)) < 1e-6
 
     def test_two_burst_ratio_preserved(self):
-        cfg = default_config()
+        cfg = DEFAULT_CONFIG
         seg = 80
         levels = np.concatenate([np.full(seg * 4, 0.8), np.full(seg * 4, 0.2)])
         raw = levels * (-1.0) ** np.arange(len(levels))  # alternating, |x| = level
@@ -305,7 +309,7 @@ class TestNormalizeVibration:
         rng = np.random.default_rng(6)
         x = 0.1 * rng.standard_normal(250)
         x[-10:] *= 8.0  # loudest samples sit in the trailing partial segment
-        out = normalize_vibration(x, default_config(), algorithm_tag="pitch", segment_len=80)
+        out = normalize_vibration(x, DEFAULT_CONFIG, algorithm_tag="pitch", segment_len=80)
         peak = max(np.sqrt(np.mean(np.square(x[s:s + 80]))) for s in range(0, 250, 80))
         np.testing.assert_array_equal(out.samples, np.clip(x * (0.15 / peak), -1.0, 1.0))
 
@@ -315,11 +319,11 @@ class TestNormalizeVibration:
              "constant": np.full(1000, 0.2),
              "unit_sine": sine_clip(50.0, duration=1.0, amp=1.0).samples,
              "quiet_sine": sine_clip(97.0, duration=0.5, amp=0.3).samples}[kind]
-        out = normalize_vibration(x, default_config(), algorithm_tag="fshift")
+        out = normalize_vibration(x, DEFAULT_CONFIG, algorithm_tag="fshift")
         assert np.sqrt(np.mean(out.samples**2)) == pytest.approx(0.15, abs=1e-6)
         assert out.clipped_fraction == 0.0
         assert np.array_equal(np.diff(np.signbit(out.samples)), np.diff(np.signbit(x)))
-        twice = normalize_vibration(out.samples, default_config(), algorithm_tag="fshift")
+        twice = normalize_vibration(out.samples, DEFAULT_CONFIG, algorithm_tag="fshift")
         assert np.max(np.abs(twice.samples - out.samples)) < 1e-6
 
     @pytest.mark.parametrize("n", [1, 2, 79, 8000, 40001])
@@ -327,8 +331,8 @@ class TestNormalizeVibration:
     def test_whole_signal_is_one_full_length_segment(self, n, gain):
         # the scale is target / whole-signal RMS, bit for bit, clamped or not
         x = gain * np.random.default_rng(n).standard_normal(n)
-        whole = normalize_vibration(x, default_config(), algorithm_tag="fshift")
-        one = normalize_vibration(x, default_config(), algorithm_tag="fshift", segment_len=n)
+        whole = normalize_vibration(x, DEFAULT_CONFIG, algorithm_tag="fshift")
+        one = normalize_vibration(x, DEFAULT_CONFIG, algorithm_tag="fshift", segment_len=n)
         scaled = x * (0.15 / float(np.sqrt(np.mean(np.square(x)))))
         np.testing.assert_array_equal(whole.samples, np.clip(scaled, -1.0, 1.0))
         np.testing.assert_array_equal(one.samples, whole.samples)
@@ -341,14 +345,14 @@ class TestNormalizeVibration:
         raw = np.full(8000, 0.01)
         raw[::100] = 1.0
         with pytest.warns(RuntimeWarning, match=r"clamped 1\.00% of samples"):
-            out = normalize_vibration(raw, default_config(), algorithm_tag="plm",
+            out = normalize_vibration(raw, DEFAULT_CONFIG, algorithm_tag="plm",
                                       segment_len=segment_len)
         assert out.clipped_fraction == 0.01
         assert np.max(np.abs(out.samples)) == 1.0
 
     def test_silent_rejected(self):
         with pytest.raises(DegenerateSignalError):
-            normalize_vibration(np.zeros(8000), default_config(), algorithm_tag="fshift")
+            normalize_vibration(np.zeros(8000), DEFAULT_CONFIG, algorithm_tag="fshift")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("segment_len", [None, 80])
@@ -356,9 +360,9 @@ class TestNormalizeVibration:
     def test_huge_finite_output_scales(self, segment_len, level):
         # squaring these overflows float64; the output still lands on the target
         raw = level * np.random.default_rng(10).uniform(-1.0, 1.0, 8000)
-        out = normalize_vibration(raw, default_config(), algorithm_tag="plm",
+        out = normalize_vibration(raw, DEFAULT_CONFIG, algorithm_tag="plm",
                                   segment_len=segment_len)
-        unit = normalize_vibration(raw / level, default_config(), algorithm_tag="plm",
+        unit = normalize_vibration(raw / level, DEFAULT_CONFIG, algorithm_tag="plm",
                                    segment_len=segment_len)
         np.testing.assert_allclose(out.samples, unit.samples, rtol=1e-12, atol=0)
         assert out.clipped_fraction == unit.clipped_fraction == 0.0
@@ -369,7 +373,7 @@ class TestNormalizeVibration:
         raw = np.full(10, 1e200)
         raw[3] = bad
         with pytest.raises(NonFiniteSignalError, match="^plm: NaN or infinite"):
-            normalize_vibration(raw, default_config(), algorithm_tag="plm")
+            normalize_vibration(raw, DEFAULT_CONFIG, algorithm_tag="plm")
 
 
 # normalize_vibration before its in-range shortcut, kept as the reference it
@@ -397,7 +401,7 @@ class TestNormalizeReference:
         want, clipped = _reference_normalize(raw, segment_len)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            out = normalize_vibration(raw, default_config(), algorithm_tag="plm",
+            out = normalize_vibration(raw, DEFAULT_CONFIG, algorithm_tag="plm",
                                       segment_len=segment_len)
         np.testing.assert_array_equal(out.samples, want)
         assert out.clipped_fraction == clipped
@@ -407,7 +411,7 @@ class TestNormalizeReference:
     def test_full_scale_is_not_clamped(self, segment_len):
         # a target of 1 leaves a +/-1 square wave as it is: on the bounds, not past them
         raw = (-1.0) ** np.arange(8000)
-        cfg = replace(default_config(), target_segment_rms=1.0)
+        cfg = replace(DEFAULT_CONFIG, target_segment_rms=1.0)
         out = normalize_vibration(raw, cfg, algorithm_tag="plm", segment_len=segment_len)
         np.testing.assert_array_equal(out.samples, raw)
         assert out.clipped_fraction == 0.0
@@ -421,12 +425,12 @@ class TestNonFiniteOutput:
         raw = 0.1 * np.random.default_rng(9).standard_normal(8000)
         raw[4321] = bad
         with pytest.raises(NonFiniteSignalError, match="^pitch: NaN or infinite"):
-            normalize_vibration(raw, default_config(), algorithm_tag="pitch",
+            normalize_vibration(raw, DEFAULT_CONFIG, algorithm_tag="pitch",
                                 segment_len=segment_len)
 
     def test_normalize_rejects_all_nan(self):
         with pytest.raises(NonFiniteSignalError, match="^plm: "):
-            normalize_vibration(np.full(100, np.nan), default_config(), algorithm_tag="plm")
+            normalize_vibration(np.full(100, np.nan), DEFAULT_CONFIG, algorithm_tag="plm")
 
     # the stage whose result goes into normalization, poisoned with one NaN
     @pytest.mark.parametrize("algo, stage", [("plm", "_carrier_table"), ("fshift", "fshift_raw"),
@@ -484,7 +488,7 @@ class TestStageFiniteness:
         clip = AudioClip(0.3 * np.random.default_rng(5).standard_normal(SR), SR, "rain")
         clip.samples[SR // 2] = bad
         with pytest.raises(NonFiniteSignalError, match="clip rain: 1 NaN or infinite"):
-            stage(clip, default_config())
+            stage(clip, DEFAULT_CONFIG)
 
     def test_unnamed_clip_named_in_words(self):
         clip = sine_clip(440.0)
@@ -515,13 +519,13 @@ class TestShortClips:
     def test_shorter_than_one_frame_is_padded(self):
         x = 0.3 * np.random.default_rng(6).standard_normal(2000)
         clip = AudioClip(x, SR, "click")
-        assert len(x) < default_config().plm.frame_size
+        assert len(x) < DEFAULT_CONFIG.plm.frame_size
         out = convert_plm(clip)
         assert len(out.samples) == 363 == len(convert_pitch(clip).samples)
         assert np.isfinite(out.samples).all() and np.abs(out.samples).max() <= 1.0
-        intensity, _ = plm_feature_tracks(clip, default_config())
+        intensity, _ = plm_feature_tracks(clip, DEFAULT_CONFIG)
         padded = AudioClip(np.pad(x, (0, 4096 - 2000)), SR, "click")
-        assert np.array_equal(intensity, plm_feature_tracks(padded, default_config())[0])
+        assert np.array_equal(intensity, plm_feature_tracks(padded, DEFAULT_CONFIG)[0])
 
     @pytest.mark.parametrize("sr", [8000, 11025, 16000, 22050, 32000, 44100, 44103, 48000, 96000])
     @pytest.mark.parametrize("n", [0, 1, 300, 440, 441, 4095, 4097])
@@ -541,7 +545,8 @@ class TestShortClips:
         except DegenerateSignalError as exc:
             # a lone output sample sits at t = 0, where every synthesized carrier is zero
             assert want == 1 and algo != "fshift"
-            assert str(exc).startswith("clip click: ")
+            assert str(exc) == ("clip click: degenerate signal: one output sample, at t = 0, "
+                                "where every carrier is 0")
             return
         assert len(out) == want
         assert np.isfinite(out).all() and np.abs(out).max() <= 1.0
@@ -685,7 +690,7 @@ class TestOutputStage:
                                           for sr in (16000, 22050, 32000, 44100, 48000)
                                           if algo != "pitch" or sr >= 32000])
     def test_matches_uncached_synthesis(self, algo, sr):
-        cfg = default_config()
+        cfg = DEFAULT_CONFIG
         for clip in make_fixture_clips(5, sr=sr):
             want, clipped = _reference_output(clip, algo, cfg)
             for _ in range(2):  # the second call reads the cached tables
@@ -702,16 +707,15 @@ class TestDispatch:
 
     @pytest.mark.parametrize("algo", CONVERTER_TAGS)
     def test_shared_default_config(self, am_clip, algo):
-        before = asdict(_DEFAULT_CONFIG)
-        assert before == asdict(default_config())
-        assert default_config() is not _DEFAULT_CONFIG
-        want = convert(am_clip, algo, default_config())
+        want = convert(am_clip, algo, DEFAULT_CONFIG)
         for out in (convert(am_clip, algo), converters._CONVERTERS[algo](am_clip)):
-            assert np.array_equal(out.samples, want.samples)
+            assert out.samples.tobytes() == want.samples.tobytes()
             assert out.clipped_fraction == want.clipped_fraction
         load_converter_config(overrides=["plm.carrier_mix=0.9", "psycho.max_peaks=3",
                                          f"pitch.regression_coeffs={[1.0] * 25}"])
-        assert asdict(_DEFAULT_CONFIG) == before
+        assert DEFAULT_CONFIG == ConverterConfig()
+        again = convert(am_clip, algo)
+        assert again.samples.tobytes() == want.samples.tobytes()
 
     def test_deterministic(self, am_clip):
         a = convert(am_clip, "fshift")
@@ -774,16 +778,25 @@ class TestConfig:
 
     @pytest.mark.parametrize("with_input", [False, True])
     def test_result_shares_no_section_with_default(self, tmp_path, with_input):
+        # a loaded config may hand back DEFAULT_CONFIG's own sections; every
+        # node is frozen and every sequence a tuple, so none can be written
         args = ()
         if with_input:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({"plm": {"carrier_mix": 0.9}}))
-            args = (path, ["pitch.f_max_hz=800"])
-        cfg = load_converter_config(*args)
-        for f in fields(cfg):
-            section = getattr(cfg, f.name)
-            if is_dataclass(section):
-                assert section is not getattr(_DEFAULT_CONFIG, f.name), f.name
+            args = (path, ["pitch.f_max_hz=800", "psycho.max_peaks=3",
+                           f"pitch.regression_coeffs={[1.0] * 25}"])
+        loaded = load_converter_config(*args)
+        assert DEFAULT_CONFIG == ConverterConfig()
+        assert DEFAULT_CONFIG.psycho is DEFAULT_PSYCHO_CONFIG
+        for cfg in (DEFAULT_CONFIG, loaded):
+            sections = [getattr(cfg, f.name) for f in fields(cfg)]
+            for node in [cfg] + [sec for sec in sections if is_dataclass(sec)]:
+                for f in fields(node):
+                    value = getattr(node, f.name)
+                    assert not isinstance(value, (list, dict, np.ndarray)), f.name
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(node, f.name, value)
 
     def test_dotted_overrides(self):
         cfg = load_converter_config(overrides=["plm.carrier_mix=0.4"])
@@ -805,6 +818,12 @@ class TestConfig:
         (["pitch.window_ms=0"], "pitch.window_ms and hapticgen.window_ms must be positive"),
         (["hapticgen.window_ms=-2.5"],
          "pitch.window_ms and hapticgen.window_ms must be positive"),
+        ([f"psycho.contour_freqs={[-20.0] + list(DEFAULT_PSYCHO_CONFIG.contour_freqs[1:])}"],
+         "psycho.contour_freqs must be positive"),
+        ([f"psycho.contour_freqs={[0.0] + list(DEFAULT_PSYCHO_CONFIG.contour_freqs[1:])}"],
+         "psycho.contour_freqs must be positive"),
+        (["psycho.loudness_scale=-1"], "psycho.loudness_scale must be positive"),
+        (["psycho.loudness_scale=0"], "psycho.loudness_scale must be positive"),
     ])
     def test_out_of_range_value_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -819,12 +838,12 @@ class TestConfig:
                 else:
                     yield f"{prefix}{f.name}", value
 
-        found = list(leaves(default_config()))
+        found = list(leaves(DEFAULT_CONFIG))
         assert len(found) == 35
         assert sum(dotted.startswith("psycho.") for dotted, _ in found) == 13
         for dotted, default in found:
             cfg = load_converter_config(overrides=[f"{dotted}={json.dumps(default)}"])
-            assert cfg == default_config(), dotted
+            assert cfg == DEFAULT_CONFIG, dotted
 
     @pytest.mark.parametrize("dotted,value,algos", [
         ("psycho.loudness_exponent", "0.3", ("plm", "pitch")),

@@ -19,7 +19,7 @@ from hapticwave.audio_io import (
     resample_samples,
 )
 from hapticwave.errors import DegenerateSignalError, NonFiniteSignalError
-from hapticwave.converters import _fshift_work_rate, convert_fshift, default_config, fshift_raw
+from hapticwave.converters import DEFAULT_CONFIG, _fshift_work_rate, convert_fshift, fshift_raw
 from hapticwave.curation import extract_features
 from hapticwave.dsp import (
     FilterSpec,
@@ -405,7 +405,7 @@ class TestVocoderEquivalence:
         filtered = butterworth_filter(mixed, FilterSpec("highpass", 10.0, order=2), sr)
         filtered = butterworth_filter(filtered, FilterSpec("bandpass", 250.0, q=1.0, order=4), sr)
         ref = resample_poly(filtered, *_rates(sr), window=("kaiser", 7.0))[:8000]
-        out = fshift_raw(AudioClip(x, sr), default_config())
+        out = fshift_raw(AudioClip(x, sr), DEFAULT_CONFIG)
         if _fshift_work_rate(sr) == sr:
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9)
         else:

@@ -17,9 +17,9 @@ from hapticwave.psychoacoustics import (
     SPECIFIC_LOUDNESS_MIN_FRAME,
     PsychoConfig,
     _band_matrix,
+    _bands,
     _pairs,
     _peaks,
-    analysis_tables,
     bark_band_index,
     equal_loudness_weight,
     hz_to_bark,
@@ -63,7 +63,7 @@ class TestLoudness:
         power = np.abs(np.fft.rfft(np.pad(x * hann_window(100), (0, 156)))) ** 2
         cfg = DEFAULT_PSYCHO_CONFIG
         np.testing.assert_allclose(specific_loudness_frames(x, 100, 100, SR)[0],
-                                   cfg.loudness_scale * (power @ analysis_tables(256, SR))
+                                   cfg.loudness_scale * (power @ _bands(256, SR, cfg))
                                    ** cfg.loudness_exponent, rtol=1e-12)
 
 
@@ -195,8 +195,9 @@ class TestBatchedCore:
         assert _pairs(n)[0] is i
 
     def test_tables_cached_and_read_only(self):
-        bands = analysis_tables(441, SR)
-        assert analysis_tables(441, SR) is bands
+        bands = _bands(441, SR, DEFAULT_PSYCHO_CONFIG)
+        assert _bands(441, SR, DEFAULT_PSYCHO_CONFIG) is bands
+        assert _bands(441, SR, PsychoConfig()) is bands
         assert bands.shape == (221, N_BARK_BANDS)
         assert not bands.flags.writeable
         with pytest.raises(ValueError):
@@ -272,7 +273,7 @@ class TestBatchedCore:
         n_fft = max(frame_size, SPECIFIC_LOUDNESS_MIN_FRAME)
         frames = frame_signal(x, frame_size, hop) * hann_window(frame_size)
         power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-        bands = analysis_tables(n_fft, sr)
+        bands = _bands(n_fft, sr, DEFAULT_PSYCHO_CONFIG)
         cfg = DEFAULT_PSYCHO_CONFIG
         expected = cfg.loudness_scale * (power @ bands) ** cfg.loudness_exponent
         np.testing.assert_allclose(specific_loudness_frames(x, frame_size, hop, sr), expected,
