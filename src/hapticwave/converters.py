@@ -73,6 +73,12 @@ _TABLE_LEN = 1 << 18
 # Tables kept, one per carrier frequency and one for the grid: at most 16 MiB.
 _MAX_TABLES = 8
 
+# The largest analysis windows the config accepts: 10 s of pitch or hapticgen
+# window, and 2**20 samples of plm frame (8 MiB of float64), far above any
+# useful value and far below an allocation numpy refuses.
+_MAX_WINDOW_MS = 10_000.0
+_MAX_FRAME_SIZE = 1 << 20
+
 
 @dataclass(frozen=True)
 class PlmConfig:
@@ -141,6 +147,10 @@ class ConverterConfig:
         for key, arity in (("intensity_map", 2), ("roughness_map", 3)):
             if len(getattr(self.plm, key)) != arity:
                 raise ValueError(f"plm.{key} needs {arity} values")
+        if self.plm.roughness_map[2] <= 0:
+            raise ValueError("plm.roughness_map's exponent (its third value) must be positive")
+        if not self.psycho.contour_freqs:
+            raise ValueError("psycho.contour_freqs must not be empty")
         if len(self.psycho.contour_gains_db) != len(self.psycho.contour_freqs):
             raise ValueError("psycho.contour_gains_db and psycho.contour_freqs differ in length")
         if np.any(np.diff(self.psycho.contour_freqs) <= 0):
@@ -160,16 +170,20 @@ class ConverterConfig:
             raise ValueError("fshift.shifts entries are limited to +/-24 semitones")
         if self.pitch.window_ms <= 0 or self.hapticgen.window_ms <= 0:
             raise ValueError("pitch.window_ms and hapticgen.window_ms must be positive")
+        for key in ("pitch", "hapticgen"):
+            if getattr(self, key).window_ms > _MAX_WINDOW_MS:
+                raise ValueError(f"{key}.window_ms must be at most {_MAX_WINDOW_MS:g} ms")
         for key in ("carrier_low_hz", "carrier_high_hz"):
             if not 0 < getattr(self.plm, key) < nyquist:
                 raise ValueError(f"plm.{key} must lie in (0, {nyquist:g}) Hz")
-        if self.plm.frame_size < 1024:
-            raise ValueError("plm.frame_size must be at least 1024 samples")
+        if not 1024 <= self.plm.frame_size <= _MAX_FRAME_SIZE:
+            raise ValueError(f"plm.frame_size must be in [1024, {_MAX_FRAME_SIZE}] samples")
         for key in ("hp_order", "bp_order"):
             if getattr(self.fshift, key) not in (2, 4):
                 raise ValueError(f"fshift.{key} must be 2 or 4")
-        if self.fshift.bp_q <= 0:
-            raise ValueError("fshift.bp_q must be positive")
+        for key in ("hp_cutoff_hz", "bp_center_hz", "bp_q"):
+            if getattr(self.fshift, key) <= 0:
+                raise ValueError(f"fshift.{key} must be positive")
 
 
 # The config convert and every convert_* use when given none; frozen, so safe to share.

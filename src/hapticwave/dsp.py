@@ -214,9 +214,11 @@ def _analysis(signal: np.ndarray, fft_size: int, hop: int) -> tuple[np.ndarray, 
     phasors = np.empty_like(mags, dtype=complex)
     for rows, spectrum in blocks:
         mag = np.abs(spectrum, out=mags[rows])
-        phasor = np.divide(spectrum, mag, out=phasors[rows], where=mag > 0)
-        zero = mag == 0
-        phasor[zero] = np.exp(1j * np.angle(spectrum[zero]))
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 is set right below
+            phasor = np.divide(spectrum, mag, out=phasors[rows])
+        if not mag.all():
+            zero = mag == 0
+            phasor[zero] = np.exp(1j * np.angle(spectrum[zero]))
     return mags, phasors
 
 
@@ -228,35 +230,50 @@ def _stretch_frames(mags: np.ndarray, phasors: np.ndarray,
     phase of frame 0 advanced by the phase difference of frames
     (int(t_m), int(t_m) + 1) for every m < j. Wrapping a phase difference by
     2 pi leaves its phasor unchanged, so the accumulated phase is a running
-    product of u[i + 1] * conj(u[i]).
+    product of u[i + 1] * conj(u[i]). A whole-number rate reads the analysis
+    rows as strided views; any other rate gathers and interpolates them.
 
     Returns the number of output frames and an iterator of (rows,
     frames[rows]) over the consecutive _block_rows slices of them. A
     block's running product starts from the last phasor of the block before
-    it, taken before the magnitude is applied, so every block multiplies in
-    the same order as one product over all frames.
+    it, taken before the magnitude is applied. np.cumprod over a run of
+    three or more rows multiplies one row after another, as one product over
+    all frames would; over a run of two rows (a block of one frame after the
+    first block) it is one vectorised multiply, whose last bit can differ
+    from that. So the block size is part of the output bits.
     """
     steps = np.arange(0, len(mags) - 1, rate)
-    i = steps.astype(np.intp)
-    frac = (steps - i)[:, None]
-    interpolate = frac.any()
     n_bins = mags.shape[1]
+    if float(rate).is_integer():
+        step = int(rate)
+        frac = None
+
+        def at(rows: slice, offset: int = 0) -> slice:
+            """The analysis rows that output frames `rows` read, offset by `offset`."""
+            return slice(rows.start * step + offset, rows.stop * step + offset, step)
+    else:
+        i = steps.astype(np.intp)
+        frac = (steps - i)[:, None]
+
+        def at(rows: slice, offset: int = 0) -> np.ndarray:
+            return i[rows] + offset
 
     def blocks() -> Iterator[tuple[slice, np.ndarray]]:
         carry = phasors[0]
         for rows in _block_rows(len(steps), 2 * (n_bins - 1)):  # blocks of fft_size frames
             first = max(rows.start - 1, 0)  # the carried row, or frame 0 itself
+            pairs = slice(first, rows.stop - 1)
             run = np.empty((rows.stop - first, n_bins), dtype=complex)
             run[0] = carry
-            np.conjugate(phasors[i[first:rows.stop - 1]], out=run[1:])
-            run[1:] *= phasors[i[first:rows.stop - 1] + 1]
+            np.conjugate(phasors[at(pairs)], out=run[1:])
+            run[1:] *= phasors[at(pairs, 1)]
             np.cumprod(run, axis=0, out=run)
             carry = run[-1].copy()
             out = run[rows.start - first:]
-            mag = mags[i[rows]]
-            if interpolate:
+            mag = mags[at(rows)]
+            if frac is not None:  # a gathered copy, so it can be written
                 mag *= 1.0 - frac[rows]
-                mag += frac[rows] * mags[i[rows] + 1]
+                mag += frac[rows] * mags[at(rows, 1)]
             out *= mag
             yield rows, out
 

@@ -196,6 +196,13 @@ class TestConvert:
         (["fshift.bp_q=0"], "fshift.bp_q"),
         (["fshift.bp_q=-1"], "fshift.bp_q"),
         (["plm.frame_size"], "--set expects KEY=VALUE, got 'plm.frame_size'"),
+        (["psycho.contour_freqs=[]", "psycho.contour_gains_db=[]"], "psycho.contour_freqs"),
+        (["fshift.hp_cutoff_hz=-1"], "fshift.hp_cutoff_hz"),
+        (["fshift.bp_center_hz=0"], "fshift.bp_center_hz"),
+        (["plm.roughness_map=[0,1,-1]"], "plm.roughness_map"),
+        (["pitch.window_ms=1e9"], "pitch.window_ms"),
+        (["hapticgen.window_ms=1e9"], "hapticgen.window_ms"),
+        (["plm.frame_size=10000000000"], "plm.frame_size"),
     ])
     def test_malformed_override_names_key(self, tone_wav, tmp_path, capsys, overrides, key):
         out = tmp_path / "o.wav"

@@ -824,10 +824,26 @@ class TestConfig:
          "psycho.contour_freqs must be positive"),
         (["psycho.loudness_scale=-1"], "psycho.loudness_scale must be positive"),
         (["psycho.loudness_scale=0"], "psycho.loudness_scale must be positive"),
+        (["psycho.contour_freqs=[]", "psycho.contour_gains_db=[]"],
+         "psycho.contour_freqs must not be empty"),
+        (["fshift.hp_cutoff_hz=-1"], "fshift.hp_cutoff_hz must be positive"),
+        (["fshift.bp_center_hz=0"], "fshift.bp_center_hz must be positive"),
+        (["plm.roughness_map=[0,1,-1]"], "plm.roughness_map's exponent"),
+        (["plm.roughness_map=[0,1,0]"], "plm.roughness_map's exponent"),
+        (["pitch.window_ms=10000.5"], "pitch.window_ms must be at most 10000 ms"),
+        (["hapticgen.window_ms=1e9"], "hapticgen.window_ms must be at most 10000 ms"),
+        (["plm.frame_size=1048577"], r"plm.frame_size must be in \[1024, 1048576\]"),
+        (["plm.frame_size=512"], r"plm.frame_size must be in \[1024, 1048576\]"),
     ])
     def test_out_of_range_value_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             load_converter_config(overrides=overrides)
+
+    def test_window_bounds_are_inclusive(self):
+        cfg = load_converter_config(overrides=["pitch.window_ms=10000", "hapticgen.window_ms=10000",
+                                               "plm.frame_size=1048576"])
+        assert (cfg.pitch.window_ms, cfg.hapticgen.window_ms, cfg.plm.frame_size) == (
+            10000.0, 10000.0, 1 << 20)
 
     def test_every_leaf_round_trips_its_default(self):
         def leaves(section, prefix=""):

@@ -275,6 +275,25 @@ def _loop_pitch_shift(samples, semitones, fft_size=2048, hop=None):
     return shifted[:n] if len(shifted) >= n else np.pad(shifted, (0, n - len(shifted)))
 
 
+def _gathered_stretch_frames(mags, phasors, rate):
+    """_stretch_frames' blocks with every analysis row gathered by fancy index."""
+    i = np.arange(0, len(mags) - 1, rate).astype(np.intp)
+    n_bins = mags.shape[1]
+    carry, blocks = phasors[0], []
+    for rows in dsp._block_rows(len(i), 2 * (n_bins - 1)):
+        first = max(rows.start - 1, 0)
+        run = np.empty((rows.stop - first, n_bins), dtype=complex)
+        run[0] = carry
+        np.conjugate(phasors[i[first:rows.stop - 1]], out=run[1:])
+        run[1:] *= phasors[i[first:rows.stop - 1] + 1]
+        np.cumprod(run, axis=0, out=run)
+        carry = run[-1].copy()
+        out = run[rows.start - first:]
+        out *= mags[i[rows]]
+        blocks.append((rows, out))
+    return blocks
+
+
 def _vocoder_signal(kind, sr):
     t = np.arange(sr) / sr
     if kind == "noise":
@@ -342,6 +361,34 @@ class TestVocoderEquivalence:
             np.testing.assert_allclose(stretched,
                                        _loop_stretch_frames(x, rate, fft_size, hop),
                                        rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("rate", [2.0, 4.0])
+    @pytest.mark.parametrize("fft_size", [1024, 2048])
+    @pytest.mark.parametrize("half_blocks", [2, 5, 6])
+    def test_whole_rate_strides_equal_gathers(self, rate, fft_size, half_blocks):
+        """fshift's octave rates read strided views; the bits equal row gathers of the same rows.
+
+        The first quarter of the clip is digital silence (zero-magnitude bins).
+        With a whole number of blocks before it, the last output block holds
+        one frame: the two-row cumprod.
+        """
+        hop = fft_size // 4
+        per_block = dsp._BLOCK_BYTES // (8 * fft_size)
+        n_out = half_blocks * per_block // 2 + (half_blocks % 2 == 0)
+        n_frames = int(rate) * (n_out - 1) + 2
+        x = 0.3 * np.random.default_rng(fft_size + n_out).standard_normal(
+            (n_frames - 1) * hop + fft_size)
+        x[:len(x) // 4] = 0.0
+        mags, phasors = _analysis(x, fft_size, hop)
+        assert len(mags) == n_frames and np.count_nonzero(mags == 0) > 0
+        n, blocks = _stretch_frames(mags, phasors, rate)
+        got = list(blocks)
+        assert n == n_out
+        assert (got[-1][0].stop - got[-1][0].start == 1) == (half_blocks % 2 == 0)
+        want = _gathered_stretch_frames(mags, phasors, rate)
+        assert [rows for rows, _ in got] == [rows for rows, _ in want]
+        for (_, out), (_, ref) in zip(got, want):
+            assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("kind,sr", VOCODER_CASES)
     @pytest.mark.parametrize("grid", VOCODER_GRIDS)
