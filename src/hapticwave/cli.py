@@ -157,17 +157,37 @@ def _cmd_batch(args) -> int:
              for e in manifest.entries for algo in algos]
     # a fork pool starts every worker at once, so start no more than there are tasks
     workers = min(args.workers or os.cpu_count() or 1, len(tasks))
-    if workers <= 1:
-        results = [_batch_one(t) for t in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_one, tasks))
+    results = [_batch_one(t) for t in tasks] if workers <= 1 else _pool_results(tasks, workers)
     failures = [r for r in results if r is not None]
     code = _report_failures(failures)
     print(f"wrote {len(tasks) - len(failures)} files to {out_dir}")
     return code
+
+
+def _pool_results(tasks: list, workers: int) -> list[tuple[str, bool] | None]:
+    """_batch_one over tasks in a pool of workers; a task whose worker died fails at run time.
+
+    Once a worker dies the pool is broken: each task not finished by then fails
+    by name, while the finished ones keep their results.
+    """
+    from concurrent.futures import Future, ProcessPoolExecutor  # only a pool pays its import
+    from concurrent.futures.process import BrokenProcessPool
+
+    results = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = []
+        for task in tasks:
+            try:
+                futures.append(pool.submit(_batch_one, task))
+            except BrokenProcessPool as exc:  # broken before this task was handed over
+                futures.append(Future())
+                futures[-1].set_exception(exc)
+        for (_, clip_id, algo, _, _), future in zip(tasks, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool:
+                results.append((f"{clip_id} {algo}: worker process died", False))
+    return results
 
 
 def _report_failures(failures: list[tuple[str, bool]]) -> int:

@@ -23,6 +23,7 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +42,14 @@ from .audio_io import (
 )
 from .dsp import (
     FilterSpec,
+    _band_edges,
     butterworth_filter,
     frame_rms,
     ms_to_samples,
     nco_synthesize,
     pitch_shift,
 )
+from .domains import Entries, Interval, OneOf, _check_leaves, _leaf
 from .errors import DegenerateSignalError, NonFiniteSignalError, SchemaError
 from .psychoacoustics import DEFAULT_PSYCHO_CONFIG, PsychoConfig
 
@@ -73,56 +76,62 @@ _TABLE_LEN = 1 << 18
 # Tables kept, one per carrier frequency and one for the grid: at most 16 MiB.
 _MAX_TABLES = 8
 
-# The largest analysis windows the config accepts: 10 s of pitch or hapticgen
-# window, and 2**20 samples of plm frame (8 MiB of float64), far above any
-# useful value and far below an allocation numpy refuses.
-_MAX_WINDOW_MS = 10_000.0
-_MAX_FRAME_SIZE = 1 << 20
+# Frequencies the 8 kHz output can carry
+_OUTPUT_BAND = Interval(0.0, VIBRATION_RATE / 2.0, "()")
+# A Hann window needs 2 samples, which 1 ms holds from 1.5 kHz up; 10 s bounds the allocation
+_WINDOW_MS = Interval(1.0, 10_000.0)
+# Regression weights and intercepts: past these a track is only pinned at its clip limits
+_WEIGHT = Interval(-1e6, 1e6)
 
 
 @dataclass(frozen=True)
 class PlmConfig:
-    frame_size: int = 4096
-    carrier_low_hz: float = 175.0
-    carrier_high_hz: float = 210.0
-    # intensity = a0 + a1 * log1p(loudness)
-    intensity_map: tuple[float, float] = (0.0, 1.0)
-    # roughness = b0 + b1 * raw_roughness ** b2
-    roughness_map: tuple[float, float, float] = (0.0, 1.0, 0.5)
+    # from the 1024 points loudness_roughness_frames needs to 2**20 (8 MiB of float64),
+    # far below an allocation numpy refuses
+    frame_size: int = _leaf(4096, Interval(1024, 1 << 20))
+    carrier_low_hz: float = _leaf(175.0, _OUTPUT_BAND)
+    carrier_high_hz: float = _leaf(210.0, _OUTPUT_BAND)
+    # intensity = a0 + a1 * log1p(loudness); it must rise with loudness ([0, -1] silenced a tone)
+    intensity_map: tuple[float, float] = _leaf((0.0, 1.0), Entries(_WEIGHT, Interval(1e-6, 1e6)))
+    # roughness = b0 + b1 * raw_roughness ** b2; b2 in (0, 1] keeps the power at most max(1, raw)
+    roughness_map: tuple[float, float, float] = _leaf(
+        (0.0, 1.0, 0.5), Entries(_WEIGHT, _WEIGHT, Interval(0.0, 1.0, "(]")))
     # fraction of intensity routed to the high carrier per unit roughness
-    carrier_mix: float = 0.5
+    carrier_mix: float = _leaf(0.5, Interval(0.0, 1.0))
 
 
 @dataclass(frozen=True)
 class FshiftConfig:
-    shifts: tuple[float, ...] = (-12.0, -24.0)
-    hp_cutoff_hz: float = 10.0
-    hp_order: int = 2
-    bp_center_hz: float = 250.0
-    bp_q: float = 1.0
-    bp_order: int = 4
+    shifts: tuple[float, ...] = _leaf((-12.0, -24.0), Entries(Interval(-24.0, 24.0)))
+    # below the working rate's Nyquist as well, which fshift_raw checks per clip
+    hp_cutoff_hz: float = _leaf(10.0, Interval(0.0, inf, "()"))
+    hp_order: int = _leaf(2, OneOf(2, 4))
+    # the band filter needs about 1 / bp_center_hz s to respond: 0.001 Hz silenced a 1 s tone
+    bp_center_hz: float = _leaf(250.0, Interval(1.0, inf, "[)"))
+    # Q 1e6 silenced a 1 s tone; at Q 1000 the band around 250 Hz is 0.25 Hz wide
+    bp_q: float = _leaf(1.0, Interval(0.0, 1000.0, "(]"))
+    bp_order: int = _leaf(4, OneOf(2, 4))
 
 
 @dataclass(frozen=True)
 class PitchConfig:
-    window_ms: float = 10.0
-    overlap: float = 0.5
-    f_min_hz: float = 50.0
-    f_max_hz: float = 400.0
-    # 24 band weights + intercept; applied to the specific-loudness profile. A
-    # placeholder: weights rise linearly across the bands so the loudness-weighted
-    # band centroid maps onto [f_min, f_max]; the published coefficients can be
-    # dropped in via config.
-    regression_coeffs: tuple[float, ...] = tuple(350.0 * b / 23.0 for b in range(24)) + (50.0,)
-    # regress on the unit-sum profile rather than raw band values
-    normalize_features: bool = True
+    window_ms: float = _leaf(10.0, _WINDOW_MS)
+    overlap: float = _leaf(0.5, Interval(0.0, 1.0, "[)"))
+    f_min_hz: float = _leaf(50.0, _OUTPUT_BAND)
+    f_max_hz: float = _leaf(400.0, _OUTPUT_BAND)
+    # 24 band weights + intercept; applied to the unit-sum specific-loudness
+    # profile. A placeholder: weights rise linearly across the bands so the
+    # loudness-weighted band centroid maps onto [f_min, f_max]; the published
+    # coefficients can be dropped in via config.
+    regression_coeffs: tuple[float, ...] = _leaf(
+        tuple(350.0 * b / 23.0 for b in range(24)) + (50.0,), Entries(_WEIGHT))
 
 
 @dataclass(frozen=True)
 class HapticgenConfig:
-    window_ms: float = 10.0
-    f_center_hz: float = 200.0
-    f_dev_hz: float = 50.0
+    window_ms: float = _leaf(10.0, _WINDOW_MS)
+    f_center_hz: float = _leaf(200.0, _OUTPUT_BAND)
+    f_dev_hz: float = _leaf(50.0, Interval(0.0, _OUTPUT_BAND.hi, "[)"))
 
 
 @dataclass(frozen=True)
@@ -132,58 +141,31 @@ class ConverterConfig:
     pitch: PitchConfig = PitchConfig()
     hapticgen: HapticgenConfig = HapticgenConfig()
     psycho: PsychoConfig = DEFAULT_PSYCHO_CONFIG
-    target_segment_rms: float = 0.15
+    # a segment inside [-1, 1] has an RMS of at most 1
+    target_segment_rms: float = _leaf(0.15, Interval(0.0, 1.0, "(]"))
 
     def __post_init__(self) -> None:
-        nyquist = VIBRATION_RATE / 2.0
-        if not 0 < self.pitch.f_min_hz < self.pitch.f_max_hz < nyquist:
-            raise ValueError("pitch frequency range must satisfy 0 < f_min < f_max < Nyquist")
+        """Check every leaf against its declared domain, then the rules that join leaves."""
+        _check_leaves(self)
+        if self.pitch.f_min_hz >= self.pitch.f_max_hz:
+            raise SchemaError("pitch.f_min_hz must be below pitch.f_max_hz")
         lo = self.hapticgen.f_center_hz - self.hapticgen.f_dev_hz
         hi = self.hapticgen.f_center_hz + self.hapticgen.f_dev_hz
-        if not 0 < lo <= hi < nyquist:
-            raise ValueError("hapticgen frequency range must stay inside (0, Nyquist)")
+        if not 0 < lo <= hi < _OUTPUT_BAND.hi:
+            raise SchemaError("hapticgen frequency range must stay inside (0, 4000) Hz, got "
+                              f"hapticgen.f_center_hz +/- hapticgen.f_dev_hz = {lo:g} to {hi:g}")
         if len(self.pitch.regression_coeffs) != psycho.N_BARK_BANDS + 1:
-            raise ValueError("pitch regression needs 24 band weights plus an intercept")
+            raise SchemaError("pitch regression needs 24 band weights plus an intercept, got "
+                              f"{len(self.pitch.regression_coeffs)} in pitch.regression_coeffs")
         for key, arity in (("intensity_map", 2), ("roughness_map", 3)):
             if len(getattr(self.plm, key)) != arity:
-                raise ValueError(f"plm.{key} needs {arity} values")
-        if self.plm.roughness_map[2] <= 0:
-            raise ValueError("plm.roughness_map's exponent (its third value) must be positive")
+                raise SchemaError(f"plm.{key} needs {arity} values")
         if not self.psycho.contour_freqs:
-            raise ValueError("psycho.contour_freqs must not be empty")
+            raise SchemaError("psycho.contour_freqs must not be empty")
         if len(self.psycho.contour_gains_db) != len(self.psycho.contour_freqs):
-            raise ValueError("psycho.contour_gains_db and psycho.contour_freqs differ in length")
+            raise SchemaError("psycho.contour_gains_db and psycho.contour_freqs differ in length")
         if np.any(np.diff(self.psycho.contour_freqs) <= 0):
-            raise ValueError("psycho.contour_freqs must be strictly ascending")
-        if any(f <= 0 for f in self.psycho.contour_freqs):
-            raise ValueError("psycho.contour_freqs must be positive")
-        if self.psycho.max_peaks < 1:
-            raise ValueError("psycho.max_peaks must be at least 1")
-        for key in ("loudness_exponent", "loudness_scale"):
-            if getattr(self.psycho, key) <= 0:
-                raise ValueError(f"psycho.{key} must be positive")
-        if self.target_segment_rms <= 0:
-            raise ValueError("target_segment_rms must be positive")
-        if not 0 <= self.pitch.overlap < 1:
-            raise ValueError("pitch.overlap must be in [0, 1)")
-        if any(abs(s) > 24 for s in self.fshift.shifts):
-            raise ValueError("fshift.shifts entries are limited to +/-24 semitones")
-        if self.pitch.window_ms <= 0 or self.hapticgen.window_ms <= 0:
-            raise ValueError("pitch.window_ms and hapticgen.window_ms must be positive")
-        for key in ("pitch", "hapticgen"):
-            if getattr(self, key).window_ms > _MAX_WINDOW_MS:
-                raise ValueError(f"{key}.window_ms must be at most {_MAX_WINDOW_MS:g} ms")
-        for key in ("carrier_low_hz", "carrier_high_hz"):
-            if not 0 < getattr(self.plm, key) < nyquist:
-                raise ValueError(f"plm.{key} must lie in (0, {nyquist:g}) Hz")
-        if not 1024 <= self.plm.frame_size <= _MAX_FRAME_SIZE:
-            raise ValueError(f"plm.frame_size must be in [1024, {_MAX_FRAME_SIZE}] samples")
-        for key in ("hp_order", "bp_order"):
-            if getattr(self.fshift, key) not in (2, 4):
-                raise ValueError(f"fshift.{key} must be 2 or 4")
-        for key in ("hp_cutoff_hz", "bp_center_hz", "bp_q"):
-            if getattr(self.fshift, key) <= 0:
-                raise ValueError(f"fshift.{key} must be positive")
+            raise SchemaError("psycho.contour_freqs must be strictly ascending")
 
 
 # The config convert and every convert_* use when given none; frozen, so safe to share.
@@ -198,9 +180,7 @@ def _is_number(value) -> bool:
 
 def _typed(current, value, dotted: str):
     """value as the type of the default it replaces; SchemaError naming dotted on a mismatch."""
-    if isinstance(current, bool):
-        ok = isinstance(value, bool)
-    elif isinstance(current, int):
+    if isinstance(current, int):
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif isinstance(current, float):
         ok = _is_number(value)
@@ -450,13 +430,18 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig = DEFAULT_CONFIG) -> np.nda
     if want == 0:  # no output sample; the decimated clip could be empty
         return np.zeros(0)
     rate = _fshift_work_rate(clip.sample_rate)
+    fc = cfg.fshift
+    hp = FilterSpec("highpass", fc.hp_cutoff_hz, order=fc.hp_order)
+    bp = FilterSpec("bandpass", fc.bp_center_hz, q=fc.bp_q, order=fc.bp_order)
+    for spec, keys in ((hp, "fshift.hp_cutoff_hz"), (bp, "fshift.bp_center_hz and fshift.bp_q")):
+        edge = _band_edges(spec)[-1]
+        if edge >= rate / 2.0:  # a valid config, but too high for this clip's working rate
+            raise SchemaError(f"{clip_name(clip)}: {spec.kind} edge {edge:g} Hz from {keys} is "
+                              f"not below the working rate's Nyquist ({rate / 2.0:g} Hz)")
     step = clip.sample_rate // rate
     work = AudioClip(halve_rate(clip.samples) if step == 2 else clip.samples, rate)
-    mixed = work.samples + pitch_shift(work, cfg.fshift.shifts, fft_size=2048 // step,
+    mixed = work.samples + pitch_shift(work, fc.shifts, fft_size=2048 // step,
                                        hop=512 // step).samples
-    hp = FilterSpec("highpass", cfg.fshift.hp_cutoff_hz, order=cfg.fshift.hp_order)
-    bp = FilterSpec("bandpass", cfg.fshift.bp_center_hz, q=cfg.fshift.bp_q,
-                    order=cfg.fshift.bp_order)
     out = resample_samples(butterworth_filter(mixed, (hp, bp), rate), rate, VIBRATION_RATE)
     return fit_length(out, want)
 
@@ -483,8 +468,7 @@ def pitch_frequency_track(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.nda
     # a NaN or infinite band makes its frame's total so
     totals = specific.sum(axis=1, keepdims=True)
     _require_finite_features(clip, "specific loudness", totals)
-    features = np.divide(specific, totals, out=specific.copy(),
-                         where=(totals > 0) & pc.normalize_features)
+    features = np.divide(specific, totals, out=specific.copy(), where=totals > 0)
     freqs = np.clip(pc.regression_coeffs[-1] + features @ np.asarray(pc.regression_coeffs[:-1]),
                     pc.f_min_hz, pc.f_max_hz)
     return freqs, totals[:, 0]

@@ -107,22 +107,31 @@ class FilterSpec:
             raise ValueError("q must be positive")
 
 
+def _band_edges(spec: FilterSpec) -> tuple[float, ...]:
+    """The cutoff of a highpass, or the (low, high) edges of a bandpass, in Hz.
+
+    A bandpass's edges come from its center frequency and Q = f0 / bandwidth,
+    with f0 the geometric mean of the edges.
+    """
+    if spec.kind == "highpass":
+        return (spec.center_or_cutoff,)
+    half = np.sqrt(1.0 + 1.0 / (4.0 * spec.q**2))
+    return (spec.center_or_cutoff * (half - 1.0 / (2.0 * spec.q)),
+            spec.center_or_cutoff * (half + 1.0 / (2.0 * spec.q)))
+
+
 def _butter_sos(spec: FilterSpec, sample_rate: int) -> np.ndarray:
     """Second-order sections for one FilterSpec at one rate."""
     from scipy.signal import butter  # ~1 s to load, so only on the first filter design
 
-    kind, cutoff, q, order = spec.kind, spec.center_or_cutoff, spec.q, spec.order
+    kind, cutoff, order = spec.kind, spec.center_or_cutoff, spec.order
     nyquist = sample_rate / 2.0
     if kind == "highpass":
         if cutoff >= nyquist:
             raise ValueError("cutoff must be below Nyquist")
         return butter(order, cutoff, btype="highpass", fs=sample_rate, output="sos")
-    # Bandpass edges from center frequency and Q = f0 / bandwidth, with f0
-    # the geometric mean of the edges. scipy's N doubles for bandpass, so
-    # N = order/2 yields the requested composite order.
-    half = np.sqrt(1.0 + 1.0 / (4.0 * q**2))
-    low = cutoff * (half - 1.0 / (2.0 * q))
-    high = cutoff * (half + 1.0 / (2.0 * q))
+    # scipy's N doubles for bandpass, so N = order/2 yields the requested composite order.
+    low, high = _band_edges(spec)
     if high >= nyquist:
         raise ValueError("upper band edge must be below Nyquist")
     return butter(order // 2, [low, high], btype="bandpass", fs=sample_rate, output="sos")

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 
 import numpy as np
 
+from .domains import Entries, Interval, _leaf
 from .dsp import _spectrum_blocks, hann_window, stft  # hann_window: for perfbench/selftest.py
 
 N_BARK_BANDS = 24
@@ -40,26 +42,36 @@ _CONTOUR_GAINS_DB = (
     6.0, 6.5, 4.0, 0.0, -4.0, -8.0, -12.0, -17.0, -25.0,
 )
 
+_POSITIVE = Interval(0.0, inf, "()")
+
 
 @dataclass(frozen=True)
 class PsychoConfig:
     """Tunable constants with embedded defaults; the converters read ConverterConfig.psycho."""
 
-    contour_freqs: tuple = _CONTOUR_FREQS
-    contour_gains_db: tuple = _CONTOUR_GAINS_DB
-    loudness_exponent: float = 0.23
-    loudness_scale: float = 1.0
-    # Vassilakis roughness model
-    amplitude_exponent: float = 0.1
-    fluctuation_exponent: float = 3.11
-    kernel_b1: float = -3.5
-    kernel_b2: float = -5.75
-    kernel_s1: float = 0.0207
-    kernel_s2: float = 18.96
-    kernel_scale: float = 0.24
-    # spectral peak picking
-    max_peaks: int = 10
-    peak_floor_db: float = -40.0
+    # Hz, interpolated in log-frequency
+    contour_freqs: tuple = _leaf(_CONTOUR_FREQS, Entries(_POSITIVE))
+    # dB re 1 kHz: the span of human hearing, so every weight lies in 1e-12..1e12
+    contour_gains_db: tuple = _leaf(_CONTOUR_GAINS_DB, Entries(Interval(-120.0, 120.0)))
+    # on band power: compressive; 1000 overflowed the specific loudness of a plain tone
+    loudness_exponent: float = _leaf(0.23, Interval(0.0, 1.0, "(]"))
+    # plm reads log1p(loudness), so a scale far from 1 flattens or silences its intensity
+    loudness_scale: float = _leaf(1.0, Interval(1e-6, 1e6))
+    # Vassilakis roughness model: (a1 * a2) ** amplitude_exponent <= max(1, a1 * a2), and the
+    # fluctuation term's base is at most 1
+    amplitude_exponent: float = _leaf(0.1, Interval(0.0, 1.0))
+    fluctuation_exponent: float = _leaf(3.11, Interval(0.0, inf, "[)"))
+    # exp(b * s * df) decays with the peaks' distance df only for b < 0
+    kernel_b1: float = _leaf(-3.5, Interval(-inf, 0.0, "()"))
+    kernel_b2: float = _leaf(-5.75, Interval(-inf, 0.0, "()"))
+    # s = kernel_scale / (kernel_s1 * f + kernel_s2) stays positive and finite for every f >= 0
+    kernel_s1: float = _leaf(0.0207, Interval(0.0, inf, "[)"))
+    kernel_s2: float = _leaf(18.96, _POSITIVE)
+    kernel_scale: float = _leaf(0.24, _POSITIVE)
+    # spectral peak picking; the peak pairs, and so the roughness arrays, grow as max_peaks ** 2
+    max_peaks: int = _leaf(10, Interval(1, 64))
+    # dB re the row maximum, so above 0 no bin qualifies; 10 ** (x / 20) stays a normal float
+    peak_floor_db: float = _leaf(-40.0, Interval(-200.0, 0.0))
 
 
 DEFAULT_PSYCHO_CONFIG = PsychoConfig()

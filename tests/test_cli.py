@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -14,7 +15,8 @@ import pytest
 
 import hapticwave
 from hapticwave.audio_io import AudioClip, load_wav, save_wav
-from hapticwave.cli import build_parser, run
+from hapticwave import cli
+from hapticwave.cli import _batch_one, build_parser, run
 from hapticwave.converters import convert
 from hapticwave.curation import DatasetManifest, ManifestEntry, write_manifest
 from hapticwave.fixtures import manifest_fixture_path, ratings_fixture_path
@@ -106,8 +108,21 @@ class TestConvert:
         assert run(argv + ["--out", str(tmp_path / "ok.wav")]) == 0
         out = tmp_path / "o.wav"
         assert run(argv + ["--out", str(out), "--set", "fshift.bp_q=0"]) == 1
-        assert capsys.readouterr().err == "error: fshift.bp_q must be positive\n"
+        assert capsys.readouterr().err == "error: fshift.bp_q must be in (0, 1000], got 0.0\n"
         assert not out.exists()
+        # edges above the working rate's Nyquist (44.1 kHz works at 22.05 kHz) fail per clip
+        for key, message in [
+                ("fshift.hp_cutoff_hz=30000", "highpass edge 30000 Hz from fshift.hp_cutoff_hz"),
+                ("fshift.bp_q=1e-9", "bandpass edge 2.5e+11 Hz from fshift.bp_center_hz and "
+                                     "fshift.bp_q")]:
+            assert run(argv + ["--out", str(out), "--set", key]) == 1
+            assert capsys.readouterr().err == (
+                f"error: clip tone: {message} is not below the working rate's Nyquist (11025 Hz)\n")
+            assert not out.exists()
+        manifest = small_audio_set(tmp_path, n_classes=1, per_class=1)
+        assert run(["batch", "--manifest", str(manifest), "--algos", "fshift", "--workers", "1",
+                    "--out-dir", str(tmp_path / "out"), "--set", "fshift.hp_cutoff_hz=30000"]) == 1
+        assert capsys.readouterr().err.startswith("error: 00-00 fshift: clip 00-00: highpass edge ")
 
     @pytest.mark.parametrize("body, message", [
         (None, "cannot read converter config"),
@@ -150,14 +165,6 @@ class TestConvert:
         vib = load_wav(out)
         assert vib.sample_rate == 8000 and len(vib.samples) == 8000
 
-    def test_pitch_without_feature_normalization(self, tone_wav, tmp_path):
-        argv = ["convert", "--algo", "pitch", "--in", str(tone_wav), "--out"]
-        raw, unit = tmp_path / "raw.wav", tmp_path / "unit.wav"
-        assert run(argv + [str(raw), "--set", "pitch.normalize_features=false"]) == 0
-        assert run(argv + [str(unit)]) == 0
-        assert len(load_wav(raw).samples) == 8000
-        assert raw.read_bytes() != unit.read_bytes()
-
     def test_unknown_flag_rejected(self, tone_wav, tmp_path):
         assert run(["convert", "--algo", "plm", "--in", str(tone_wav),
                     "--out", str(tmp_path / "o.wav"), "--frobnicate"]) == 1
@@ -166,7 +173,7 @@ class TestConvert:
         (["plm.frame_size=abc"], "plm.frame_size"),
         (["plm.frame_size=4096.0"], "plm.frame_size"),
         (["plm.frame_size=true"], "plm.frame_size"),
-        (["pitch.normalize_features=1"], "pitch.normalize_features"),
+        (["pitch.normalize_features=false"], "pitch.normalize_features"),  # a removed key
         (["pitch.regression_coeffs=5"], "pitch.regression_coeffs"),
         (['plm.carrier_mix="x"'], "plm.carrier_mix"),
         (["plm.carrier_mix=NaN"], "plm.carrier_mix"),
@@ -203,6 +210,15 @@ class TestConvert:
         (["pitch.window_ms=1e9"], "pitch.window_ms"),
         (["hapticgen.window_ms=1e9"], "hapticgen.window_ms"),
         (["plm.frame_size=10000000000"], "plm.frame_size"),
+        (["psycho.loudness_exponent=1000"], "psycho.loudness_exponent"),
+        (["plm.intensity_map=[0,-1]"], "plm.intensity_map"),
+        (["fshift.bp_center_hz=0.001"], "fshift.bp_center_hz"),
+        (["pitch.window_ms=0.001"], "pitch.window_ms"),
+        (["psycho.peak_floor_db=1e308"], "psycho.peak_floor_db"),
+        (["plm.carrier_mix=2"], "plm.carrier_mix"),
+        (["plm.carrier_mix=-1"], "plm.carrier_mix"),
+        (["psycho.kernel_s2=-18.96"], "psycho.kernel_s2"),
+        (["target_segment_rms=1e308"], "target_segment_rms"),
     ])
     def test_malformed_override_names_key(self, tone_wav, tmp_path, capsys, overrides, key):
         out = tmp_path / "o.wav"
@@ -336,8 +352,10 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def submit(self, fn, task):
+        future = concurrent.futures.Future()
+        future.set_result(fn(task))
+        return future
 
 
 @pytest.mark.parametrize("clips, workers, cpus, started", [
@@ -351,8 +369,6 @@ class _RecordingPool:
 ])
 def test_batch_starts_no_more_workers_than_tasks(tmp_path, monkeypatch, clips, workers, cpus,
                                                  started):
-    import concurrent.futures
-
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "started", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -362,6 +378,34 @@ def test_batch_starts_no_more_workers_than_tasks(tmp_path, monkeypatch, clips, w
                 "--out-dir", str(out_dir), "--workers", workers]) == 0
     assert _RecordingPool.started == started
     assert len(list(out_dir.glob("*.wav"))) == clips
+
+
+def _dies_on_00_05(task):
+    """_batch_one, except that clip 00-05's task ends its worker process at once."""
+    if task[1] == "00-05":
+        os._exit(9)
+    return _batch_one(task)
+
+
+def test_dead_worker_fails_its_clips_by_name(tmp_path, monkeypatch, capsys):
+    # the pool forks, so its workers run the patched function
+    monkeypatch.setattr(cli, "_batch_one", _dies_on_00_05)
+    manifest = small_audio_set(tmp_path, n_classes=1, per_class=16)
+    out_dir = tmp_path / "out"
+    assert run(["batch", "--manifest", str(manifest), "--algos", "hapticgen",
+                "--out-dir", str(out_dir), "--workers", "2"]) == 2
+    out, err = capsys.readouterr()
+    failed = set()
+    for line in err.splitlines():
+        clip_id, sep, rest = line.removeprefix("error: ").partition(" hapticgen: ")
+        assert (sep, rest) == (" hapticgen: ", "worker process died"), line
+        failed.add(clip_id)
+    assert "00-05" in failed
+    assert out == f"wrote {16 - len(failed)} files to {out_dir}\n"
+    # every clip not named was written; one a healthy worker was converting when the
+    # pool broke may be written and still named, as its result never came back
+    written = {p.name.split(".")[0] for p in out_dir.glob("*.wav")}
+    assert written | failed == {f"00-{k:02d}" for k in range(16)} and "00-05" not in written
 
 
 @pytest.mark.parametrize("command,flag,value", [

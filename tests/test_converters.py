@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import warnings
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from hapticwave.converters import (
     pitch_frequency_track,
     plm_feature_tracks,
 )
+from hapticwave.domains import Interval, OneOf
 from hapticwave.dsp import frame_rms, frame_signal, ms_to_samples
 from hapticwave.psychoacoustics import (
     DEFAULT_PSYCHO_CONFIG,
@@ -136,21 +139,6 @@ class TestPitch:
         middle = out.samples[n // 3 + 400: 2 * n // 3 - 400]
         edges = np.concatenate([out.samples[:n // 3 - 400], out.samples[2 * n // 3 + 400:]])
         assert np.sqrt(np.mean(middle**2)) < 0.02 * np.sqrt(np.mean(edges**2))
-
-    @pytest.mark.parametrize("sr,kind", [(44100, "tones"), (16000, "noise"), (48000, "burst")])
-    def test_unnormalized_features_are_the_raw_profile(self, sr, kind):
-        # quiet, so the raw profile keeps part of the track inside (f_min, f_max)
-        clip = AudioClip(1e-4 * _test_signal(kind, sr).samples, sr, kind)
-        cfg = load_converter_config(overrides=["pitch.normalize_features=false"])
-        pc = cfg.pitch
-        specific = specific_loudness_frames(clip.samples, *_pitch_window(pc, sr), sr, cfg.psycho)
-        freqs, amps = pitch_frequency_track(clip, cfg)
-        assert np.array_equal(freqs, np.clip(
-            pc.regression_coeffs[-1] + specific @ np.asarray(pc.regression_coeffs[:-1]),
-            pc.f_min_hz, pc.f_max_hz))
-        assert np.any((pc.f_min_hz < freqs) & (freqs < pc.f_max_hz))
-        assert np.array_equal(amps, specific.sum(axis=1))
-        assert not np.array_equal(freqs, pitch_frequency_track(clip, DEFAULT_CONFIG)[0])
 
     def test_stationary_tone_constant_track(self):
         clip = sine_clip(200.0, duration=1.0)  # 10 ms windows hold whole periods
@@ -736,6 +724,44 @@ class TestDispatch:
             convert(am_clip, "mystery")
 
 
+def _leaves(node=DEFAULT_CONFIG, prefix=""):
+    """(dotted key, dataclass field, default) of every leaf of the config tree, depth first."""
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f, value
+
+
+def _interval_edges(domain: Interval, like):
+    """(value, inside) at each finite end of domain: a closed end, then the value just past it,
+    or an open end itself, outside; of the type of like."""
+    for end, bracket, outward in ((domain.lo, domain.ends[0], -1), (domain.hi, domain.ends[1], 1)):
+        if np.isinf(end):
+            continue
+        end = type(like)(end)
+        if bracket in "()":
+            yield end, False
+            continue
+        yield end, True
+        past = end + outward if isinstance(like, int) else np.nextafter(end, outward * np.inf)
+        yield type(like)(past), False
+
+
+def _edges(domain, default):
+    """(value, inside) pairs on the edges of a leaf's domain, as JSON-ready values."""
+    if isinstance(domain, OneOf):
+        yield from ((c, True) for c in domain.choices)
+        yield max(domain.choices) + 1, False
+    elif isinstance(domain, Interval):
+        yield from _interval_edges(domain, default)
+    else:  # Entries: vary one entry of the default at a time
+        for i in range(len(domain.domains)):
+            for value, inside in _interval_edges(domain.domains[i], default[i]):
+                yield list(default[:i]) + [value] + list(default[i + 1:]), inside
+
+
 class TestConfig:
     def test_load_nested_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -803,40 +829,44 @@ class TestConfig:
         assert cfg.plm.carrier_mix == 0.4
 
     def test_invalid_ranges_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match="^pitch.f_min_hz must be below pitch.f_max_hz$"):
             load_converter_config(overrides=["pitch.f_min_hz=500"])
-        with pytest.raises(ValueError, match="target_segment_rms"):
+        with pytest.raises(SchemaError, match="target_segment_rms"):
             load_converter_config(overrides=["target_segment_rms=0"])
 
     @pytest.mark.parametrize("overrides, message", [
-        (["hapticgen.f_dev_hz=200"], "hapticgen frequency range must stay inside"),
+        (["hapticgen.f_dev_hz=200"], "hapticgen frequency range must stay inside (0, 4000) Hz, got "
+         "hapticgen.f_center_hz +/- hapticgen.f_dev_hz = 0 to 400"),
         (["hapticgen.f_center_hz=3980"], "hapticgen frequency range must stay inside"),
-        (["hapticgen.f_dev_hz=-1"], "hapticgen frequency range must stay inside"),
-        (["pitch.regression_coeffs=[1.0, 2.0]"], "pitch regression needs 24 band weights"),
+        (["hapticgen.f_dev_hz=-1"], "hapticgen.f_dev_hz must be in [0, 4000), got -1.0"),
+        (["pitch.regression_coeffs=[1.0, 2.0]"], "pitch regression needs 24 band weights plus "
+         "an intercept, got 2 in pitch.regression_coeffs"),
         ([f"pitch.regression_coeffs={json.dumps([0.5] * 26)}"],
          "pitch regression needs 24 band weights"),
-        (["pitch.window_ms=0"], "pitch.window_ms and hapticgen.window_ms must be positive"),
-        (["hapticgen.window_ms=-2.5"],
-         "pitch.window_ms and hapticgen.window_ms must be positive"),
+        (["pitch.window_ms=0"], "pitch.window_ms must be in [1, 10000], got 0.0"),
+        (["hapticgen.window_ms=-2.5"], "hapticgen.window_ms must be in [1, 10000], got -2.5"),
         ([f"psycho.contour_freqs={[-20.0] + list(DEFAULT_PSYCHO_CONFIG.contour_freqs[1:])}"],
-         "psycho.contour_freqs must be positive"),
+         "psycho.contour_freqs must be in (0, inf) for each entry, got (-20.0, 25.0, "),
         ([f"psycho.contour_freqs={[0.0] + list(DEFAULT_PSYCHO_CONFIG.contour_freqs[1:])}"],
-         "psycho.contour_freqs must be positive"),
-        (["psycho.loudness_scale=-1"], "psycho.loudness_scale must be positive"),
-        (["psycho.loudness_scale=0"], "psycho.loudness_scale must be positive"),
+         "psycho.contour_freqs must be in (0, inf) for each entry, got (0.0, 25.0, "),
+        (["psycho.loudness_scale=-1"], "psycho.loudness_scale must be in [1e-06, 1e+06], got -1.0"),
+        (["psycho.loudness_scale=0"], "psycho.loudness_scale must be in [1e-06, 1e+06], got 0.0"),
         (["psycho.contour_freqs=[]", "psycho.contour_gains_db=[]"],
          "psycho.contour_freqs must not be empty"),
-        (["fshift.hp_cutoff_hz=-1"], "fshift.hp_cutoff_hz must be positive"),
-        (["fshift.bp_center_hz=0"], "fshift.bp_center_hz must be positive"),
-        (["plm.roughness_map=[0,1,-1]"], "plm.roughness_map's exponent"),
-        (["plm.roughness_map=[0,1,0]"], "plm.roughness_map's exponent"),
-        (["pitch.window_ms=10000.5"], "pitch.window_ms must be at most 10000 ms"),
-        (["hapticgen.window_ms=1e9"], "hapticgen.window_ms must be at most 10000 ms"),
-        (["plm.frame_size=1048577"], r"plm.frame_size must be in \[1024, 1048576\]"),
-        (["plm.frame_size=512"], r"plm.frame_size must be in \[1024, 1048576\]"),
+        (["fshift.hp_cutoff_hz=-1"], "fshift.hp_cutoff_hz must be in (0, inf), got -1.0"),
+        (["fshift.bp_center_hz=0"], "fshift.bp_center_hz must be in [1, inf), got 0.0"),
+        (["plm.roughness_map=[0,1,-1]"], "plm.roughness_map must be in [-1e+06, 1e+06] x "
+         "[-1e+06, 1e+06] x (0, 1], got (0.0, 1.0, -1.0)"),
+        (["plm.roughness_map=[0,1,0]"], "plm.roughness_map must be in [-1e+06, 1e+06] x "
+         "[-1e+06, 1e+06] x (0, 1], got (0.0, 1.0, 0.0)"),
+        (["pitch.window_ms=10000.5"], "pitch.window_ms must be in [1, 10000], got 10000.5"),
+        (["hapticgen.window_ms=1e9"],
+         "hapticgen.window_ms must be in [1, 10000], got 1000000000.0"),
+        (["plm.frame_size=1048577"], "plm.frame_size must be in [1024, 1048576], got 1048577"),
+        (["plm.frame_size=512"], "plm.frame_size must be in [1024, 1048576], got 512"),
     ])
     def test_out_of_range_value_rejected(self, overrides, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}"):
             load_converter_config(overrides=overrides)
 
     def test_window_bounds_are_inclusive(self):
@@ -846,20 +876,38 @@ class TestConfig:
             10000.0, 10000.0, 1 << 20)
 
     def test_every_leaf_round_trips_its_default(self):
-        def leaves(section, prefix=""):
-            for f in fields(section):
-                value = getattr(section, f.name)
-                if is_dataclass(value):
-                    yield from leaves(value, f"{prefix}{f.name}.")
-                else:
-                    yield f"{prefix}{f.name}", value
-
-        found = list(leaves(DEFAULT_CONFIG))
-        assert len(found) == 35
-        assert sum(dotted.startswith("psycho.") for dotted, _ in found) == 13
-        for dotted, default in found:
+        found = list(_leaves())
+        assert len(found) == 34
+        assert sum(dotted.startswith("psycho.") for dotted, _, _ in found) == 13
+        for dotted, _, default in found:
             cfg = load_converter_config(overrides=[f"{dotted}={json.dumps(default)}"])
             assert cfg == DEFAULT_CONFIG, dotted
+
+    @pytest.mark.parametrize("dotted, domain, default", [
+        pytest.param(dotted, f.metadata.get("domain"), default, id=dotted)
+        for dotted, f, default in _leaves()])
+    def test_every_leaf_is_checked_against_its_domain(self, dotted, domain, default):
+        assert domain is not None, f"{dotted} declares no domain"
+        for value, inside in _edges(domain, default):
+            override = f"{dotted}={json.dumps(value)}"
+            if inside:
+                load_converter_config(overrides=[override])
+                continue
+            message = f"{dotted} must be in {domain}, got "
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}"):
+                load_converter_config(overrides=[override])
+
+    def test_removed_normalize_features_is_an_unknown_key(self):
+        for value in ("true", "false"):
+            with pytest.raises(SchemaError,
+                               match="^unknown config key config.pitch.normalize_features$"):
+                load_converter_config(overrides=[f"pitch.normalize_features={value}"])
+
+    def test_readme_table_gives_every_leaf_its_domain(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| `([\w.]+)` \| .+ \| `(.+)` \|$", readme, re.MULTILINE))
+        declared = {dotted: str(f.metadata["domain"]) for dotted, f, _ in _leaves()}
+        assert rows == declared
 
     @pytest.mark.parametrize("dotted,value,algos", [
         ("psycho.loudness_exponent", "0.3", ("plm", "pitch")),
