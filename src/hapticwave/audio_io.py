@@ -101,6 +101,15 @@ def load_wav(path: str | Path) -> AudioClip:
     return AudioClip(samples=data, sample_rate=rate, source_id=path.stem)
 
 
+def wav_temp_path(path: Path, token: str) -> Path:
+    """The temporary file save_wav writes path as: ".<name>.<token>.tmp" beside it.
+
+    With token "*" and a path whose name is passed through glob.escape, its
+    name is the glob pattern of every such file.
+    """
+    return path.with_name(f".{path.name}.{token}.tmp")
+
+
 def save_wav(signal: AudioClip | VibrationSignal, path: str | Path) -> None:
     """Write a signal as mono 16-bit PCM at its own sample rate.
 
@@ -117,7 +126,7 @@ def save_wav(signal: AudioClip | VibrationSignal, path: str | Path) -> None:
     quantized = np.clip(np.rint(signal.samples * 32768.0), -32768, 32767)
     path = Path(path)
     # opened with "x" rather than by tempfile, whose files are private (0600)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = wav_temp_path(path, secrets.token_hex(4))
     try:
         with open(tmp, "xb") as file, wave.open(file, "wb") as wav:
             wav.setnchannels(1)

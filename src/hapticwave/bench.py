@@ -54,9 +54,7 @@ class _RepeatedSet(Sequence):
     def __len__(self) -> int:
         return len(self._clips)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> AudioClip:
         clip = self._clips[i]
         return AudioClip(np.tile(clip.samples, self._repeats), clip.sample_rate,
                          f"{clip.source_id or 'clip'}#{5 * self._repeats}s")

@@ -11,6 +11,7 @@ run is reproducible.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from functools import cache
 from pathlib import Path
 
 from . import analysis, bench, converters, curation
-from .audio_io import VIBRATION_RATE, VibrationSignal, load_wav, save_wav
+from .audio_io import VIBRATION_RATE, VibrationSignal, load_wav, save_wav, wav_temp_path
 from .errors import AudioFormatError, HapticwaveError, ProtocolError, SchemaError
 
 EXIT_OK = 0
@@ -168,12 +169,14 @@ def _pool_results(tasks: list, workers: int) -> list[tuple[str, bool] | None]:
     """_batch_one over tasks in a pool of workers; a task whose worker died fails at run time.
 
     Once a worker dies the pool is broken: each task not finished by then fails
-    by name, while the finished ones keep their results.
+    by name, while the finished ones keep their results. Once the pool has
+    shut down, the temporary files save_wav left for those tasks are removed.
     """
     from concurrent.futures import Future, ProcessPoolExecutor  # only a pool pays its import
     from concurrent.futures.process import BrokenProcessPool
 
     results = []
+    died = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = []
         for task in tasks:
@@ -182,11 +185,16 @@ def _pool_results(tasks: list, workers: int) -> list[tuple[str, bool] | None]:
             except BrokenProcessPool as exc:  # broken before this task was handed over
                 futures.append(Future())
                 futures[-1].set_exception(exc)
-        for (_, clip_id, algo, _, _), future in zip(tasks, futures):
+        for (_, clip_id, algo, _, out_dir), future in zip(tasks, futures):
             try:
                 results.append(future.result())
             except BrokenProcessPool:
                 results.append((f"{clip_id} {algo}: worker process died", False))
+                died.append(Path(out_dir) / f"{glob.escape(clip_id)}.{algo}.wav")
+    # a worker that ended mid-write left its output under save_wav's temporary name
+    for path in died:
+        for tmp in path.parent.glob(wav_temp_path(path, "*").name):
+            tmp.unlink(missing_ok=True)
     return results
 
 

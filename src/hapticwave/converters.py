@@ -41,7 +41,6 @@ from .audio_io import (
     resample_samples,
 )
 from .dsp import (
-    FilterSpec,
     _band_edges,
     butterworth_filter,
     frame_rms,
@@ -191,18 +190,19 @@ def _typed(current, value, dotted: str):
     return tuple(map(float, value)) if isinstance(current, tuple) else type(current)(value)
 
 
-def _merge_section(section, overrides, context: str):
-    if not isinstance(overrides, dict):
-        raise SchemaError(f"config key {context} expects a section object, got {overrides!r}")
+def _merge_section(section, overrides: dict, prefix: str = ""):
+    """section with overrides merged in; SchemaError naming a key as --set spells it."""
     kwargs = {}
     known = {f.name for f in fields(section)}
     for key, value in overrides.items():
-        dotted = f"{context}.{key}"
+        dotted = f"{prefix}{key}"
         if key not in known:
             raise SchemaError(f"unknown config key {dotted}")
         current = getattr(section, key)
         if is_dataclass(current):
-            kwargs[key] = _merge_section(current, value, dotted)
+            if not isinstance(value, dict):
+                raise SchemaError(f"config key {dotted} expects a section object, got {value!r}")
+            kwargs[key] = _merge_section(current, value, f"{dotted}.")
         else:
             kwargs[key] = _typed(current, value, dotted)
     return replace(section, **kwargs)
@@ -229,12 +229,12 @@ def load_converter_config(path: str | Path | None = None,
         for part in sections:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
-                raise SchemaError(f"config key config.{dotted}: {part} is not a section")
+                raise SchemaError(f"config key {dotted}: {part} is not a section")
         try:
             node[key] = json.loads(text)
         except json.JSONDecodeError:
             node[key] = text
-    return _merge_section(DEFAULT_CONFIG, raw, "config")
+    return _merge_section(DEFAULT_CONFIG, raw)
 
 
 def normalize_vibration(raw: np.ndarray, cfg: ConverterConfig, *, algorithm_tag: str,
@@ -431,18 +431,18 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig = DEFAULT_CONFIG) -> np.nda
         return np.zeros(0)
     rate = _fshift_work_rate(clip.sample_rate)
     fc = cfg.fshift
-    hp = FilterSpec("highpass", fc.hp_cutoff_hz, order=fc.hp_order)
-    bp = FilterSpec("bandpass", fc.bp_center_hz, q=fc.bp_q, order=fc.bp_order)
-    for spec, keys in ((hp, "fshift.hp_cutoff_hz"), (bp, "fshift.bp_center_hz and fshift.bp_q")):
-        edge = _band_edges(spec)[-1]
+    for kind, edge, keys in (("highpass", fc.hp_cutoff_hz, "fshift.hp_cutoff_hz"),
+                             ("bandpass", _band_edges(fc.bp_center_hz, fc.bp_q)[1],
+                              "fshift.bp_center_hz and fshift.bp_q")):
         if edge >= rate / 2.0:  # a valid config, but too high for this clip's working rate
-            raise SchemaError(f"{clip_name(clip)}: {spec.kind} edge {edge:g} Hz from {keys} is "
+            raise SchemaError(f"{clip_name(clip)}: {kind} edge {edge:g} Hz from {keys} is "
                               f"not below the working rate's Nyquist ({rate / 2.0:g} Hz)")
     step = clip.sample_rate // rate
     work = AudioClip(halve_rate(clip.samples) if step == 2 else clip.samples, rate)
     mixed = work.samples + pitch_shift(work, fc.shifts, fft_size=2048 // step,
                                        hop=512 // step).samples
-    out = resample_samples(butterworth_filter(mixed, (hp, bp), rate), rate, VIBRATION_RATE)
+    hp, bp = (fc.hp_cutoff_hz, fc.hp_order), (fc.bp_center_hz, fc.bp_q, fc.bp_order)
+    out = resample_samples(butterworth_filter(mixed, hp, bp, rate), rate, VIBRATION_RATE)
     return fit_length(out, want)
 
 

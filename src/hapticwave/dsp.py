@@ -1,13 +1,13 @@
 """Spectral and filtering primitives shared by the converters, curation, and metrics.
 
-Everything here is a pure function of its inputs; the only module state is a
-cache of read-only windows and filter designs.
+Everything here is a pure function of its inputs; the only module state is
+caches of read-only designs. The one filter is fshift's: a Butterworth
+highpass then bandpass, run as one stacked cascade of biquad sections.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -89,74 +89,40 @@ def stft(signal: np.ndarray, fft_size: int, hop: int) -> np.ndarray:
     return mags
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Butterworth filter description; bandpass Q is center over bandwidth. Frozen, so hashable."""
-
-    kind: str  # "highpass" | "bandpass"
-    center_or_cutoff: float
-    q: float = 1.0
-    order: int = 4
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("highpass", "bandpass"):
-            raise ValueError(f"unknown filter kind: {self.kind!r}")
-        if self.order not in (2, 4):
-            raise ValueError("filter order must be 2 or 4")
-        if self.q <= 0:
-            raise ValueError("q must be positive")
-
-
-def _band_edges(spec: FilterSpec) -> tuple[float, ...]:
-    """The cutoff of a highpass, or the (low, high) edges of a bandpass, in Hz.
-
-    A bandpass's edges come from its center frequency and Q = f0 / bandwidth,
-    with f0 the geometric mean of the edges.
-    """
-    if spec.kind == "highpass":
-        return (spec.center_or_cutoff,)
-    half = np.sqrt(1.0 + 1.0 / (4.0 * spec.q**2))
-    return (spec.center_or_cutoff * (half - 1.0 / (2.0 * spec.q)),
-            spec.center_or_cutoff * (half + 1.0 / (2.0 * spec.q)))
-
-
-def _butter_sos(spec: FilterSpec, sample_rate: int) -> np.ndarray:
-    """Second-order sections for one FilterSpec at one rate."""
-    from scipy.signal import butter  # ~1 s to load, so only on the first filter design
-
-    kind, cutoff, order = spec.kind, spec.center_or_cutoff, spec.order
-    nyquist = sample_rate / 2.0
-    if kind == "highpass":
-        if cutoff >= nyquist:
-            raise ValueError("cutoff must be below Nyquist")
-        return butter(order, cutoff, btype="highpass", fs=sample_rate, output="sos")
-    # scipy's N doubles for bandpass, so N = order/2 yields the requested composite order.
-    low, high = _band_edges(spec)
-    if high >= nyquist:
-        raise ValueError("upper band edge must be below Nyquist")
-    return butter(order // 2, [low, high], btype="bandpass", fs=sample_rate, output="sos")
+def _band_edges(center_hz: float, q: float) -> tuple[float, float]:
+    """(low, high) in Hz of a bandpass, Q = center / bandwidth, the center their geometric mean."""
+    half = np.sqrt(1.0 + 1.0 / (4.0 * q**2))
+    return center_hz * (half - 1.0 / (2.0 * q)), center_hz * (half + 1.0 / (2.0 * q))
 
 
 @lru_cache(maxsize=32)
-def _stacked_sos(specs: tuple[FilterSpec, ...], sample_rate: int) -> np.ndarray:
-    """The sections of each spec at one rate, designed and stacked once; read-only."""
-    sos = np.vstack([_butter_sos(spec, sample_rate) for spec in specs])
+def _cascade_sos(highpass: tuple[float, int], bandpass: tuple[float, float, int],
+                 sample_rate: int) -> np.ndarray:
+    """The highpass's sections, then the bandpass's, at one rate: designed once, read-only."""
+    from scipy.signal import butter  # ~1 s to load, so only on the first filter design
+
+    (cutoff, hp_order), (center, q, bp_order) = highpass, bandpass
+    # scipy's N doubles for bandpass, so N = order/2 yields the requested composite order.
+    sos = np.vstack([butter(hp_order, cutoff, btype="highpass", fs=sample_rate, output="sos"),
+                     butter(bp_order // 2, _band_edges(center, q), btype="bandpass",
+                            fs=sample_rate, output="sos")])
     sos.flags.writeable = False
     return sos
 
 
-def butterworth_filter(signal: np.ndarray, spec: FilterSpec | tuple[FilterSpec, ...],
-                       sample_rate: int) -> np.ndarray:
-    """Causal Butterworth filtering as a cascade of biquad sections.
+def butterworth_filter(signal: np.ndarray, highpass: tuple[float, int],
+                       bandpass: tuple[float, float, int], sample_rate: int) -> np.ndarray:
+    """Causal Butterworth highpass then bandpass, run as one cascade of biquad sections.
 
-    A tuple of specs runs as one stacked cascade, which equals filtering by
-    each spec in turn.
+    highpass is (cutoff_hz, order) and bandpass (center_hz, q, order), Q
+    being the center over the bandwidth. The cascade equals filtering by each
+    in turn. A cutoff or band edge at or above Nyquist raises ValueError.
     """
     from scipy.signal import sosfilt
 
-    sos = _stacked_sos(spec if isinstance(spec, tuple) else (spec,), sample_rate)
     # sosfilt needs a writable array
-    return sosfilt(sos.copy(), np.asarray(signal, dtype=np.float64))
+    return sosfilt(_cascade_sos(highpass, bandpass, sample_rate).copy(),
+                   np.asarray(signal, dtype=np.float64))
 
 
 @lru_cache(maxsize=32)

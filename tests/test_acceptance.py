@@ -20,9 +20,9 @@ from hapticwave.analysis import (
 )
 from hapticwave.audio_io import AudioClip, VibrationSignal
 from hapticwave.bench import build_bench_corpus
-from hapticwave.converters import CONVERTER_TAGS, convert, convert_fshift
+from hapticwave.converters import CONVERTER_TAGS, DEFAULT_CONFIG, convert, convert_fshift
 from hapticwave.curation import kmeans, load_manifest, stratified_sample
-from hapticwave.dsp import FilterSpec, butterworth_filter
+from hapticwave.dsp import butterworth_filter
 from hapticwave.fixtures import manifest_fixture_path, ratings_fixture_path
 
 from conftest import SR, instantaneous_frequency, make_fixture_clips, sine_clip
@@ -117,11 +117,14 @@ def test_spectral_checks():
     freqs = np.fft.rfftfreq(len(out.samples), 1.0 / 8000)
     assert power[freqs < 1000.0].sum() >= 0.80 * power.sum()
 
-    spec_bp = FilterSpec("bandpass", 250.0, q=1.0, order=4)
+    # fshift's filters as it runs them: the 10 Hz highpass, then the 250 Hz, Q 1 bandpass
+    fc = DEFAULT_CONFIG.fshift
+    assert (fc.bp_center_hz, fc.bp_q, fc.bp_order) == (250.0, 1.0, 4)
 
     def swept_gain(freq):
         t = np.arange(SR) / SR
-        y = butterworth_filter(np.sin(2 * np.pi * freq * t), spec_bp, SR)
+        y = butterworth_filter(np.sin(2 * np.pi * freq * t), (fc.hp_cutoff_hz, fc.hp_order),
+                               (fc.bp_center_hz, fc.bp_q, fc.bp_order), SR)
         return np.sqrt(np.mean(y[SR // 2:] ** 2))
 
     attenuation_db = 20 * np.log10(swept_gain(2500.0) / swept_gain(250.0))

@@ -183,7 +183,7 @@ class TestConvert:
         (["plm.intensity_map=[1,2,3]"], "plm.intensity_map"),
         (["plm.roughness_map=[1,2]"], "plm.roughness_map"),
         (["psycho.contour_gains_db=[0.0,1.0]"], "psycho.contour_gains_db"),
-        (["output_rate=16000"], "unknown config key config.output_rate"),
+        (["output_rate=16000"], "unknown config key output_rate"),
         (["pitch.overlap=1.5"], "pitch.overlap"),
         (["pitch.overlap=-0.1"], "pitch.overlap"),
         (["psycho.max_peaks=-1"], "psycho.max_peaks"),
@@ -381,8 +381,11 @@ def test_batch_starts_no_more_workers_than_tasks(tmp_path, monkeypatch, clips, w
 
 
 def _dies_on_00_05(task):
-    """_batch_one, except that clip 00-05's task ends its worker process at once."""
-    if task[1] == "00-05":
+    """_batch_one, except that clip 00-05's task ends its worker process in mid-write."""
+    _, clip_id, algo, _, out_dir = task
+    if clip_id == "00-05":
+        # the temporary file save_wav is writing when its process ends
+        (Path(out_dir) / f".{clip_id}.{algo}.wav.78ad4c5c.tmp").write_bytes(b"RIFF")
         os._exit(9)
     return _batch_one(task)
 
@@ -406,6 +409,23 @@ def test_dead_worker_fails_its_clips_by_name(tmp_path, monkeypatch, capsys):
     # pool broke may be written and still named, as its result never came back
     written = {p.name.split(".")[0] for p in out_dir.glob("*.wav")}
     assert written | failed == {f"00-{k:02d}" for k in range(16)} and "00-05" not in written
+    assert [p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def _dies_writing(task):
+    """A task that ends its worker process in mid-write, leaving save_wav's temporary file."""
+    _, clip_id, algo, _, out_dir = task
+    (Path(out_dir) / f".{clip_id}.{algo}.wav.0badf00d.tmp").write_bytes(b"RIFF")
+    os._exit(9)
+
+
+def test_dead_worker_cleanup_reads_clip_ids_literally(tmp_path, monkeypatch):
+    # read as a glob pattern, clip a[1]'s temporary name would match clip a1's too
+    (tmp_path / ".a1.hapticgen.wav.12345678.tmp").write_bytes(b"")
+    monkeypatch.setattr(cli, "_batch_one", _dies_writing)
+    task = (str(tmp_path / "a.wav"), "a[1]", "hapticgen", None, str(tmp_path))
+    assert cli._pool_results([task], 1) == [("a[1] hapticgen: worker process died", False)]
+    assert [p.name for p in tmp_path.iterdir()] == [".a1.hapticgen.wav.12345678.tmp"]
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -122,6 +122,28 @@ class TestFshift:
         b = convert_fshift(AudioClip(am_clip.samples / np.max(np.abs(am_clip.samples)), SR))
         assert np.sqrt(np.mean((a.samples - b.samples) ** 2)) <= 1e-4
 
+    @pytest.mark.parametrize("center, q, edge", [
+        # Q = 2/3 puts the edges at f0 / 2 and 2 f0: exactly Nyquist
+        ("2000", "0.6666666666666666", "4000"),
+        ("3000", "1", "4854.1"),
+        ("3990", "50", "4030.1"),
+    ])
+    def test_band_edge_at_or_above_nyquist_names_the_clip(self, center, q, edge):
+        cfg = load_converter_config(overrides=[f"fshift.bp_center_hz={center}",
+                                               f"fshift.bp_q={q}"])
+        clip = sine_clip(250.0, duration=0.5, sr=8000, source_id="low")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"clip low: bandpass edge {edge} Hz from fshift.bp_center_hz and fshift.bp_q "
+                "is not below the working rate's Nyquist (4000 Hz)")):
+            fshift_raw(clip, cfg)
+
+    def test_highpass_cutoff_at_nyquist_names_the_clip(self):
+        cfg = load_converter_config(overrides=["fshift.hp_cutoff_hz=4000"])
+        with pytest.raises(SchemaError, match=re.escape(
+                "unnamed clip: highpass edge 4000 Hz from fshift.hp_cutoff_hz "
+                "is not below the working rate's Nyquist (4000 Hz)")):
+            fshift_raw(AudioClip(np.ones(800), 8000), cfg)
+
 
 class TestPitch:
     def test_frequency_bounds(self, am_clip):
@@ -795,11 +817,22 @@ class TestConfig:
             "pitch.f_min_hz=500", "plm.frame_size=2048", "pitch.f_max_hz=800",
             "plm.carrier_mix=0.4"])
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["plm.foo=1"], "unknown config key plm.foo"),
+        (["size=1"], "unknown config key size"),
+        (["plm.frame_size=true"], "config key plm.frame_size expects int, got True"),
+        (["hapticgen=3"], "config key hapticgen expects a section object, got 3"),
+        (["plm.carrier_mix=2"], "plm.carrier_mix must be in [0, 1], got 2.0"),
+    ])
+    def test_errors_spell_keys_as_set_does(self, overrides, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            load_converter_config(overrides=overrides)
+
     def test_override_through_a_file_leaf_is_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"plm": 3}))
         with pytest.raises(SchemaError,
-                           match="^config key config.plm.frame_size: plm is not a section$"):
+                           match="^config key plm.frame_size: plm is not a section$"):
             load_converter_config(path, ["plm.frame_size=2048"])
 
     @pytest.mark.parametrize("with_input", [False, True])
@@ -900,7 +933,7 @@ class TestConfig:
     def test_removed_normalize_features_is_an_unknown_key(self):
         for value in ("true", "false"):
             with pytest.raises(SchemaError,
-                               match="^unknown config key config.pitch.normalize_features$"):
+                               match="^unknown config key pitch.normalize_features$"):
                 load_converter_config(overrides=[f"pitch.normalize_features={value}"])
 
     def test_readme_table_gives_every_leaf_its_domain(self):
