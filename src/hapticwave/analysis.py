@@ -3,13 +3,16 @@
 Ratings arrive as one row per (clip, algorithm, rater); a clip's rating for an
 algorithm is the mean over its raters. Aggregation reports per-algorithm means
 and SDs at the category, class, or clip level, plus winners and clip-level
-winner tallies (ties are reported, never broken).
+winner tallies (ties are reported, never broken). The report's JSON is
+json.dumps(payload, indent=2, sort_keys=True) byte for byte: json lays out
+each group shape once, and json's C encoder spells all numbers at once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -80,8 +83,10 @@ def load_ratings(path: str | Path, column_map: Mapping[str, str] | None = None) 
     The canonical schema is clip_id,algorithm,rater_id,rating. An external
     export with different column names can be ingested by supplying e.g.
     {"clip_id": "sound", "rating": "score"}. Ragged rows, repeated
-    (clip_id, algorithm, rater_id) rows, and a column_map that is not a
-    mapping of canonical names to strings are rejected.
+    (clip_id, algorithm, rater_id) rows, a column_map that is not a
+    mapping of canonical names to strings or that maps two of them to one
+    column, and a header that names a column read here more than once are
+    rejected.
     """
     path = Path(path)
     resolve = dict(zip(RATINGS_HEADER, RATINGS_HEADER))
@@ -93,14 +98,23 @@ def load_ratings(path: str | Path, column_map: Mapping[str, str] | None = None) 
                 raise SchemaError(f"column map entry {key!r}: {actual!r} must map one of "
                                   f"{', '.join(RATINGS_HEADER)} to a column name")
         resolve.update(column_map)
+    names = [resolve[c] for c in RATINGS_HEADER]
+    for name in names:
+        if names.count(name) > 1:
+            shared = [c for c in RATINGS_HEADER if resolve[c] == name]
+            raise SchemaError(f"column map reads column {name!r} of {path} as each of {shared}")
     with open_csv(path) as reader:
         header = next(reader, None) or []
         position = {name: i for i, name in enumerate(header)}
-        missing = [resolve[c] for c in RATINGS_HEADER if resolve[c] not in position]
+        missing = [name for name in names if name not in position]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
+        for name in names:
+            if header.count(name) > 1:
+                raise SchemaError(f"{path}: column {name!r} appears "
+                                  f"{header.count(name)} times in the header")
         columns = read_columns(path, reader, len(header))
-    clip_id, algorithm, rater_id, text = (columns[position[resolve[c]]] for c in RATINGS_HEADER)
+    clip_id, algorithm, rater_id, text = (columns[position[name]] for name in names)
     n = len(text)
     if not n:
         raise SchemaError(f"{path}: no rating rows")
@@ -162,27 +176,26 @@ class AggregateReport:
     def to_json(self) -> str:
         """The report as json.dumps(payload, indent=2, sort_keys=True) writes it, byte for byte.
 
-        json's C encoder does not run with indent set, so this fixed shape is
-        written directly: keys sorted as strings and escaped by json's own
-        escaper, numbers spelled as json spells them.
+        json's indent encoder is pure Python, so it lays out each group shape
+        once (_group_form), and the numbers of every group, spelled by json's C
+        encoder, go into those layouts with one %.
         """
         groups = {str(k): g for k, g in self.groups.items()}
-        members = _GroupWriter(_JSON_PAD * 2)
-        body = _json_block([f"{_json_template_str(k)}: {members.template(groups[k])}"
-                            for k in sorted(groups)], _JSON_PAD)
-        overall = _GroupWriter(_JSON_PAD)
-        overall_text = overall.fill(overall.template(self.overall))
-        counts = self.winner_counts
-        keys = sorted(counts)
-        winner_counts = [f"{_json_str(a)}: {text}"
-                         for a, text in zip(keys, _json_numbers([counts[a] for a in keys]))]
-        return _json_block([
-            f'"groups": {members.fill(body)}',
-            f'"level": {_json_str(self.level)}',
-            f'"overall": {overall_text}',
-            f'"tie_count": {int.__repr__(self.tie_count)}',
-            f'"winner_counts": {_json_block(winner_counts, _JSON_PAD)}',
-        ], "")
+        forms, numbers = [], []
+        for key in sorted(groups):
+            g = groups[key]
+            mean_keys, sd_keys, form = _group_form(tuple(g.mean), tuple(g.sd), tuple(g.winners))
+            forms.append(f"{_json_str(key).replace('%', '%%')}: {form}")
+            numbers += map(g.mean.__getitem__, mean_keys)
+            numbers.append(g.n_clips)
+            numbers += map(g.sd.__getitem__, sd_keys)
+        body = "{}"
+        if forms:
+            body = ("{\n    " + ",\n    ".join(forms) + "\n  }") % tuple(
+                json.dumps(numbers)[1:-1].split(", "))
+        rest = {"level": self.level, "overall": asdict(self.overall),
+                "tie_count": self.tie_count, "winner_counts": self.winner_counts}
+        return '{\n  "groups": ' + body + "," + json.dumps(rest, indent=2, sort_keys=True)[1:]
 
     def format_table(self) -> str:
         header = f"{'group':>12} " + " ".join(f"{a:>12}" for a in RATING_ALGORITHMS) + "   winner"
@@ -208,74 +221,23 @@ def _table_row(key: str, g: GroupStats) -> str:
     return _TABLE_ROW % (key, *_mean_sd_pairs(means_then_sds), "/".join(g.winners))
 
 
-_JSON_PAD = "  "
 _json_str = json.encoder.encode_basestring_ascii
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SLOT = "\x00"  # stands in for a number while json lays out a group
+_SLOT_VALUE = ": " + _json_str(_SLOT)
 
 
-def _json_numbers(values: list) -> list[str]:
-    """Numbers as json writes them: float.__repr__ or int.__repr__, non-finite as NaN/Infinity."""
-    try:
-        texts = list(map(float.__repr__, values))
-    except TypeError:  # an int among them
-        texts = [int.__repr__(v) if isinstance(v, int) else float.__repr__(v) for v in values]
-    return list(map(_NON_FINITE.get, texts, texts))
+@lru_cache(maxsize=64)
+def _group_form(mean_keys: tuple, sd_keys: tuple, winners: tuple) -> tuple:
+    """A group shape's sorted mean and sd keys, and its text as nested in "groups".
 
-
-def _json_block(members: list[str], pad: str, brackets: str = "{}") -> str:
-    """An indent-2 JSON object or list of already written members, nested at pad."""
-    if not members:
-        return brackets
-    inner = "\n" + pad + _JSON_PAD
-    return brackets[0] + inner + ("," + inner).join(members) + "\n" + pad + brackets[1]
-
-
-def _json_template_str(text: str) -> str:
-    """A JSON string literal, escaped for use in a %-template."""
-    return _json_str(text).replace("%", "%%")
-
-
-class _GroupWriter:
-    """Writes GroupStats as json.dumps(indent=2, sort_keys=True) nests them at pad.
-
-    template() returns a group's text with a %s for each mean/sd value and
-    queues the values; fill() spells all queued numbers in one pass and puts
-    them in with one %. The text around the numbers depends only on the
-    mean/sd keys and the winners, which repeat from group to group, so it is
-    made once per report for each such shape.
+    The text has a %s for each number: the sorted means, n_clips, then the
+    sorted sds. Only a stand-in in value position becomes a %s, so a key or a
+    winner that spells the stand-in stays text.
     """
-
-    def __init__(self, pad: str) -> None:
-        self.pad = pad
-        self._values: list = []
-        self._forms: dict = {}
-
-    def template(self, g: GroupStats) -> str:
-        mean, sd = g.mean, g.sd
-        shape = (tuple(mean), tuple(sd), tuple(g.winners))
-        form = self._forms.get(shape)
-        if form is None:
-            form = self._forms[shape] = self._form(sorted(mean), sorted(sd), shape[2])
-        mean_keys, sd_keys, head, tail = form
-        self._values += map(mean.__getitem__, mean_keys)
-        self._values += map(sd.__getitem__, sd_keys)
-        return head + int.__repr__(g.n_clips) + tail
-
-    def fill(self, template: str) -> str:
-        return template % tuple(_json_numbers(self._values))
-
-    def _form(self, mean_keys: list[str], sd_keys: list[str], winners: tuple[str, ...]):
-        pad = self.pad
-        inner = "\n" + pad + _JSON_PAD
-
-        def numbers(keys):
-            return _json_block([f"{_json_template_str(k)}: %s" for k in keys], pad + _JSON_PAD)
-
-        head = "{" + inner + f'"mean": {numbers(mean_keys)},' + inner + '"n_clips": '
-        winners_list = _json_block(list(map(_json_template_str, winners)), pad + _JSON_PAD, "[]")
-        tail = ("," + inner + f'"sd": {numbers(sd_keys)},' + inner
-                + f'"winners": {winners_list}' + "\n" + pad + "}")
-        return mean_keys, sd_keys, head, tail
+    skeleton = {"mean": dict.fromkeys(mean_keys, _SLOT), "n_clips": _SLOT,
+                "sd": dict.fromkeys(sd_keys, _SLOT), "winners": winners}
+    text = json.dumps(skeleton, indent=2, sort_keys=True).replace("\n", "\n    ")
+    return sorted(mean_keys), sorted(sd_keys), text.replace("%", "%%").replace(_SLOT_VALUE, ": %s")
 
 
 def _group_stats(matrix: np.ndarray, group: np.ndarray, n_groups: int) -> list[GroupStats]:

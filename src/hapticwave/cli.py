@@ -287,7 +287,13 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    column_map = json.loads(args.column_map) if args.column_map else None
+    column_map = None
+    if args.column_map:
+        try:
+            column_map = json.loads(args.column_map)
+        except json.JSONDecodeError as exc:
+            raise _CliValidationError(
+                f"column map given by --column-map is not JSON: {exc}") from None
     table = analysis.load_ratings(args.ratings, column_map=column_map)
     manifest = curation.load_manifest(args.manifest)
     report = analysis.aggregate(table, manifest, args.level)

@@ -397,17 +397,21 @@ class DatasetManifest:
 
 @contextmanager
 def open_csv(path: Path) -> Iterator:
-    """A csv.reader over path; a csv.Error inside the block is a SchemaError naming the file.
+    """A csv.reader over path as UTF-8 text, after a byte-order mark if there is one.
 
-    The csv module raises it for a field over csv.field_size_limit()
-    characters, among other malformed input.
+    A csv.Error inside the block (a field over csv.field_size_limit()
+    characters, among other malformed input) or a byte that is not UTF-8 is
+    a SchemaError naming the file.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             yield reader
         except csv.Error as exc:
             raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                              f"({exc.reason})") from exc
 
 
 def read_columns(path: Path, reader, width: int) -> list[list[str]]:
@@ -464,7 +468,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     """Write a manifest CSV (round-trips losslessly through load_manifest)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for e in manifest.entries:

@@ -393,6 +393,11 @@ def _report(groups, overall=None, level="clip", winner_counts=None, tie_count=0)
                            winner_counts=winner_counts, tie_count=tie_count)
 
 
+# Text that spells the JSON writer's number stand-in ("\x00"), its JSON escape,
+# that escape in value position, or a %-format directive.
+_STAND_INS = ("\x00", "\\u0000", '"\\u0000"', ': "\\u0000"', '": "\\u0000"', "%s", "%%s")
+
+
 class TestReportWriters:
     def assert_matches(self, report, table=True):
         assert report.to_json() == _reference_to_json(report)
@@ -429,6 +434,10 @@ class TestReportWriters:
                "café", "日本語", "emoji \U0001F600", "100%", "%s %d %%", "%(x)s", "", " "]
         groups = {cid: _stats([10.0 * i, 5.0, 5.0, 1.0]) for i, cid in enumerate(ids)}
         self.assert_matches(_report(groups))
+        groups = {cid: _stats([10.0 * i, 5.0, 5.0, 1.0], winners=(cid,))
+                  for i, cid in enumerate(_STAND_INS)}
+        for level in _STAND_INS:
+            self.assert_matches(_report(groups, level=level))
 
     @pytest.mark.parametrize("n_tied", [2, 3, 4])
     def test_ties(self, n_tied):
@@ -482,6 +491,12 @@ class TestReportWriters:
                   "plain": _stats([1.0, 2.0, 3.0, 4.0])}
         self.assert_matches(_report(groups, winner_counts={"b": 2, "a": 1}), table=False)
         self.assert_matches(_report({"reordered": groups["reordered"]}))
+        stand_in_keys = GroupStats(mean=dict(zip(_STAND_INS, range(len(_STAND_INS)))),
+                                   sd=dict(zip(reversed(_STAND_INS), [0.5] * len(_STAND_INS))),
+                                   winners=_STAND_INS, n_clips=7)
+        self.assert_matches(_report({**groups, **dict.fromkeys(_STAND_INS, stand_in_keys)},
+                                    overall=stand_in_keys, level=_STAND_INS[0],
+                                    winner_counts=dict.fromkeys(_STAND_INS, 3)), table=False)
 
 
 def test_fixture_triples_unique():
@@ -577,6 +592,34 @@ class TestRatingsErrors:
         path.write_text("")
         with pytest.raises(SchemaError, match="missing columns"):
             load_ratings(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (self.HEADER + "c1,pitch,r1,50\n").encode())
+        table = load_ratings(path)
+        assert list(table.clip_id) == ["c1"] and table.rating.tolist() == [50.0]
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes((self.HEADER + "caf\xe9,pitch,r1,50\n").encode("latin-1"))
+        with pytest.raises(SchemaError) as err:
+            load_ratings(path)
+        assert str(err.value) == f"{path}: not UTF-8 text: byte 0xe9 (invalid continuation byte)"
+
+    def test_repeated_column_is_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("clip_id,algorithm,rater_id,rating,rating\nc1,pitch,r1,50,60\n")
+        with pytest.raises(SchemaError) as err:
+            load_ratings(path)
+        assert str(err.value) == f"{path}: column 'rating' appears 2 times in the header"
+
+    def test_column_map_to_one_column_is_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("who,algorithm,rating\nc1,pitch,50\n")
+        with pytest.raises(SchemaError) as err:
+            load_ratings(path, column_map={"clip_id": "who", "rater_id": "who"})
+        assert str(err.value) == \
+            f"column map reads column 'who' of {path} as each of ['clip_id', 'rater_id']"
 
     @pytest.mark.parametrize("ratings_body,manifest_body,row", [
         ("c1,pitch,r1\n", None, 2),                        # ragged

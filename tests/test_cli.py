@@ -501,6 +501,13 @@ class TestCurate:
         assert lines[0].startswith("error: 01-03: ") and message in lines[0]
         assert not out.exists()
 
+    def test_non_utf8_manifest_is_validation_error(self, tmp_path, capsys):
+        manifest = small_audio_set(tmp_path)
+        manifest.write_bytes(manifest.read_bytes().replace(b"class1", b"caf\xe9", 1))
+        assert run(["curate", "--manifest", str(manifest), "--per-class", "4",
+                    "--k", "3", "--seed", "7", "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: not UTF-8 text")
+
     def test_every_failing_clip_is_named(self, tmp_path, capsys):
         manifest = small_audio_set(tmp_path)
         for clip_id in ("00-02", "01-05"):
@@ -702,6 +709,13 @@ class TestReport:
                     "--manifest", str(manifest_fixture_path()),
                     "--level", "class"]) == 1
 
+    def test_non_utf8_ratings_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"clip_id,algorithm,rater_id,rating\ncaf\xe9,pitch,r1,40\n")
+        assert run(["report", "--ratings", str(bad),
+                    "--manifest", str(manifest_fixture_path()), "--level", "class"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+
     def test_oversized_field_is_validation_error(self, tmp_path, capsys):
         big = tmp_path / "big.csv"
         big.write_text("clip_id,algorithm,rater_id,rating\n"
@@ -717,6 +731,7 @@ class TestReport:
         ("[1]", "got [1]"),
         ('{"nope": "x"}', "'nope'"),
         ('{"rating": 3}', "'rating'"),
+        ("oops", "--column-map"),
     ])
     def test_bad_column_map_is_validation_error(self, capsys, column_map, named):
         assert run(["report", "--ratings", str(ratings_fixture_path()),

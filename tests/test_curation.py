@@ -379,6 +379,7 @@ class TestManifest:
         return DatasetManifest([
             ManifestEntry("a", "audio/a.wav", 0, "dog", 1),
             ManifestEntry("b", "audio/b.wav", 11, "sea waves", 2),
+            ManifestEntry("c", "audio/é.wav", 49, "café", 5),
         ])
 
     def test_round_trip(self, tmp_path):
@@ -386,6 +387,20 @@ class TestManifest:
         manifest = self._manifest()
         write_manifest(manifest, path)
         assert load_manifest(path) == manifest
+        assert "café".encode() in path.read_bytes()  # UTF-8 whatever the locale
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        write_manifest(self._manifest(), path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_manifest(path) == self._manifest()
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"clip_id,path,class_id,class_name,category_id\na,x.wav,0,caf\xe9,1\n")
+        with pytest.raises(SchemaError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}: not UTF-8 text: byte 0xe9 (invalid continuation byte)"
 
     def test_duplicate_clip_id(self, tmp_path):
         path = tmp_path / "dup.csv"
