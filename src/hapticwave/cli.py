@@ -158,6 +158,10 @@ def _cmd_batch(args) -> int:
              for e in manifest.entries for algo in algos]
     # a fork pool starts every worker at once, so start no more than there are tasks
     workers = min(args.workers or os.cpu_count() or 1, len(tasks))
+    if workers > 1 and "fshift" in algos:
+        # forked workers inherit the parent's modules, so fshift's ~1 s scipy.signal import is
+        # paid once here, not once per worker; a start method that does not fork gains nothing
+        import scipy.signal  # noqa: F401
     results = [_batch_one(t) for t in tasks] if workers <= 1 else _pool_results(tasks, workers)
     failures = [r for r in results if r is not None]
     code = _report_failures(failures)
@@ -166,11 +170,13 @@ def _cmd_batch(args) -> int:
 
 
 def _pool_results(tasks: list, workers: int) -> list[tuple[str, bool] | None]:
-    """_batch_one over tasks in a pool of workers; a task whose worker died fails at run time.
+    """_batch_one over tasks in a pool of workers; a task that kills its worker fails at run time.
 
-    Once a worker dies the pool is broken: each task not finished by then fails
-    by name, while the finished ones keep their results. Once the pool has
-    shut down, the temporary files save_wav left for those tasks are removed.
+    Once a worker dies the pool is broken and fails every task not finished by
+    then, while the finished ones keep their results. Each failed task is then
+    rerun alone in a fresh one-worker pool, so only a task whose own rerun dies
+    too is named. After the last pool, the temporary files save_wav left for
+    the failed tasks are removed.
     """
     from concurrent.futures import Future, ProcessPoolExecutor  # only a pool pays its import
     from concurrent.futures.process import BrokenProcessPool
@@ -185,14 +191,19 @@ def _pool_results(tasks: list, workers: int) -> list[tuple[str, bool] | None]:
             except BrokenProcessPool as exc:  # broken before this task was handed over
                 futures.append(Future())
                 futures[-1].set_exception(exc)
-        for (_, clip_id, algo, _, out_dir), future in zip(tasks, futures):
+        for i, future in enumerate(futures):
             try:
                 results.append(future.result())
             except BrokenProcessPool:
+                _, clip_id, algo, _, _ = tasks[i]
                 results.append((f"{clip_id} {algo}: worker process died", False))
-                died.append(Path(out_dir) / f"{glob.escape(clip_id)}.{algo}.wav")
+                died.append(i)
+    if len(tasks) > 1:  # a lone task that died has already died on its own
+        for i in died:
+            results[i] = _pool_results([tasks[i]], 1)[0]
     # a worker that ended mid-write left its output under save_wav's temporary name
-    for path in died:
+    for _, clip_id, algo, _, out_dir in (tasks[i] for i in died):
+        path = Path(out_dir) / f"{glob.escape(clip_id)}.{algo}.wav"
         for tmp in path.parent.glob(wav_temp_path(path, "*").name):
             tmp.unlink(missing_ok=True)
     return results
@@ -233,11 +244,11 @@ def _cmd_curate(args) -> int:
             raise _CliValidationError(
                 f"class {class_id} ({members[0].class_name}) has {len(members)} clips, "
                 f"fewer than --per-class {args.per_class}")
-        features = {e.clip_id: vectors[e.clip_id] for e in members}
-        k = min(args.k, len(features))
-        result = curation.kmeans(features, k=k, seed=args.seed)
+        ids = sorted(e.clip_id for e in members)
+        result = curation.kmeans([vectors[c].as_array() for c in ids],
+                                 k=min(args.k, len(ids)), seed=args.seed)
         selected.extend(curation.stratified_sample(
-            result.assignment(), args.per_class, seed=args.seed))
+            dict(zip(ids, result.labels.tolist())), args.per_class, seed=args.seed))
     keep = set(selected)
     curated = curation.DatasetManifest(
         [e for e in manifest.entries if e.clip_id in keep])

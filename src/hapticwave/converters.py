@@ -49,7 +49,7 @@ from .dsp import (
     pitch_shift,
 )
 from .domains import Entries, Interval, OneOf, _check_leaves, _leaf
-from .errors import DegenerateSignalError, NonFiniteSignalError, SchemaError
+from .errors import DegenerateSignalError, NonFiniteSignalError, SchemaError, _not_utf8_error
 from .psychoacoustics import DEFAULT_PSYCHO_CONFIG, PsychoConfig
 
 # Signals whose pre-normalization RMS falls below this are treated as silent.
@@ -211,11 +211,16 @@ def _merge_section(section, overrides: dict, prefix: str = ""):
 def load_converter_config(path: str | Path | None = None,
                           overrides: Iterable[str] = ()) -> ConverterConfig:
     """The defaults, then a JSON config file (nested by section), then dotted KEY=VALUE
-    overrides such as "plm.carrier_mix=0.4" in order, merged into one object and validated once."""
+    overrides such as "plm.carrier_mix=0.4" in order, merged into one object and validated once.
+
+    The file is read as UTF-8, after a byte-order mark if there is one, as the CSV readers are.
+    """
     raw = {}
     if path:  # "" (an empty --config) reads no file, as None does
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8_error(path, exc) from exc
         except (OSError, json.JSONDecodeError) as exc:
             raise SchemaError(f"cannot read converter config {path}: {exc}") from exc
         if not isinstance(raw, dict):

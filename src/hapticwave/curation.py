@@ -19,7 +19,7 @@ import numpy as np
 
 from .audio_io import AudioClip, clip_name, require_finite
 from .dsp import mel_filterbank, pitch_shift, stft
-from .errors import SchemaError
+from .errors import SchemaError, _not_utf8_error
 
 TEMPO_MIN_BPM = 30.0
 TEMPO_MAX_BPM = 300.0
@@ -196,12 +196,6 @@ class KMeansResult:
     labels: np.ndarray
     centroids: np.ndarray  # in the original (unstandardized) feature space
     inertia_history: list[float]
-    ids: list[str] | None = None
-
-    def assignment(self) -> dict[str, int]:
-        if self.ids is None:
-            raise ValueError("this clustering was built from a bare matrix, not ids")
-        return {cid: int(lab) for cid, lab in zip(self.ids, self.labels)}
 
 
 def _standardize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,24 +221,15 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def kmeans(vectors: np.ndarray | Mapping[str, FeatureVector | np.ndarray],
-           k: int, seed: int) -> KMeansResult:
-    """Seeded Lloyd's algorithm with k-means++ initialization.
+def kmeans(vectors: np.ndarray, k: int, seed: int) -> KMeansResult:
+    """Seeded Lloyd's algorithm with k-means++ initialization over a matrix of rows.
 
-    Features are z-score standardized per dimension before clustering; the
-    returned centroids are mapped back to the original feature space. The
-    recorded inertia history is non-increasing.
+    vectors is an (n, d) matrix, or a list of n rows, one feature vector per
+    point; labels[i] is row i's cluster. Features are z-score standardized per
+    dimension before clustering; the returned centroids are mapped back to the
+    original feature space. The recorded inertia history is non-increasing.
     """
-    ids: list[str] | None = None
-    if isinstance(vectors, Mapping):
-        ids = sorted(vectors)
-        rows = []
-        for cid in ids:
-            v = vectors[cid]
-            rows.append(v.as_array() if isinstance(v, FeatureVector) else np.asarray(v))
-        points = np.asarray(rows, dtype=np.float64)
-    else:
-        points = np.asarray(vectors, dtype=np.float64)
+    points = np.asarray(vectors, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("expected a 2-D matrix of feature vectors")
     n = len(points)
@@ -273,7 +258,7 @@ def kmeans(vectors: np.ndarray | Mapping[str, FeatureVector | np.ndarray],
         labels = new_labels
 
     return KMeansResult(labels=labels, centroids=centers * std + mean,
-                        inertia_history=history, ids=ids)
+                        inertia_history=history)
 
 
 def stratified_sample(assignment: Mapping[str, int], per_class_target: int,
@@ -410,8 +395,7 @@ def open_csv(path: Path) -> Iterator:
         except csv.Error as exc:
             raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
-                              f"({exc.reason})") from exc
+            raise _not_utf8_error(path, exc) from exc
 
 
 def read_columns(path: Path, reader, width: int) -> list[list[str]]:

@@ -23,3 +23,9 @@ class ProtocolError(HapticwaveError):
 
 class NonFiniteSignalError(HapticwaveError):
     """Signal holds NaN or infinite samples."""
+
+
+def _not_utf8_error(path, exc: UnicodeDecodeError) -> SchemaError:
+    """The error for a text file that holds a byte UTF-8 cannot decode, naming the file."""
+    byte = exc.object[exc.start]
+    return SchemaError(f"{path}: not UTF-8 text: byte 0x{byte:02x} ({exc.reason})")

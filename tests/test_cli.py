@@ -141,6 +141,27 @@ class TestConvert:
         assert err.startswith("error: ") and message in err and str(cfg) in err
         assert not out.exists()
 
+    def test_config_with_byte_order_mark_is_read(self, tone_wav, tmp_path):
+        body = json.dumps({"target_segment_rms": 0.05}).encode()
+        written = []
+        for name, data in [("plain", body), ("bom", b"\xef\xbb\xbf" + body)]:
+            cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.wav"
+            cfg.write_bytes(data)
+            assert run(["convert", "--algo", "hapticgen", "--in", str(tone_wav),
+                        "--out", str(out), "--config", str(cfg)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    def test_config_not_utf8_is_named(self, tone_wav, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes('{"plm": {"carrier_mix": 0.4}, "note": "café"}'.encode("latin-1"))
+        out = tmp_path / "o.wav"
+        assert run(["convert", "--algo", "plm", "--in", str(tone_wav), "--out", str(out),
+                    "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: not UTF-8 text: byte 0xe9 (invalid continuation byte)\n"
+        assert not out.exists()
+
     def test_missing_input_is_validation_error(self, tmp_path):
         assert run(["convert", "--algo", "plm", "--in", str(tmp_path / "no.wav"),
                     "--out", str(tmp_path / "o.wav")]) == 1
@@ -403,12 +424,11 @@ def test_dead_worker_fails_its_clips_by_name(tmp_path, monkeypatch, capsys):
         clip_id, sep, rest = line.removeprefix("error: ").partition(" hapticgen: ")
         assert (sep, rest) == (" hapticgen: ", "worker process died"), line
         failed.add(clip_id)
-    assert "00-05" in failed
-    assert out == f"wrote {16 - len(failed)} files to {out_dir}\n"
-    # every clip not named was written; one a healthy worker was converting when the
-    # pool broke may be written and still named, as its result never came back
+    # the tasks the broken pool failed are rerun alone, and only 00-05 kills its rerun too
+    assert failed == {"00-05"}
+    assert out == f"wrote 15 files to {out_dir}\n"
     written = {p.name.split(".")[0] for p in out_dir.glob("*.wav")}
-    assert written | failed == {f"00-{k:02d}" for k in range(16)} and "00-05" not in written
+    assert written == {f"00-{k:02d}" for k in range(16)} - {"00-05"}
     assert [p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")] == []
 
 
@@ -477,6 +497,15 @@ class TestCurate:
         assert run(base + ["--out", str(out1)]) == 0
         assert run(base + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_selection_is_pinned(self, tmp_path):
+        # the clips a fixed seed keeps, as the clustering selected them when this test was written
+        manifest = small_audio_set(tmp_path)
+        out = tmp_path / "curated.csv"
+        assert run(["curate", "--manifest", str(manifest), "--per-class", "3",
+                    "--k", "3", "--seed", "11", "--out", str(out)]) == 0
+        kept = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+        assert kept == ["00-00", "00-02", "00-05", "01-00", "01-01", "01-04"]
 
     def test_selects_per_class_count(self, tmp_path):
         manifest = small_audio_set(tmp_path)
@@ -778,6 +807,41 @@ def test_cold_start_loads_scipy_signal_only_to_filter(tmp_path, tone_wav):
                            str(manifest), str(vib)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+_WARM_POOL = """
+import concurrent.futures, sys
+from hapticwave import cli
+manifest, out_dir = sys.argv[1:]
+built = []
+
+class Recording(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        built.append("scipy.signal" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = Recording
+assert cli.run(["batch", "--manifest", manifest, "--algos", "plm,pitch,hapticgen",
+                "--out-dir", out_dir + "/no-fshift", "--workers", "2"]) == 0
+assert "scipy.signal" not in sys.modules
+assert cli.run(["batch", "--manifest", manifest, "--algos", "fshift",
+                "--out-dir", out_dir, "--workers", "2"]) == 0
+assert built == [False, True], built
+"""
+
+
+def test_fshift_pool_starts_with_scipy_signal_loaded(tmp_path):
+    # forked workers inherit the parent's scipy.signal instead of each importing it;
+    # a batch without fshift still loads no scipy
+    manifest = small_audio_set(tmp_path, n_classes=1, per_class=4)
+    src = str(Path(hapticwave.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _WARM_POOL, str(manifest),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.wav")) == \
+        [f"00-{k:02d}.fshift.wav" for k in range(4)]
 
 
 class TestBench:

@@ -236,13 +236,6 @@ class TestKmeans:
         with pytest.raises(ValueError, match="^expected a 2-D matrix of feature vectors$"):
             kmeans(np.zeros(10), k=2, seed=0)
 
-    def test_id_mapping(self):
-        points, _ = make_blobs(1)
-        vectors = {f"c{i:03d}": points[i] for i in range(len(points))}
-        result = kmeans(vectors, k=3, seed=3)
-        assignment = result.assignment()
-        assert sorted(assignment) == sorted(vectors)
-
 
 class TestStratifiedSample:
     def _assignment(self, sizes: list[int]) -> dict[str, int]:
