@@ -42,6 +42,9 @@ class BenchResult:
     algorithm: str
     mean_latency_s: float
     sd_latency_s: float
+    p50_latency_s: float
+    p95_latency_s: float
+    max_latency_s: float
 
 
 class _RepeatedSet(Sequence):
@@ -107,12 +110,16 @@ def run_bench(corpus: dict[int, Sequence[AudioClip]],
                     latencies.append(time.perf_counter() - start)
             except Exception as exc:
                 raise BenchRunError(clip_id, exc) from exc
+            p50, p95 = np.percentile(latencies, (50, 95))
             results.append(BenchResult(
                 duration_s=duration,
                 clip_count=len(clips),
                 algorithm=algo,
                 mean_latency_s=mean(latencies),
                 sd_latency_s=stdev(latencies) if len(latencies) > 1 else 0.0,
+                p50_latency_s=float(p50),
+                p95_latency_s=float(p95),
+                max_latency_s=max(latencies),
             ))
     return results
 
@@ -122,8 +129,10 @@ def results_to_json(results: list[BenchResult]) -> str:
 
 
 def format_results(results: list[BenchResult]) -> str:
-    lines = [f"{'duration':>9} {'clips':>6} {'algorithm':>10} {'mean (s)':>10} {'sd (s)':>10}"]
+    lines = [f"{'duration':>9} {'clips':>6} {'algorithm':>10} {'mean (s)':>10} {'sd (s)':>10} "
+             f"{'p50 (s)':>10} {'p95 (s)':>10} {'max (s)':>10}"]
     for r in results:
         lines.append(f"{r.duration_s:>8}s {r.clip_count:>6} {r.algorithm:>10} "
-                     f"{r.mean_latency_s:>10.4f} {r.sd_latency_s:>10.4f}")
+                     f"{r.mean_latency_s:>10.4f} {r.sd_latency_s:>10.4f} "
+                     f"{r.p50_latency_s:>10.4f} {r.p95_latency_s:>10.4f} {r.max_latency_s:>10.4f}")
     return "\n".join(lines)

@@ -357,7 +357,6 @@ _VALIDATION_ERRORS = (
     FileNotFoundError,
     IsADirectoryError,
     ValueError,
-    json.JSONDecodeError,
 )
 
 

@@ -18,11 +18,10 @@ segment hits the target RMS; fshift is normalized on whole-signal RMS.
 from __future__ import annotations
 
 import json
-import threading
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from math import inf
 from pathlib import Path
 
@@ -68,12 +67,13 @@ CLIP_WARN_FRACTION = 1e-3
 _FSHIFT_MIN_WORK_RATE = 22050
 
 # The 8 kHz output stage reads its time grid and plm's carrier sines as
-# prefixes of one kept table each, of the next power of two at or above the
-# longest output read so far, up to this many samples (2 MiB of float64,
-# 32.8 s); a longer output builds its own and does not keep it.
+# prefixes of kept tables, one per (carrier or grid, power of two at or above
+# the output length), up to this many samples (2 MiB of float64, 32.8 s); a
+# longer output builds its own and does not keep it.
 _TABLE_LEN = 1 << 18
-# Tables kept, one per carrier frequency and one for the grid: at most 16 MiB.
-_MAX_TABLES = 8
+# Tables kept, least recently used evicted first: at most 24 MiB. The grid and
+# plm's two carriers, each at the three lengths of 1, 2 and 5 s clips, fit.
+_MAX_TABLES = 12
 
 # Frequencies the 8 kHz output can carry
 _OUTPUT_BAND = Interval(0.0, VIBRATION_RATE / 2.0, "()")
@@ -309,10 +309,8 @@ def _build_table(freq_hz: float | None, n_out: int) -> np.ndarray:
     return table
 
 
-# The kept tables by carrier frequency (None for the grid), least recently used
-# first; _tables_lock guards every read and update.
-_tables: dict[float | None, np.ndarray] = {}
-_tables_lock = threading.Lock()
+# Safe across threads: two that miss one key may both build it, into equal tables.
+_kept_table = lru_cache(maxsize=_MAX_TABLES)(_build_table)
 
 
 def _carrier_table(freq_hz: float | None, n_out: int) -> np.ndarray:
@@ -323,14 +321,7 @@ def _carrier_table(freq_hz: float | None, n_out: int) -> np.ndarray:
     """
     if n_out > _TABLE_LEN:
         return _build_table(freq_hz, n_out)
-    with _tables_lock:
-        table = _tables.pop(freq_hz, None)
-        if table is None or len(table) < n_out:
-            table = _build_table(freq_hz, 1 << (n_out - 1).bit_length())
-        _tables[freq_hz] = table
-        if len(_tables) > _MAX_TABLES:
-            del _tables[next(iter(_tables))]
-    return table[:n_out]
+    return _kept_table(freq_hz, 1 << (n_out - 1).bit_length())[:n_out]
 
 
 # Output sample times in seconds, read-only.

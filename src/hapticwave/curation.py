@@ -194,15 +194,13 @@ def extract_features(clip: AudioClip) -> FeatureVector:
 @dataclass
 class KMeansResult:
     labels: np.ndarray
-    centroids: np.ndarray  # in the original (unstandardized) feature space
     inertia_history: list[float]
 
 
-def _standardize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mean = points.mean(axis=0)
+def _standardize(points: np.ndarray) -> np.ndarray:
     std = points.std(axis=0)
     std[std == 0] = 1.0
-    return (points - mean) / std, mean, std
+    return (points - points.mean(axis=0)) / std
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -226,8 +224,8 @@ def kmeans(vectors: np.ndarray, k: int, seed: int) -> KMeansResult:
 
     vectors is an (n, d) matrix, or a list of n rows, one feature vector per
     point; labels[i] is row i's cluster. Features are z-score standardized per
-    dimension before clustering; the returned centroids are mapped back to the
-    original feature space. The recorded inertia history is non-increasing.
+    dimension before clustering. The recorded inertia history, in the
+    standardized space, is non-increasing.
     """
     points = np.asarray(vectors, dtype=np.float64)
     if points.ndim != 2:
@@ -238,7 +236,7 @@ def kmeans(vectors: np.ndarray, k: int, seed: int) -> KMeansResult:
     if n < k:
         raise ValueError(f"cannot form {k} clusters from {n} points")
 
-    std_points, mean, std = _standardize(points)
+    std_points = _standardize(points)
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(std_points, k, rng)
 
@@ -257,8 +255,7 @@ def kmeans(vectors: np.ndarray, k: int, seed: int) -> KMeansResult:
             break
         labels = new_labels
 
-    return KMeansResult(labels=labels, centroids=centers * std + mean,
-                        inertia_history=history)
+    return KMeansResult(labels=labels, inertia_history=history)
 
 
 def stratified_sample(assignment: Mapping[str, int], per_class_target: int,

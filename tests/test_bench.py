@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +12,14 @@ import pytest
 
 import hapticwave
 from hapticwave.audio_io import AudioClip
-from hapticwave.bench import BenchRunError, build_bench_corpus, run_bench
+from hapticwave import bench
+from hapticwave.bench import (
+    BenchRunError,
+    build_bench_corpus,
+    format_results,
+    results_to_json,
+    run_bench,
+)
 from hapticwave.errors import ProtocolError
 
 BENCH_SR = 32000  # any rate converts; 32 kHz is cheaper than 44.1 kHz
@@ -99,6 +107,22 @@ class TestRunBench:
         assert row.clip_count == 250
         assert row.mean_latency_s > 0.0
         assert row.sd_latency_s >= 0.0
+
+    def test_percentiles_from_a_fake_clock(self, bench_clips, monkeypatch):
+        # clip i takes (i + 1) ms, except the last, which takes 1 s
+        latencies = [0.001 * (i + 1) for i in range(249)] + [1.0]
+        readings = iter(t for latency in latencies for t in (0.0, latency))
+        monkeypatch.setattr(bench.time, "perf_counter", lambda: next(readings))
+        (row,) = run_bench({1: build_bench_corpus(bench_clips)[1]}, algorithms=("hapticgen",))
+        assert next(readings, None) is None
+        # linear interpolation between the 125th and 126th, and the 237th and 238th, values
+        assert row.p50_latency_s == pytest.approx(0.1255, rel=1e-12)
+        assert row.p95_latency_s == pytest.approx(0.23755, rel=1e-12)
+        assert row.max_latency_s == 1.0
+        assert row.mean_latency_s == pytest.approx((0.001 * 249 * 250 / 2 + 1.0) / 250, rel=1e-12)
+        text = format_results([row]).splitlines()
+        assert text[1].split()[-3:] == ["0.1255", "0.2376", "1.0000"]
+        assert json.loads(results_to_json([row]))[0]["p95_latency_s"] == row.p95_latency_s
 
     def test_latency_monotone_in_duration(self, bench_clips):
         # A busy neighbour can slow one set within a run; the element-wise

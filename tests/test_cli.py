@@ -887,8 +887,10 @@ class TestBench:
         assert run(["bench", "--clips", str(clip_dir), "--durations", "1", "--algos", "hapticgen",
                     "--json", str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[0].split() == \
-            ["duration", "clips", "algorithm", "mean", "(s)", "sd", "(s)"]
+            ["duration", "clips", "algorithm", "mean", "(s)", "sd", "(s)", "p50", "(s)", "p95",
+             "(s)", "max", "(s)"]
         (result,) = json.loads(out.read_text())
         assert (result["duration_s"], result["clip_count"], result["algorithm"]) == \
             (1, 250, "hapticgen")
         assert result["mean_latency_s"] > 0
+        assert 0 < result["p50_latency_s"] <= result["p95_latency_s"] <= result["max_latency_s"]

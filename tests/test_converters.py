@@ -23,8 +23,8 @@ from hapticwave.converters import (
     ConverterConfig,
     _carrier_table,
     _frame_centers,
+    _kept_table,
     _pitch_window,
-    _tables,
     _time_grid,
     convert,
     convert_fshift,
@@ -46,6 +46,7 @@ from hapticwave.psychoacoustics import (
 )
 from hapticwave.errors import (
     DegenerateSignalError,
+    HapticwaveError,
     NonFiniteSignalError,
     SchemaError,
 )
@@ -525,6 +526,73 @@ class TestStageFiniteness:
         assert calls == ["sine440"]
 
 
+# The typed-error grid: every rate and length a converter claims to take, on
+# signals that reach each rejection path. Seeded per (signal, rate, length).
+GRID_RATES = (8000, 11025, 16000, 22050, 44100, 44103, 48000, 96000)
+GRID_SECONDS = (0.01, 0.05, 0.2, 1.0)
+
+
+def _noise(rng, n):
+    return 0.3 * rng.standard_normal(n)
+
+
+def _with_sample(value):
+    def signal(rng, n):
+        x = _noise(rng, n)
+        x[n // 2] = value
+        return x
+    return signal
+
+
+def _impulse(rng, n):
+    x = np.zeros(n)
+    x[n // 2] = 1.0
+    return x
+
+
+def _huge(rng, n):
+    x = rng.standard_normal(n)
+    return x * (1e154 / np.abs(x).max())
+
+
+GRID_SIGNALS = {
+    "silence": lambda rng, n: np.zeros(n),
+    "dc": lambda rng, n: np.full(n, 0.5),
+    "impulse": _impulse,
+    "noise": _noise,
+    "square": lambda rng, n: np.where(np.arange(n) % 40 < 20, 1.0, -1.0),
+    "huge": _huge,
+    "nan": _with_sample(np.nan),
+    "inf": _with_sample(np.inf),
+}
+_CLAMP_WARNING = re.compile(r"clamped \d+\.\d\d% of samples to \[-1, 1\]")
+
+
+def _grid_outcome(clip: AudioClip, algo: str) -> str:
+    """"output" or "error" for one conversion, failing on any third outcome.
+
+    Output must be finite, of round(n * 8000 / sr) samples, in [-1, 1]; an
+    error must be a HapticwaveError whose message starts with the clip's name.
+    The only warning allowed is normalize_vibration's clamp report.
+    """
+    case = f"{algo} on {clip.source_id}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = convert(clip, algo).samples
+        except HapticwaveError as exc:
+            assert str(exc).startswith(f"clip {clip.source_id}: "), (case, str(exc))
+            outcome = "error"
+        else:
+            assert len(out) == round(len(clip.samples) * 8000 / clip.sample_rate), case
+            assert np.isfinite(out).all() and np.abs(out).max() <= 1.0, case
+            outcome = "output"
+    stray = [w for w in caught
+             if not (w.category is RuntimeWarning and _CLAMP_WARNING.fullmatch(str(w.message)))]
+    assert not stray, (case, [str(w.message) for w in stray])
+    return outcome
+
+
 class TestShortClips:
     def test_shorter_than_one_frame_is_padded(self):
         x = 0.3 * np.random.default_rng(6).standard_normal(2000)
@@ -560,6 +628,22 @@ class TestShortClips:
             return
         assert len(out) == want
         assert np.isfinite(out).all() and np.abs(out).max() <= 1.0
+
+    @pytest.mark.parametrize("signal", GRID_SIGNALS)
+    @pytest.mark.parametrize("algo", CONVERTER_TAGS)
+    def test_typed_error_grid(self, algo, signal):
+        for i, seconds in enumerate(GRID_SECONDS):
+            for sr in GRID_RATES:
+                n = int(round(seconds * sr))
+                rng = np.random.default_rng([list(GRID_SIGNALS).index(signal), i, sr])
+                clip = AudioClip(GRID_SIGNALS[signal](rng, n), sr, f"{signal}-{sr}-{n}")
+                _grid_outcome(clip, algo)
+
+    @pytest.mark.parametrize("algo", CONVERTER_TAGS)
+    def test_typed_error_grid_long_clip(self, algo):
+        rng = np.random.default_rng(20)
+        clip = AudioClip(_noise(rng, 20 * 44100), 44100, "noise-44100-882000")
+        assert _grid_outcome(clip, algo) == "output"
 
     @pytest.mark.parametrize("algo", CONVERTER_TAGS)
     def test_silent_click_raises_typed(self, algo):
@@ -627,41 +711,72 @@ class TestOutputStage:
         assert np.shares_memory(grid, _time_grid(n)) == (n <= _TABLE_LEN)
 
     def test_one_table_per_carrier(self):
-        _tables.clear()
-        for n in range(1000, 1040):
+        _kept_table.cache_clear()
+        for n in range(1000, 1025):
             _time_grid(n)
             _carrier_table(175.0, n)
-        assert list(_tables) == [None, 175.0]
-        for freq in np.linspace(100.0, 300.0, 20):
-            _carrier_table(float(freq), 8000)
-        # the least recently used go first
-        assert len(_tables) == _MAX_TABLES == 8
-        assert list(_tables) == [float(f) for f in np.linspace(100.0, 300.0, 20)[-8:]]
-        kept = dict(_tables)
+        # one table per (carrier or grid, power-of-two length)
+        assert _kept_table.cache_info() == (48, 2, _MAX_TABLES, 2)
+        _carrier_table(175.0, 1025)
+        assert _kept_table.cache_info().misses == 3
+        freqs = [float(f) for f in np.linspace(100.0, 300.0, 20)]
+        for freq in freqs:
+            _carrier_table(freq, 8000)
+        assert _kept_table.cache_info().currsize == _MAX_TABLES == 12
+        # the least recently used go first: the last 12 are kept, in the order they were read
+        for freq in freqs[-12:]:
+            _carrier_table(freq, 8000)
+        assert _kept_table.cache_info().misses == 23
+        _carrier_table(freqs[0], 8000)  # evicts freqs[-12]
+        for freq in freqs[-11:]:
+            _carrier_table(freq, 8000)
+        assert _kept_table.cache_info().misses == 24
+        _carrier_table(freqs[-12], 8000)
+        assert _kept_table.cache_info().misses == 25
+        kept = _kept_table.cache_info()
         _carrier_table(300.0, _TABLE_LEN + 1)  # built, not kept
         _time_grid(_TABLE_LEN + 1)
-        assert all(_tables[f] is kept[f] for f in kept) and len(_tables) == 8
+        assert _kept_table.cache_info() == kept
 
     def test_tables_sized_to_need(self):
-        _tables.clear()
+        _kept_table.cache_clear()
         first = _carrier_table(175.0, 1000)
-        assert len(_tables[175.0]) == 1024
         assert np.shares_memory(first, _carrier_table(175.0, 1024))  # read from the kept table
-        for n, size in [(1025, 2048), (10, 2048), (8000, 8192), (_TABLE_LEN, _TABLE_LEN),
-                        (_TABLE_LEN + 1, _TABLE_LEN), (1, _TABLE_LEN)]:
+        for n, size in [(1000, 1024), (1025, 2048), (10, 16), (8000, 8192),
+                        (_TABLE_LEN, _TABLE_LEN), (1, 1)]:
             table = _carrier_table(175.0, n)
-            assert len(_tables[175.0]) == size
+            # a prefix of the table kept at the next power of two
+            assert table.base is _kept_table(175.0, size) and len(table.base) == size
             t = np.arange(n) / 8000
             np.testing.assert_array_equal(table, np.sin(2.0 * np.pi * 175.0 * t))
+        kept = _kept_table.cache_info()
+        table = _carrier_table(175.0, _TABLE_LEN + 1)
+        assert table.base is None and _kept_table.cache_info() == kept
+        t = np.arange(_TABLE_LEN + 1) / 8000
+        np.testing.assert_array_equal(table, np.sin(2.0 * np.pi * 175.0 * t))
+
+    def test_protocol_clips_build_nine_tables(self):
+        # the paper's 1, 2 and 5 s clips at 44.1 kHz: plm reads the grid and two
+        # carriers, pitch and hapticgen the grid, each at three lengths
+        rng = np.random.default_rng(31)
+        clips = [AudioClip(0.3 * rng.standard_normal(seconds * 44100), 44100, f"p{seconds}")
+                 for seconds in (1, 2, 5)]
+        _kept_table.cache_clear()
+        for _ in range(3):
+            for clip in clips:
+                for algo in ("plm", "pitch", "hapticgen"):
+                    convert(clip, algo)
+        assert _kept_table.cache_info() == (36, 9, _MAX_TABLES, 9)
 
     def test_tables_shared_by_threads(self):
-        freqs = [None] + [100.0 + 10.0 * i for i in range(11)]  # more carriers than kept tables
+        # the grid and 11 carriers at up to 16 power-of-two lengths: far more tables than kept
+        freqs = [None] + [100.0 + 10.0 * i for i in range(11)]
         errors = []
 
         def work(seed):
             rng = np.random.default_rng(seed)
             try:
-                for i in range(5000):  # every call evicts a table, mostly on a short output
+                for i in range(5000):  # most calls miss and evict a table, mostly on a short output
                     freq = freqs[(seed + i) % len(freqs)]
                     n = int(rng.integers(1, 20000 if i % 100 == 0 else 64))
                     table = _carrier_table(freq, n)
@@ -684,7 +799,7 @@ class TestOutputStage:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(_tables) <= _MAX_TABLES
+        assert _kept_table.cache_info().currsize <= _MAX_TABLES
 
     @pytest.mark.parametrize("algo", CONVERTER_TAGS)
     def test_outputs_own_their_samples(self, algo, am_clip):

@@ -219,8 +219,6 @@ class TestKmeans:
         points = np.tile([1.0, 2.0], (10, 1))
         result = kmeans(points, k=3, seed=0)
         assert result.inertia_history[-1] == pytest.approx(0.0, abs=1e-12)
-        spread = result.centroids.max(axis=0) - result.centroids.min(axis=0)
-        assert np.allclose(spread, 0.0)
 
     def test_seed_reproducible(self):
         points, _ = make_blobs(5, sigma=0.3)
