@@ -82,7 +82,8 @@ def load_wav(path: str | Path) -> AudioClip:
             width = wav.getsampwidth()
             rate = wav.getframerate()
             n_frames = wav.getnframes()
-            raw = wav.readframes(n_frames)
+            # n_frames is the chunk's whole frames; reading one more returns a partial last one
+            raw = wav.readframes(n_frames + 1)
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: {exc}") from exc
     if width != 2:

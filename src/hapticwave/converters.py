@@ -328,10 +328,6 @@ def _carrier_table(freq_hz: float | None, n_out: int) -> np.ndarray:
 _time_grid = partial(_carrier_table, None)
 
 
-def _nco(freqs: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    return nco_synthesize(freqs, amps, VIBRATION_RATE)
-
-
 def _output_vibration(tracks: tuple[np.ndarray, ...], synthesize, clip: AudioClip, window: int,
                       hop: int, segment_len: int, cfg: ConverterConfig,
                       algorithm_tag: str) -> VibrationSignal:
@@ -435,8 +431,7 @@ def fshift_raw(clip: AudioClip, cfg: ConverterConfig = DEFAULT_CONFIG) -> np.nda
                               f"not below the working rate's Nyquist ({rate / 2.0:g} Hz)")
     step = clip.sample_rate // rate
     work = AudioClip(halve_rate(clip.samples) if step == 2 else clip.samples, rate)
-    mixed = work.samples + pitch_shift(work, fc.shifts, fft_size=2048 // step,
-                                       hop=512 // step).samples
+    mixed = work.samples + pitch_shift(work, fc.shifts, fft_size=2048 // step).samples
     hp, bp = (fc.hp_cutoff_hz, fc.hp_order), (fc.bp_center_hz, fc.bp_q, fc.bp_order)
     out = resample_samples(butterworth_filter(mixed, hp, bp, rate), rate, VIBRATION_RATE)
     return fit_length(out, want)
@@ -474,7 +469,7 @@ def convert_pitch(clip: AudioClip, cfg: ConverterConfig = DEFAULT_CONFIG) -> Vib
     """Bark-profile regression to a single time-varying carrier frequency."""
     freqs, amps = pitch_frequency_track(clip, cfg)
     window, hop = _pitch_window(cfg.pitch, clip.sample_rate)
-    return _output_vibration((freqs, amps), _nco, clip, window, hop,
+    return _output_vibration((freqs, amps), nco_synthesize, clip, window, hop,
                              ms_to_samples(cfg.pitch.window_ms, VIBRATION_RATE), cfg, "pitch")
 
 
@@ -492,7 +487,7 @@ def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig = DEFAULT_CONFIG) ->
     r_norm = rms / peak
 
     freqs = hc.f_center_hz - hc.f_dev_hz + 2.0 * hc.f_dev_hz * r_norm
-    return _output_vibration((freqs, r_norm), _nco, clip, window, window,
+    return _output_vibration((freqs, r_norm), nco_synthesize, clip, window, window,
                              ms_to_samples(hc.window_ms, VIBRATION_RATE), cfg, "hapticgen")
 
 

@@ -12,7 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import AudioClip, clip_name, fit_length, require_finite, resample_by_ratio
+from .audio_io import (VIBRATION_RATE, AudioClip, clip_name, fit_length, require_finite,
+                       resample_by_ratio)
 from .errors import DegenerateSignalError
 
 # Frame analyses run over consecutive blocks of at most this many bytes of
@@ -132,9 +133,9 @@ def _overlap_norm(fft_size: int, hop: int, m: int) -> np.ndarray:
     Output blocks k - 1 to n_frames - 1 each sum all k window blocks, so the
     sums are added up over at most k frames; each is floored at 1e-8.
     """
-    k = -(-fft_size // hop)
+    k = fft_size // hop
     window = hann_window(fft_size)
-    w2 = np.pad(window * window, (0, k * hop - fft_size)).reshape(k, hop)
+    w2 = (window * window).reshape(k, hop)
     norm = np.zeros((m + k - 1, hop))
     for j in range(k - 1, -1, -1):
         norm[j:j + m] += w2[j]
@@ -148,20 +149,17 @@ def _istft(n_frames: int, blocks: Iterable[tuple[slice, np.ndarray]], fft_size: 
     """Overlap-add inverse of a complex STFT with Hann analysis + synthesis.
 
     The STFT arrives as (rows, spectrum[rows]) over consecutive blocks of its
-    n_frames frames. Frames are zero-padded to k = ceil(fft_size / hop)
+    n_frames frames. hop divides fft_size, so each frame is k = fft_size // hop
     blocks of hop samples; block j of frame i lands on output block i + j.
     Adding the blocks from j = k - 1 down to 0, block of frames by block,
     adds each output sample's frames in ascending order.
     """
     window = hann_window(fft_size)
-    k = -(-fft_size // hop)
-    pad = k * hop - fft_size
+    k = fft_size // hop
     out = np.zeros((n_frames + k - 1, hop))
     for rows, spectrum in blocks:
         frames = np.fft.irfft(spectrum, n=fft_size, axis=1)
         frames *= window
-        if pad:
-            frames = np.pad(frames, ((0, 0), (0, pad)))
         frames = frames.reshape(len(frames), k, hop)
         for j in range(k - 1, -1, -1):
             out[rows.start + j:rows.stop + j] += frames[:, j]
@@ -255,16 +253,19 @@ def _stretch_frames(mags: np.ndarray, phasors: np.ndarray,
     return len(steps), blocks()
 
 
-def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...], fft_size: int = 2048,
-                hop: int | None = None) -> AudioClip:
+def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...],
+                fft_size: int = 2048) -> AudioClip:
     """Shift pitch by a signed number of semitones, preserving duration.
 
-    Phase-vocoder time scaling followed by band-limited resampling; the
-    output has exactly the input's length. A tuple of shifts returns the sum
-    of the shifted copies, all read from one analysis STFT. An empty clip
-    raises DegenerateSignalError, and NaN or infinite samples raise
+    Phase-vocoder time scaling with a hop of fft_size // 4, followed by
+    band-limited resampling; the output has exactly the input's length. A
+    tuple of shifts returns the sum of the shifted copies, all read from one
+    analysis STFT. An fft_size that is not a multiple of 4 raises ValueError,
+    an empty clip DegenerateSignalError, and NaN or infinite samples
     NonFiniteSignalError.
     """
+    if fft_size < 4 or fft_size % 4:
+        raise ValueError(f"fft_size {fft_size} is not a positive multiple of 4")
     require_finite(clip)
     shifts = semitones if isinstance(semitones, tuple) else (semitones,)
     if any(abs(s) > 24 for s in shifts):
@@ -272,8 +273,7 @@ def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...], fft_size:
     n = len(clip.samples)
     if n == 0:
         raise DegenerateSignalError(f"{clip_name(clip)}: cannot pitch-shift an empty clip")
-    if hop is None:
-        hop = fft_size // 4
+    hop = fft_size // 4
 
     total = np.zeros(n)
     analysis = None
@@ -290,12 +290,12 @@ def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...], fft_size:
     return AudioClip(samples=total, sample_rate=clip.sample_rate, source_id=clip.source_id)
 
 
-def nco_synthesize(freq_track: np.ndarray, amp_track: np.ndarray, sample_rate: int) -> np.ndarray:
-    """Sinusoid synthesis by per-sample phase accumulation.
+def nco_synthesize(freq_track: np.ndarray, amp_track: np.ndarray) -> np.ndarray:
+    """Sinusoid synthesis at VIBRATION_RATE by per-sample phase accumulation.
 
     out[n] = amp[n] * sin(phi[n]) with phi[n+1] = phi[n] + 2*pi*freq[n]/fs and
     phi[0] = 0, so frequency changes never reset the phase. A frequency
-    outside (0, Nyquist), a negative or infinite amplitude, and NaN in either
+    outside (0, 4000) Hz, a negative or infinite amplitude, and NaN in either
     track raise ValueError.
     """
     freq = np.asarray(freq_track, dtype=np.float64)
@@ -305,13 +305,13 @@ def nco_synthesize(freq_track: np.ndarray, amp_track: np.ndarray, sample_rate: i
     if len(freq) == 0:
         return np.zeros(0)
     # written so that NaN, which fails every comparison, is rejected too
-    if not (0 < freq.min() and freq.max() < sample_rate / 2):
+    if not (0 < freq.min() and freq.max() < VIBRATION_RATE / 2):
         raise ValueError("frequency track must stay inside (0, Nyquist)")
     if not (amp.min() >= 0 and amp.max() < np.inf):
         raise ValueError("amplitude track must be finite and non-negative")
     phase = np.empty_like(freq)
     phase[0] = 0.0
-    np.cumsum(freq[:-1] * (2.0 * np.pi / sample_rate), out=phase[1:])
+    np.cumsum(freq[:-1] * (2.0 * np.pi / VIBRATION_RATE), out=phase[1:])
     np.sin(phase, out=phase)
     phase *= amp
     return phase

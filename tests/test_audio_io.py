@@ -173,15 +173,18 @@ class TestLoadSave:
             wav.setframerate(16000)
             wav.writeframes(np.full(1000 * channels, 1000, dtype="<i2").tobytes())
         path.write_bytes(path.read_bytes()[:-cut])
-        message = (f"{path}: data chunk ends mid-frame ({2000 * channels - cut} bytes, "
-                   f"{2 * channels}-byte frames)")
-        with pytest.raises(AudioFormatError) as err:
-            load_wav(path)
-        assert str(err.value) == message
-        out = tmp_path / "out.wav"
-        assert run(["convert", "--algo", "plm", "--in", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        _assert_ends_mid_frame(path, 2000 * channels - cut, channels, capsys)
+
+    @pytest.mark.parametrize("channels, n_bytes", [(1, 3), (2, 6)])
+    def test_declared_chunk_ends_mid_frame_rejected(self, tmp_path, capsys, channels, n_bytes):
+        """A whole file whose header declares a data chunk ending in a partial frame."""
+        path = tmp_path / "odd.wav"
+        fmt = struct.pack("<HHIIHH", 1, channels, 16000, 32000 * channels, 2 * channels, 16)
+        data = bytes(range(1, n_bytes + 1)) + b"\0" * (n_bytes % 2)  # RIFF pads odd chunks
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
+            + b"data" + struct.pack("<I", n_bytes) + data
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        _assert_ends_mid_frame(path, n_bytes, channels, capsys)
 
     def test_save_is_deterministic(self, tmp_path):
         clip = sine_clip(333.0, duration=0.3)
@@ -189,6 +192,18 @@ class TestLoadSave:
         save_wav(clip, p1)
         save_wav(clip, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _assert_ends_mid_frame(path, n_bytes, channels, capsys):
+    """load_wav and `convert` both refuse path, naming its chunk's size in bytes."""
+    message = f"{path}: data chunk ends mid-frame ({n_bytes} bytes, {2 * channels}-byte frames)"
+    with pytest.raises(AudioFormatError) as err:
+        load_wav(path)
+    assert str(err.value) == message
+    out = path.with_name("out.wav")
+    assert run(["convert", "--algo", "plm", "--in", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestFitLength:

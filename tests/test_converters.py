@@ -445,7 +445,8 @@ class TestNonFiniteOutput:
 
     # the stage whose result goes into normalization, poisoned with one NaN
     @pytest.mark.parametrize("algo, stage", [("plm", "_carrier_table"), ("fshift", "fshift_raw"),
-                                             ("pitch", "_nco"), ("hapticgen", "_nco")])
+                                             ("pitch", "nco_synthesize"),
+                                             ("hapticgen", "nco_synthesize")])
     def test_converter_names_the_clip(self, monkeypatch, algo, stage):
         from hapticwave import converters
 

@@ -205,6 +205,10 @@ class TestPitchShift:
             pitch_shift(AudioClip(np.zeros(0), SR, "gap"), -12)
 
 
+    def test_fft_size_not_a_multiple_of_four(self):
+        with pytest.raises(ValueError, match="fft_size 1001"):
+            pitch_shift(sine_clip(440.0, duration=0.1), -12, fft_size=1001)
+
     def test_tuple_range_limit(self):
         with pytest.raises(ValueError):
             pitch_shift(sine_clip(440.0, duration=0.1), (-12.0, 25.0))
@@ -306,15 +310,15 @@ VOCODER_CASES = [(kind, sr) for kind in ("noise", "tone", "silence_then_tone")
 FSHIFT_CASES = [(kind, sr) for kind in ("noise", "tone", "silence_then_tone")
                 for sr in (16000, 22050, 32000, 44100, 48000)]
 
-# (fft_size, hop) grids: the default, a hop that does not divide the FFT, the
-# grid fshift uses at half the input rate, and one smaller still.
-VOCODER_GRIDS = [pytest.param((2048, None), id="None"), pytest.param((2048, 300), id="300"),
+# (fft_size, hop) grids: the default, the grid fshift uses at half the input
+# rate, and one smaller still.
+VOCODER_GRIDS = [pytest.param((2048, None), id="None"),
                  pytest.param((1024, 256), id="1024/256"),
                  pytest.param((512, 128), id="512/128")]
 
 
 class TestVocoderEquivalence:
-    @pytest.mark.parametrize("hop", [512, 300, 2048, 700])
+    @pytest.mark.parametrize("hop", [512, 2048])
     @pytest.mark.parametrize("extra", [-900, 0, 1500])
     def test_overlap_add_is_bit_identical(self, hop, extra):
         rng = np.random.default_rng(hop)
@@ -391,10 +395,10 @@ class TestVocoderEquivalence:
     @pytest.mark.parametrize("grid", VOCODER_GRIDS)
     @pytest.mark.parametrize("semitones", [-24, -12, -7, -2, 2])
     def test_pitch_shift_matches_loop(self, kind, sr, grid, semitones):
-        fft_size, hop = grid
+        fft_size, _ = grid
         x = _vocoder_signal(kind, sr)
-        ref = _loop_pitch_shift(x, semitones, fft_size, hop)
-        out = pitch_shift(AudioClip(x, sr), semitones, fft_size, hop).samples
+        ref = _loop_pitch_shift(x, semitones, fft_size)
+        out = pitch_shift(AudioClip(x, sr), semitones, fft_size).samples
         # In the last fft_size samples of a -2 or +2 shift the overlap-add
         # divides by a window-square sum that falls toward its 1e-8 floor, so
         # values reach ~1e3 on noise and the reference's own phase rounding
@@ -421,22 +425,22 @@ class TestVocoderEquivalence:
         assert len(rows) > 1 and sum(rows) == framed[0]
 
     @pytest.mark.parametrize("block_frames", ["one", "block - 1", "block + 1", "1 GiB"])
-    @pytest.mark.parametrize("sr, fft_size, hop", [(16000, 2048, 512), (44100, 2048, 512),
-                                                   (22050, 1024, 256), (44100, 2048, 300)])
-    def test_block_size_does_not_change_output(self, monkeypatch, block_frames, sr, fft_size,
-                                                hop):
+    @pytest.mark.parametrize("sr, fft_size", [  # ids end in the hop, fft_size // 4
+        pytest.param(sr, fft_size, id=f"{sr}-{fft_size}-{fft_size // 4}")
+        for sr, fft_size in ((16000, 2048), (44100, 2048), (22050, 1024))])
+    def test_block_size_does_not_change_output(self, monkeypatch, block_frames, sr, fft_size):
         """pitch_shift agrees with one block of every frame, whatever the block seams."""
         x = _vocoder_signal("noise", sr)
         x = np.concatenate([x, x[: sr // 2]])  # 1.5 s: more than one default block
         shifts = (-24.0, -12.0, -2.0, 2.0, (-12.0, -24.0))
         monkeypatch.setattr(dsp, "_BLOCK_BYTES", 1 << 30)
-        want = [pitch_shift(AudioClip(x, sr), s, fft_size, hop).samples for s in shifts]
+        want = [pitch_shift(AudioClip(x, sr), s, fft_size).samples for s in shifts]
         frame_bytes = 8 * fft_size
         block_bytes = {"one": frame_bytes, "block - 1": (1 << 19) - frame_bytes,
                        "block + 1": (1 << 19) + frame_bytes, "1 GiB": 1 << 30}[block_frames]
         monkeypatch.setattr(dsp, "_BLOCK_BYTES", block_bytes)
         for s, ref in zip(shifts, want):
-            out = pitch_shift(AudioClip(x, sr), s, fft_size, hop).samples
+            out = pitch_shift(AudioClip(x, sr), s, fft_size).samples
             np.testing.assert_allclose(out, ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
 
     @pytest.mark.parametrize("kind,sr", FSHIFT_CASES)
@@ -684,17 +688,17 @@ class TestCachedDesign:
 
 class TestNco:
     def test_constant_tone_crossings(self):
-        out = nco_synthesize(np.full(8000, 200.0), np.ones(8000), 8000)
+        out = nco_synthesize(np.full(8000, 200.0), np.ones(8000))
         crossings = np.count_nonzero(np.diff(np.signbit(out)))
         assert abs(crossings - 400) <= 2
 
     def test_zero_amplitude(self):
-        out = nco_synthesize(np.full(100, 200.0), np.zeros(100), 8000)
+        out = nco_synthesize(np.full(100, 200.0), np.zeros(100))
         assert not out.any()
 
     def test_linear_ramp_mean_frequency(self):
         freq = np.linspace(100.0, 300.0, 8000)
-        out = nco_synthesize(freq, np.ones(8000), 8000)
+        out = nco_synthesize(freq, np.ones(8000))
         estimates = instantaneous_frequency(out, 8000)
         # time-weighted mean: each estimate covers one period, so weight by it
         mean_freq = len(estimates) / np.sum(1.0 / estimates)
@@ -702,11 +706,11 @@ class TestNco:
 
     def test_track_length_mismatch(self):
         with pytest.raises(ValueError):
-            nco_synthesize(np.ones(10), np.ones(9), 8000)
+            nco_synthesize(np.ones(10), np.ones(9))
 
     def test_frequency_bounds_enforced(self):
         with pytest.raises(ValueError):
-            nco_synthesize(np.full(10, 4000.0), np.ones(10), 8000)
+            nco_synthesize(np.full(10, 4000.0), np.ones(10))
 
     @pytest.mark.parametrize("track", ["freq", "amp"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -714,15 +718,15 @@ class TestNco:
         tracks = {"freq": np.full(4, 200.0), "amp": np.ones(4)}
         tracks[track][2] = bad
         with pytest.raises(ValueError, match={"freq": "frequency", "amp": "amplitude"}[track]):
-            nco_synthesize(tracks["freq"], tracks["amp"], 8000)
+            nco_synthesize(tracks["freq"], tracks["amp"])
 
     def test_all_nan_frequency_rejected(self):
         with pytest.raises(ValueError, match="frequency"):
-            nco_synthesize(np.full(4, np.nan), np.ones(4), 8000)
+            nco_synthesize(np.full(4, np.nan), np.ones(4))
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError, match="amplitude"):
-            nco_synthesize(np.full(4, 200.0), np.array([1.0, -1e-12, 1.0, 1.0]), 8000)
+            nco_synthesize(np.full(4, 200.0), np.array([1.0, -1e-12, 1.0, 1.0]))
 
     @pytest.mark.parametrize("n", [1, 2, 8000])
     def test_matches_phase_accumulation_formula(self, n):
@@ -730,7 +734,7 @@ class TestNco:
         freq = rng.uniform(50.0, 400.0, n)
         amp = rng.uniform(0.0, 2.0, n)
         phase = np.concatenate([[0.0], np.cumsum(freq[:-1] * (2.0 * np.pi / 8000))])
-        out = nco_synthesize(freq, amp, 8000)
+        out = nco_synthesize(freq, amp)
         assert np.array_equal(out, amp * np.sin(phase))
         assert out.flags.writeable and not np.shares_memory(out, freq)
 

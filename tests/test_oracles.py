@@ -23,7 +23,7 @@ class TestInstantaneousFrequency:
 
     def test_nco_ramp_bounds(self):
         freq = np.linspace(150.0, 250.0, 16000)
-        out = nco_synthesize(freq, np.ones(16000), 8000)
+        out = nco_synthesize(freq, np.ones(16000))
         est = instantaneous_frequency(out, 8000)
         assert est.min() >= 145.0
         assert est.max() <= 255.0
