@@ -338,12 +338,6 @@ class MetricReport:
     rmse: float
 
 
-def _as_samples(signal) -> np.ndarray:
-    if isinstance(signal, VibrationSignal):
-        return signal.samples
-    return np.asarray(signal, dtype=np.float64)
-
-
 def _stft_resolution_loss(mag_p: np.ndarray, mag_t: np.ndarray) -> float:
     norm_t = np.linalg.norm(mag_t)
     convergence = np.linalg.norm(mag_t - mag_p) / max(norm_t, _LOG_EPS)
@@ -351,18 +345,18 @@ def _stft_resolution_loss(mag_p: np.ndarray, mag_t: np.ndarray) -> float:
     return float(convergence) + log_l1
 
 
-def reconstruction_metrics(pred, target, sample_rate: int = VIBRATION_RATE) -> MetricReport:
-    """Distance components between a predicted and a target waveform.
+def reconstruction_metrics(pred: np.ndarray, target: np.ndarray,
+                           sample_rate: int = VIBRATION_RATE) -> MetricReport:
+    """Distance components between a predicted and a target waveform, as sample arrays.
 
     mse/rmse are plain time-domain errors; stft_loss averages spectral
     convergence plus log-magnitude L1 over FFT sizes 1024/512/256; mel_l1 is
     the mean absolute log-mel difference (64 bands to Nyquist) on the
     1024-point magnitudes; amp_loss is the absolute RMS difference.
-    sample_rate is the rate of both signals; a VibrationSignal's is
-    VIBRATION_RATE, the default.
+    sample_rate is the rate of both signals.
     """
-    p = _as_samples(pred)
-    t = _as_samples(target)
+    p = np.asarray(pred, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
     if len(p) != len(t):
         raise ValueError(f"length mismatch: {len(p)} vs {len(t)}")
     if len(p) == 0:

@@ -356,6 +356,8 @@ _VALIDATION_ERRORS = (
     ProtocolError,
     FileNotFoundError,
     IsADirectoryError,
+    NotADirectoryError,
+    FileExistsError,
     ValueError,
 )
 

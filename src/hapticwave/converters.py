@@ -371,10 +371,9 @@ def _require_finite_features(clip: AudioClip, feature: str, *tracks: np.ndarray)
 def plm_feature_tracks(clip: AudioClip, cfg: ConverterConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame (intensity, roughness) tracks for the perceptual mapping."""
     require_finite(clip)
-    frame_size = cfg.plm.frame_size
     with np.errstate(over="ignore", invalid="ignore"):
         loudness, raw_rough = psycho.loudness_roughness_frames(
-            clip.samples, frame_size, frame_size, clip.sample_rate, cfg.psycho)
+            clip.samples, cfg.plm.frame_size, clip.sample_rate, cfg.psycho)
     _require_finite_features(clip, "loudness or roughness", loudness, raw_rough)
     a0, a1 = cfg.plm.intensity_map
     b0, b1, b2 = cfg.plm.roughness_map
@@ -479,7 +478,7 @@ def convert_hapticgen(clip: AudioClip, cfg: ConverterConfig = DEFAULT_CONFIG) ->
     hc = cfg.hapticgen
     window = ms_to_samples(hc.window_ms, clip.sample_rate)
     with np.errstate(over="ignore", invalid="ignore"):
-        rms = frame_rms(clip.samples, window, window)
+        rms = frame_rms(clip.samples, window)
     _require_finite_features(clip, "frame RMS", rms)
     peak = float(rms.max())
     if peak <= 0.0:

@@ -28,22 +28,23 @@ TEMPO_MAX_BPM = 300.0
 _FFT_SIZE = 2048
 _HOP = 512
 _BLOCKS_PER_FRAME = _FFT_SIZE // _HOP
+# extract_features' log-mel energies per frame; its MFCCs are their DCT-II coefficients 1..13
+_N_MELS = 26
 
 _KMEANS_MAX_ITER = 300
 
 
-def _dct_basis(n: int) -> np.ndarray:
-    """Orthonormal DCT-II basis, (n, n), read-only."""
-    m = np.arange(n)
-    basis = np.cos(np.pi * (m[None, :] + 0.5) * m[:, None] / n)
-    basis *= np.sqrt(2.0 / n)
+def _dct_basis() -> np.ndarray:
+    """Orthonormal DCT-II basis, (_N_MELS, _N_MELS), read-only."""
+    m = np.arange(_N_MELS)
+    basis = np.cos(np.pi * (m[None, :] + 0.5) * m[:, None] / _N_MELS)
+    basis *= np.sqrt(2.0 / _N_MELS)
     basis[0] /= np.sqrt(2.0)
     basis.flags.writeable = False
     return basis
 
 
-# DCT-II over extract_features' 26 log-mel energies; its MFCCs are coefficients 1..13
-_MFCC_DCT = _dct_basis(26)
+_MFCC_DCT = _dct_basis()
 
 
 @dataclass
@@ -78,8 +79,10 @@ class FeatureVector:
 
 def _tempo_bpm(onset_env: np.ndarray, frame_rate: float) -> float:
     """Tempo from the autocorrelation of the onset envelope, clamped to range."""
+    if len(onset_env) < 4:
+        return 120.0
     env = onset_env - onset_env.mean()
-    if len(env) < 4 or not np.any(env):
+    if not np.any(env):
         return 120.0
     ac = np.correlate(env, env, mode="full")[len(env) - 1:]
     lag_min = max(1, int(np.ceil(frame_rate * 60.0 / TEMPO_MAX_BPM)))
@@ -165,7 +168,7 @@ def extract_features(clip: AudioClip) -> FeatureVector:
     flux = np.maximum(rise, 0.0, out=rise).sum(axis=1)
     tempo = _tempo_bpm(flux, clip.sample_rate / _HOP)
 
-    bank = mel_filterbank(26, _FFT_SIZE, clip.sample_rate)
+    bank = mel_filterbank(_N_MELS, _FFT_SIZE, clip.sample_rate)
     mel_energy = np.log(np.square(spectra, out=scratch) @ bank.T + 1e-10)
     mfcc_t = mel_energy @ _MFCC_DCT.T
     mfcc = mfcc_t[:, 1:14].mean(axis=0)

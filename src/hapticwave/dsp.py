@@ -127,60 +127,60 @@ def butterworth_filter(signal: np.ndarray, highpass: tuple[float, int],
 
 
 @lru_cache(maxsize=32)
-def _overlap_norm(fft_size: int, hop: int, m: int) -> np.ndarray:
-    """_istft's window-square sums over m = min(n_frames, k) frames, (m + k - 1, hop); read-only.
+def _overlap_norm(fft_size: int, m: int) -> np.ndarray:
+    """_istft's window-square sums over m = min(n_frames, 4) frames, (m + 3, hop); read-only.
 
-    Output blocks k - 1 to n_frames - 1 each sum all k window blocks, so the
-    sums are added up over at most k frames; each is floored at 1e-8.
+    Output blocks 3 to n_frames - 1 each sum all four window blocks, so the
+    sums are added up over at most four frames; each is floored at 1e-8.
     """
-    k = fft_size // hop
+    hop = fft_size // 4
     window = hann_window(fft_size)
-    w2 = (window * window).reshape(k, hop)
-    norm = np.zeros((m + k - 1, hop))
-    for j in range(k - 1, -1, -1):
+    w2 = (window * window).reshape(4, hop)
+    norm = np.zeros((m + 3, hop))
+    for j in range(3, -1, -1):
         norm[j:j + m] += w2[j]
     np.maximum(norm, 1e-8, out=norm)
     norm.flags.writeable = False
     return norm
 
 
-def _istft(n_frames: int, blocks: Iterable[tuple[slice, np.ndarray]], fft_size: int, hop: int,
+def _istft(n_frames: int, blocks: Iterable[tuple[slice, np.ndarray]], fft_size: int,
            length: int) -> np.ndarray:
-    """Overlap-add inverse of a complex STFT with Hann analysis + synthesis.
+    """Overlap-add inverse of a complex STFT with Hann analysis + synthesis, hop fft_size // 4.
 
     The STFT arrives as (rows, spectrum[rows]) over consecutive blocks of its
-    n_frames frames. hop divides fft_size, so each frame is k = fft_size // hop
-    blocks of hop samples; block j of frame i lands on output block i + j.
-    Adding the blocks from j = k - 1 down to 0, block of frames by block,
-    adds each output sample's frames in ascending order.
+    n_frames frames. Each frame is four hop-sized blocks; block j of frame i
+    lands on output block i + j. Adding the blocks from j = 3 down to 0, block
+    of frames by block, adds each output sample's frames in ascending order.
     """
     window = hann_window(fft_size)
-    k = fft_size // hop
-    out = np.zeros((n_frames + k - 1, hop))
+    hop = fft_size // 4
+    out = np.zeros((n_frames + 3, hop))
     for rows, spectrum in blocks:
         frames = np.fft.irfft(spectrum, n=fft_size, axis=1)
         frames *= window
-        frames = frames.reshape(len(frames), k, hop)
-        for j in range(k - 1, -1, -1):
+        frames = frames.reshape(len(frames), 4, hop)
+        for j in range(3, -1, -1):
             out[rows.start + j:rows.stop + j] += frames[:, j]
-    m = min(n_frames, k)
-    norm = _overlap_norm(fft_size, hop, m)
-    head = min(k - 1, n_frames)
+    m = min(n_frames, 4)
+    norm = _overlap_norm(fft_size, m)
+    head = min(3, n_frames)
     out[:head] /= norm[:head]
-    out[head:n_frames] /= norm[k - 1]
+    out[head:n_frames] /= norm[3]
     out[n_frames:] /= norm[m:]
     # past fft_size + hop * (n_frames - 1) the sums are 0, the same as fit_length's zero padding
     return fit_length(out.ravel(), length)
 
 
-def _analysis(signal: np.ndarray, fft_size: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
+def _analysis(signal: np.ndarray, fft_size: int) -> tuple[np.ndarray, np.ndarray]:
     """(magnitude, unit phasor) of the Hann-windowed STFT frames, (n_frames, n_bins) each.
 
     The phasor is S / |S|, or exp(i * angle(S)) where |S| == 0, so it is
     exp(i * angle(S)) everywhere. Both are filled one block of frames at a
-    time. A signal shorter than fft_size + hop is zero-padded to that
-    length, two frames.
+    time. Frames hop fft_size // 4, and a signal shorter than fft_size + hop
+    is zero-padded to that length, two frames.
     """
+    hop = fft_size // 4
     n_frames, blocks = _spectrum_blocks(fit_length(signal, max(len(signal), fft_size + hop)),
                                         fft_size, hop)
     mags = np.empty((n_frames, fft_size // 2 + 1))
@@ -273,7 +273,6 @@ def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...],
     n = len(clip.samples)
     if n == 0:
         raise DegenerateSignalError(f"{clip_name(clip)}: cannot pitch-shift an empty clip")
-    hop = fft_size // 4
 
     total = np.zeros(n)
     analysis = None
@@ -282,10 +281,10 @@ def pitch_shift(clip: AudioClip, semitones: float | tuple[float, ...],
             total += clip.samples
             continue
         if analysis is None:
-            analysis = _analysis(clip.samples, fft_size, hop)
+            analysis = _analysis(clip.samples, fft_size)
         ratio = 2.0 ** (s / 12.0)
         rate = 1.0 / ratio
-        stretched = _istft(*_stretch_frames(*analysis, rate), fft_size, hop, int(round(n / rate)))
+        stretched = _istft(*_stretch_frames(*analysis, rate), fft_size, int(round(n / rate)))
         total += fit_length(resample_by_ratio(stretched, 1.0 / ratio), n)
     return AudioClip(samples=total, sample_rate=clip.sample_rate, source_id=clip.source_id)
 
@@ -317,9 +316,9 @@ def nco_synthesize(freq_track: np.ndarray, amp_track: np.ndarray) -> np.ndarray:
     return phase
 
 
-def frame_rms(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
-    """Short-term RMS of every frame_size-sample frame, hop apart, cut as by frame_signal."""
-    frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, hop)
+def frame_rms(signal: np.ndarray, frame_size: int) -> np.ndarray:
+    """Short-term RMS of consecutive frame_size-sample frames, cut as by frame_signal."""
+    frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, frame_size)
     rms = np.empty(len(frames))
     for rows in _block_rows(len(frames), frame_size):
         np.square(frames[rows]).sum(axis=1, out=rms[rows])

@@ -143,13 +143,13 @@ def _loudness(band_power: np.ndarray, config: PsychoConfig) -> np.ndarray:
     return config.loudness_scale * band_power ** config.loudness_exponent
 
 
-def loudness_roughness_frames(samples: np.ndarray, frame_size: int, hop: int, sample_rate: int,
+def loudness_roughness_frames(samples: np.ndarray, frame_size: int, sample_rate: int,
                               config: PsychoConfig = DEFAULT_PSYCHO_CONFIG,
                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Total loudness and roughness per frame, both read from one spectrum per frame."""
+    """Total loudness and roughness of consecutive frames, both read from one spectrum per frame."""
     if frame_size < 1024:
         raise ValueError(f"frame of {frame_size} samples is too short (need >= 1024)")
-    mags = stft(samples, frame_size, hop)
+    mags = stft(samples, frame_size, frame_size)
     specific = _loudness(mags ** 2 @ _bands(frame_size, sample_rate, config), config)
     return specific.sum(axis=1), _roughness(*_peaks(mags, sample_rate / frame_size, config), config)
 

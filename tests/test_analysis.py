@@ -783,12 +783,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             reconstruction_metrics(np.zeros(10), np.zeros(11))
 
-    def test_vibration_signal_arguments(self):
-        rng = np.random.default_rng(9)
-        p, t = rng.uniform(-1, 1, 3000), rng.uniform(-1, 1, 3000)
-        assert reconstruction_metrics(vib(p), vib(t)) == reconstruction_metrics(p, t)
-        assert reconstruction_metrics(vib(p), t) == reconstruction_metrics(p, vib(t))
-
 
 def _padded_stft_mag(x, fft_size):
     """Hann-windowed magnitude STFT, hop fft_size // 4, of x zero-padded to at least one frame."""

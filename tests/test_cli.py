@@ -359,6 +359,26 @@ def test_zero_sample_rate_is_named_validation_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["convert", "features", "report", "batch"])
+def test_output_path_through_a_file_is_validation_error(tmp_path, capsys, tone_wav, command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    if command == "convert":
+        argv = ["--algo", "hapticgen", "--in", str(tone_wav), "--out", str(afile / "x.wav")]
+    elif command == "features":
+        argv = ["--in", str(tone_wav), "--out", str(afile / "x.json")]
+    elif command == "report":
+        argv = ["--ratings", str(ratings_fixture_path()), "--manifest",
+                str(manifest_fixture_path()), "--level", "category", "--json", str(afile / "r.json")]
+    else:
+        manifest = small_audio_set(tmp_path, n_classes=1, per_class=1)
+        argv = ["--manifest", str(manifest), "--algos", "hapticgen", "--out-dir", str(afile)]
+    assert run([command] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(afile) in err
+    assert afile.read_text() == ""
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
 

@@ -251,7 +251,7 @@ class TestBatchedTracks:
         a0, a1 = cfg.plm.intensity_map
         b0, b1, b2 = cfg.plm.roughness_map
         size = cfg.plm.frame_size
-        per_frame = [loudness_roughness_frames(f, size, size, sr)
+        per_frame = [loudness_roughness_frames(f, size, sr)
                      for f in frame_signal(clip.samples, size, size)]
         ref_i = [max(0.0, a0 + a1 * np.log1p(loud[0])) for loud, _ in per_frame]
         ref_r = [max(0.0, b0 + b1 * rough[0] ** b2) for _, rough in per_frame]
@@ -686,7 +686,7 @@ def _reference_output(clip: AudioClip, algo: str, cfg) -> tuple[np.ndarray, floa
         hc = cfg.hapticgen
         window_ms = hc.window_ms
         window = hop = ms_to_samples(window_ms, rate)
-        rms = frame_rms(clip.samples, window, hop)
+        rms = frame_rms(clip.samples, window)
         amps = rms / rms.max()
         freqs = hc.f_center_hz - hc.f_dev_hz + 2.0 * hc.f_dev_hz * amps
     f, a = interp(freqs, window, hop), interp(amps, window, hop)

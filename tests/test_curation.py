@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,14 @@ class TestExtractFeatures:
         # 1 s at 1500 Hz passes the duration check but holds no 2048-sample frame
         with pytest.raises(ValueError, match="needs at least one 2048-sample frame, got 1500"):
             extract_features(AudioClip(np.zeros(1500), 1500))
+
+    @pytest.mark.parametrize("sr", [2048, 2559])
+    def test_one_frame_clip_keeps_default_tempo(self, sr):
+        # 1 s holds one 2048-sample frame, so there is no onset flux to read a tempo from
+        x = 0.5 * np.random.default_rng(sr).standard_normal(sr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert extract_features(AudioClip(x, sr)).tempo == 120.0
 
     def test_feature_tables_are_cached_and_read_only(self):
         freqs, pitch_classes = _feature_tables(SR)

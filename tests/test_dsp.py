@@ -318,19 +318,20 @@ VOCODER_GRIDS = [pytest.param((2048, None), id="None"),
 
 
 class TestVocoderEquivalence:
-    @pytest.mark.parametrize("hop", [512, 2048])
+    @pytest.mark.parametrize("fft_size", [512, 2048])
     @pytest.mark.parametrize("extra", [-900, 0, 1500])
-    def test_overlap_add_is_bit_identical(self, hop, extra):
-        rng = np.random.default_rng(hop)
-        for n_frames in (1, 3, 4, 37):  # fewer, as many and more frames than 2048 / hop
-            spectrum = (rng.standard_normal((n_frames, 1025))
-                        + 1j * rng.standard_normal((n_frames, 1025)))
-            length = max(0, 2048 + hop * (n_frames - 1) + extra)
-            want = _loop_istft(spectrum, 2048, hop, length)
+    def test_overlap_add_is_bit_identical(self, fft_size, extra):
+        rng = np.random.default_rng(fft_size)
+        hop, n_bins = fft_size // 4, fft_size // 2 + 1
+        for n_frames in (1, 3, 4, 37):  # fewer, as many and more frames than a frame has hop blocks
+            spectrum = (rng.standard_normal((n_frames, n_bins))
+                        + 1j * rng.standard_normal((n_frames, n_bins)))
+            length = max(0, fft_size + hop * (n_frames - 1) + extra)
+            want = _loop_istft(spectrum, fft_size, hop, length)
             for step in (1, 5, n_frames):  # blocks of frames, the last one short
                 blocks = [(slice(i, min(i + step, n_frames)), spectrum[i:i + step])
                           for i in range(0, n_frames, step)]
-                assert np.array_equal(_istft(n_frames, blocks, 2048, hop, length), want)
+                assert np.array_equal(_istft(n_frames, blocks, fft_size, length), want)
 
     @pytest.mark.parametrize("grid", VOCODER_GRIDS)
     def test_overlap_norm_equals_inline_sums(self, grid):
@@ -342,10 +343,10 @@ class TestVocoderEquivalence:
             want = np.zeros((m + k - 1, hop))
             for j in range(k - 1, -1, -1):
                 want[j:j + m] += w2[j]
-            norm = _overlap_norm(fft_size, hop, m)
+            norm = _overlap_norm(fft_size, m)
             assert np.array_equal(norm, np.maximum(want, 1e-8))
             assert not norm.flags.writeable
-            assert _overlap_norm(fft_size, hop, m) is norm
+            assert _overlap_norm(fft_size, m) is norm
 
     @pytest.mark.parametrize("kind,sr", VOCODER_CASES)
     @pytest.mark.parametrize("grid", VOCODER_GRIDS)
@@ -353,7 +354,7 @@ class TestVocoderEquivalence:
         fft_size, hop = grid
         hop = hop or fft_size // 4
         x = _vocoder_signal(kind, sr)
-        mags, phasors = _analysis(x, fft_size, hop)
+        mags, phasors = _analysis(x, fft_size)
         for semitones in (-24, -12, -7, -2, 2):
             rate = 2.0 ** (-semitones / 12.0)
             n_frames, blocks = _stretch_frames(mags, phasors, rate)
@@ -380,7 +381,7 @@ class TestVocoderEquivalence:
         x = 0.3 * np.random.default_rng(fft_size + n_out).standard_normal(
             (n_frames - 1) * hop + fft_size)
         x[:len(x) // 4] = 0.0
-        mags, phasors = _analysis(x, fft_size, hop)
+        mags, phasors = _analysis(x, fft_size)
         assert len(mags) == n_frames and np.count_nonzero(mags == 0) > 0
         n, blocks = _stretch_frames(mags, phasors, rate)
         got = list(blocks)
@@ -741,32 +742,35 @@ class TestNco:
 
 class TestFrameRms:
     def test_constant(self):
-        out = frame_rms(np.full(8000, 0.5), 80, 80)
+        out = frame_rms(np.full(8000, 0.5), 80)
         assert np.allclose(out, 0.5)
 
     def test_sine_rms(self):
         t = np.arange(SR) / SR
-        out = frame_rms(np.sin(2 * np.pi * 440 * t), 4410, 4410)
+        out = frame_rms(np.sin(2 * np.pi * 440 * t), 4410)
         assert np.all(np.abs(out - 1 / np.sqrt(2)) <= 0.01 / np.sqrt(2))
 
     def test_silence(self):
-        out = frame_rms(np.zeros(8000), 80, 40)
+        out = frame_rms(np.zeros(8000), 80)
         assert not out.any()
 
     @pytest.mark.parametrize("frame_size, hop", [(0, 80), (80, 0), (-1, 80), (80, -5),
                                                  (4, 0), (0, 2)])
     def test_size_and_hop_at_least_one(self, frame_size, hop):
-        for frame in (frame_rms, frame_signal):
-            with pytest.raises(ValueError, match="^frame size and hop must be at least 1 sample$"):
-                frame(np.ones(10), frame_size, hop)
+        message = "^frame size and hop must be at least 1 sample$"
+        with pytest.raises(ValueError, match=message):
+            frame_signal(np.ones(10), frame_size, hop)
+        if frame_size < 1:  # frame_rms hops its frame size
+            with pytest.raises(ValueError, match=message):
+                frame_rms(np.ones(10), frame_size)
 
     @pytest.mark.parametrize("n", [0, 1, 10, 799])
     def test_window_longer_than_signal(self, n):
         # the signal is padded to one 800-sample window
         x = np.random.default_rng(n).standard_normal(n)
-        out = frame_rms(x, 800, 800)
+        out = frame_rms(x, 800)
         assert out.shape == (1,)
-        np.testing.assert_array_equal(out, frame_rms(np.pad(x, (0, 800 - n)), 800, 800))
+        np.testing.assert_array_equal(out, frame_rms(np.pad(x, (0, 800 - n)), 800))
 
 
 class TestFrameSignal:
@@ -805,14 +809,15 @@ def _unblocked_stft(signal, frame_size, hop):
     return np.abs(np.fft.rfft(frames * window, axis=1))
 
 
-def _unblocked_frame_rms(signal, frame_size, hop):
+def _unblocked_frame_rms(signal, frame_size):
     """frame_rms as one mean over every frame at once."""
-    frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, hop)
+    frames = frame_signal(np.asarray(signal, dtype=np.float64), frame_size, frame_size)
     return np.sqrt(np.mean(np.square(frames), axis=1))
 
 
-def _unblocked_analysis(signal, fft_size, hop):
+def _unblocked_analysis(signal, fft_size):
     """_analysis as one rfft over every frame, with exp(i * angle) on zero bins."""
+    hop = fft_size // 4
     x = np.pad(signal, (0, max(0, fft_size + hop - len(signal))))
     spectrum = np.fft.rfft(frame_signal(x, fft_size, hop) * hann_window(fft_size), axis=1)
     mags = np.abs(spectrum)
@@ -828,6 +833,9 @@ def _seam_frame_counts(frame_size: int) -> tuple[int, ...]:
     return 1, per_block - 1, per_block, per_block + 1, 7 * per_block // 2
 
 
+# (frame_size, hop) for stft. frame_rms and the vocoder's analysis hop by a
+# fixed share of the frame, so for them the second value is the step between
+# the signal lengths tried; a half-frame step also leaves trailing partial frames.
 SEAM_GRID = [(size, hop) for size in (256, 441, 480, 1024, 2048, 4096)
              for hop in (size, size // 2)]
 
@@ -844,26 +852,28 @@ class TestFrameBlocks:
             assert out.shape == (n_frames, frame_size // 2 + 1)
             np.testing.assert_array_equal(out, _unblocked_stft(x, frame_size, hop))
 
-    @pytest.mark.parametrize("frame_size, hop", SEAM_GRID)
-    def test_frame_rms_bit_identical(self, frame_size, hop):
-        rng = np.random.default_rng(frame_size - hop)
-        for n_frames in _seam_frame_counts(frame_size):
-            x = rng.standard_normal((n_frames - 1) * hop + frame_size)
-            out = frame_rms(x, frame_size, hop)
-            assert out.shape == (n_frames,)
-            np.testing.assert_array_equal(out, _unblocked_frame_rms(x, frame_size, hop))
+    @pytest.mark.parametrize("frame_size, step", SEAM_GRID)
+    def test_frame_rms_bit_identical(self, frame_size, step):
+        """Consecutive frames; a step of a whole frame puts the frame counts on the seams."""
+        rng = np.random.default_rng(frame_size - step)
+        for n_steps in _seam_frame_counts(frame_size):
+            x = rng.standard_normal((n_steps - 1) * step + frame_size)
+            out = frame_rms(x, frame_size)
+            assert out.shape == (len(x) // frame_size,)
+            np.testing.assert_array_equal(out, _unblocked_frame_rms(x, frame_size))
 
-    @pytest.mark.parametrize("frame_size, hop", SEAM_GRID)
-    def test_analysis_seams_bit_identical(self, frame_size, hop):
+    @pytest.mark.parametrize("frame_size, step", SEAM_GRID)
+    def test_analysis_seams_bit_identical(self, frame_size, step):
         """Vocoder magnitudes and phasors, with zero frames, and a signal under two frames."""
-        rng = np.random.default_rng(frame_size * hop)
-        lengths = [(n - 1) * hop + frame_size for n in _seam_frame_counts(frame_size)]
+        rng = np.random.default_rng(frame_size * step)
+        hop = frame_size // 4
+        lengths = [(n - 1) * step + frame_size for n in _seam_frame_counts(frame_size)]
         zero_bins = 0
         for n in lengths + [frame_size + hop - 1]:
             x = rng.standard_normal(n)
             x[n // 2:n // 2 + frame_size + hop] = 0.0  # holds a whole zero frame once n is long
-            mags, phasors = _analysis(x, frame_size, hop)
-            ref_mags, ref_phasors = _unblocked_analysis(x, frame_size, hop)
+            mags, phasors = _analysis(x, frame_size)
+            ref_mags, ref_phasors = _unblocked_analysis(x, frame_size)
             np.testing.assert_array_equal(mags, ref_mags)
             np.testing.assert_array_equal(phasors, ref_phasors)
             zero_bins += np.count_nonzero(mags == 0)
@@ -886,9 +896,9 @@ class TestFrameBlocks:
         x = np.random.default_rng(12).standard_normal(20 * SR)
         analyses = [
             (lambda: stft(x, 1024, 512), 1024, 512),
-            (lambda: frame_rms(x, 441, 441), 441, 441),
+            (lambda: frame_rms(x, 441), 441, 441),
             (lambda: specific_loudness_frames(x, 441, 220, SR), 441, 220),
-            (lambda: loudness_roughness_frames(x, 4096, 4096, SR), 4096, 4096),
+            (lambda: loudness_roughness_frames(x, 4096, SR), 4096, 4096),
             (lambda: pitch_shift(AudioClip(x, SR), (-12.0, -24.0)), 2048, 512),
             (lambda: extract_features(AudioClip(x, SR)), 2048, 512),
         ]

@@ -39,14 +39,14 @@ def tone(freq: float, duration: float, sr: int = SR, amp: float = 0.5) -> np.nda
 
 class TestLoudness:
     def test_silence_is_zero(self):
-        loudness, _ = loudness_roughness_frames(np.zeros(2048), 2048, 2048, SR)
+        loudness, _ = loudness_roughness_frames(np.zeros(2048), 2048, SR)
         assert loudness.tolist() == [0.0]
 
     def test_contour_orders_tones(self):
         # equal-amplitude tones: 1 kHz must read louder than 50 Hz
         x_1k, x_50 = tone(1000.0, 0.2), tone(50.0, 0.2)
-        (loud_1k,), _ = loudness_roughness_frames(x_1k, len(x_1k), len(x_1k), SR)
-        (loud_50,), _ = loudness_roughness_frames(x_50, len(x_50), len(x_50), SR)
+        (loud_1k,), _ = loudness_roughness_frames(x_1k, len(x_1k), SR)
+        (loud_50,), _ = loudness_roughness_frames(x_50, len(x_50), SR)
         assert loud_1k > loud_50
 
     def test_strictly_monotone_in_amplitude(self):
@@ -54,7 +54,7 @@ class TestLoudness:
         for _ in range(5):
             frame = rng.standard_normal(2048) * 0.2
             (quiet, loud), _ = loudness_roughness_frames(np.concatenate([frame, 2 * frame]),
-                                                         2048, 2048, SR)
+                                                         2048, SR)
             assert loud > quiet
 
     def test_short_frame_zero_padded(self):
@@ -70,19 +70,19 @@ class TestLoudness:
 class TestRoughness:
     # 2 s at 8 kHz per frame
     def test_pure_tone_zero(self):
-        _, roughness = loudness_roughness_frames(tone(400.0, 2.0, sr=8000), 16000, 16000, 8000)
+        _, roughness = loudness_roughness_frames(tone(400.0, 2.0, sr=8000), 16000, 8000)
         assert roughness.tolist() == [0.0]
 
     def test_coincident_tones_zero(self):
         x = tone(400.0, 2.0, sr=8000) + tone(400.0, 2.0, sr=8000)
-        _, roughness = loudness_roughness_frames(x, 16000, 16000, 8000)
+        _, roughness = loudness_roughness_frames(x, 16000, 8000)
         assert roughness.tolist() == [0.0]
 
     def test_interior_maximum_over_separation(self):
         deltas = np.arange(5, 205, 5)
         dyads = [tone(400.0, 2.0, sr=8000, amp=0.5) + tone(400.0 + d, 2.0, sr=8000, amp=0.5)
                  for d in deltas]
-        _, values = loudness_roughness_frames(np.concatenate(dyads), 16000, 16000, 8000)
+        _, values = loudness_roughness_frames(np.concatenate(dyads), 16000, 8000)
         assert len(values) == len(deltas)
         peak = int(np.argmax(values))
         assert 0 < peak < len(values) - 1
@@ -92,13 +92,12 @@ class TestRoughness:
     def test_dyad_symmetry(self):
         a = tone(300.0, 2.0, sr=8000, amp=0.6) + tone(340.0, 2.0, sr=8000, amp=0.3)
         b = tone(340.0, 2.0, sr=8000, amp=0.3) + tone(300.0, 2.0, sr=8000, amp=0.6)
-        _, (rough_a, rough_b) = loudness_roughness_frames(np.concatenate([a, b]),
-                                                          16000, 16000, 8000)
+        _, (rough_a, rough_b) = loudness_roughness_frames(np.concatenate([a, b]), 16000, 8000)
         assert rough_a == pytest.approx(rough_b, rel=1e-9)
 
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
-            loudness_roughness_frames(np.zeros(512), 512, 512, 8000)
+            loudness_roughness_frames(np.zeros(512), 512, 8000)
 
 
 class TestSpecificLoudness:
@@ -233,7 +232,7 @@ class TestBatchedCore:
             for i in range(len(peaks)):
                 for j in range(i + 1, len(peaks)):
                     expected += _scalar_pair_roughness(*peaks[i], *peaks[j])
-            _, (roughness,) = loudness_roughness_frames(x, len(x), len(x), SR)
+            _, (roughness,) = loudness_roughness_frames(x, len(x), SR)
             assert roughness == pytest.approx(expected, rel=1e-12)
 
     def test_frames_match_single_frame_functions(self):
@@ -243,9 +242,9 @@ class TestBatchedCore:
         frames = frame_signal(x, 441, 220)
         expected = np.array([specific_loudness_frames(f, 441, 441, SR)[0] for f in frames])
         np.testing.assert_allclose(specific, expected, rtol=1e-9, atol=0)
-        loudness, roughness = loudness_roughness_frames(x, 2048, 1024, SR)
-        frames = frame_signal(x, 2048, 1024)
-        expected = np.array([loudness_roughness_frames(f, 2048, 2048, SR) for f in frames])
+        loudness, roughness = loudness_roughness_frames(x, 2048, SR)
+        frames = frame_signal(x, 2048, 2048)
+        expected = np.array([loudness_roughness_frames(f, 2048, SR) for f in frames])
         np.testing.assert_allclose(loudness, expected[:, 0, 0], rtol=1e-9)
         np.testing.assert_allclose(roughness, expected[:, 1, 0], rtol=1e-9)
 
@@ -281,7 +280,7 @@ class TestBatchedCore:
 
     def test_window_minimums_kept(self):
         with pytest.raises(ValueError, match="need >= 1024"):
-            loudness_roughness_frames(np.zeros(SR), 1023, 1023, SR)
+            loudness_roughness_frames(np.zeros(SR), 1023, SR)
 
 
 class TestConfig:
