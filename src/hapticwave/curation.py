@@ -28,23 +28,15 @@ TEMPO_MAX_BPM = 300.0
 _FFT_SIZE = 2048
 _HOP = 512
 _BLOCKS_PER_FRAME = _FFT_SIZE // _HOP
-# extract_features' log-mel energies per frame; its MFCCs are their DCT-II coefficients 1..13
+# extract_features' log-mel energies per frame; its MFCCs are coefficients 1..13 of
+# their orthonormal DCT-II, _MFCC_DCT
 _N_MELS = 26
+_MFCC_DCT = np.cos(np.pi * (np.arange(_N_MELS) + 0.5) * np.arange(_N_MELS)[:, None] / _N_MELS)
+_MFCC_DCT *= np.sqrt(2.0 / _N_MELS)
+_MFCC_DCT[0] /= np.sqrt(2.0)
+_MFCC_DCT.flags.writeable = False
 
 _KMEANS_MAX_ITER = 300
-
-
-def _dct_basis() -> np.ndarray:
-    """Orthonormal DCT-II basis, (_N_MELS, _N_MELS), read-only."""
-    m = np.arange(_N_MELS)
-    basis = np.cos(np.pi * (m[None, :] + 0.5) * m[:, None] / _N_MELS)
-    basis *= np.sqrt(2.0 / _N_MELS)
-    basis[0] /= np.sqrt(2.0)
-    basis.flags.writeable = False
-    return basis
-
-
-_MFCC_DCT = _dct_basis()
 
 
 @dataclass

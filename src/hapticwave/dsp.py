@@ -44,8 +44,10 @@ def frame_signal(signal: np.ndarray, frame_size: int, hop: int) -> np.ndarray:
     signal. A signal shorter than one frame, empty included, is zero-padded
     at the end to exactly one frame. frame_size or hop below 1 raises ValueError.
     """
-    if frame_size < 1 or hop < 1:
-        raise ValueError("frame size and hop must be at least 1 sample")
+    if frame_size < 1:
+        raise ValueError("frame size must be at least 1 sample")
+    if hop < 1:
+        raise ValueError("hop must be at least 1 sample")
     if len(signal) < frame_size:
         signal = fit_length(signal, frame_size)
     # the shape and strides of sliding_window_view(signal, frame_size)[::hop]

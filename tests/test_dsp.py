@@ -757,10 +757,10 @@ class TestFrameRms:
     @pytest.mark.parametrize("frame_size, hop", [(0, 80), (80, 0), (-1, 80), (80, -5),
                                                  (4, 0), (0, 2)])
     def test_size_and_hop_at_least_one(self, frame_size, hop):
-        message = "^frame size and hop must be at least 1 sample$"
+        message = f"^{'frame size' if frame_size < 1 else 'hop'} must be at least 1 sample$"
         with pytest.raises(ValueError, match=message):
             frame_signal(np.ones(10), frame_size, hop)
-        if frame_size < 1:  # frame_rms hops its frame size
+        if frame_size < 1:  # frame_rms takes no hop
             with pytest.raises(ValueError, match=message):
                 frame_rms(np.ones(10), frame_size)
 
@@ -833,9 +833,6 @@ def _seam_frame_counts(frame_size: int) -> tuple[int, ...]:
     return 1, per_block - 1, per_block, per_block + 1, 7 * per_block // 2
 
 
-# (frame_size, hop) for stft. frame_rms and the vocoder's analysis hop by a
-# fixed share of the frame, so for them the second value is the step between
-# the signal lengths tried; a half-frame step also leaves trailing partial frames.
 SEAM_GRID = [(size, hop) for size in (256, 441, 480, 1024, 2048, 4096)
              for hop in (size, size // 2)]
 
@@ -852,28 +849,32 @@ class TestFrameBlocks:
             assert out.shape == (n_frames, frame_size // 2 + 1)
             np.testing.assert_array_equal(out, _unblocked_stft(x, frame_size, hop))
 
-    @pytest.mark.parametrize("frame_size, step", SEAM_GRID)
-    def test_frame_rms_bit_identical(self, frame_size, step):
-        """Consecutive frames; a step of a whole frame puts the frame counts on the seams."""
-        rng = np.random.default_rng(frame_size - step)
-        for n_steps in _seam_frame_counts(frame_size):
-            x = rng.standard_normal((n_steps - 1) * step + frame_size)
+    @pytest.mark.parametrize("frame_size, last", SEAM_GRID)
+    def test_frame_rms_bit_identical(self, frame_size, last):
+        """Seam counts of whole frames; a last partial frame of `last` samples is dropped."""
+        rng = np.random.default_rng(frame_size - last)
+        for n_frames in _seam_frame_counts(frame_size):
+            x = rng.standard_normal(n_frames * frame_size + last % frame_size)
             out = frame_rms(x, frame_size)
-            assert out.shape == (len(x) // frame_size,)
+            assert out.shape == (n_frames,)
             np.testing.assert_array_equal(out, _unblocked_frame_rms(x, frame_size))
 
-    @pytest.mark.parametrize("frame_size, step", SEAM_GRID)
-    def test_analysis_seams_bit_identical(self, frame_size, step):
-        """Vocoder magnitudes and phasors, with zero frames, and a signal under two frames."""
-        rng = np.random.default_rng(frame_size * step)
+    @pytest.mark.parametrize("frame_size, last", SEAM_GRID)
+    def test_analysis_seams_bit_identical(self, frame_size, last):
+        """Vocoder magnitudes and phasors, with zero frames, over seam counts of frames a
+        quarter frame apart, and a signal under two frames. A `last` under a frame adds
+        last // 4 samples, under a hop, that no frame holds."""
+        rng = np.random.default_rng(frame_size * last)
         hop = frame_size // 4
-        lengths = [(n - 1) * step + frame_size for n in _seam_frame_counts(frame_size)]
+        lengths = [(n - 1) * hop + frame_size + last % frame_size // 4
+                   for n in _seam_frame_counts(frame_size)]
         zero_bins = 0
         for n in lengths + [frame_size + hop - 1]:
             x = rng.standard_normal(n)
             x[n // 2:n // 2 + frame_size + hop] = 0.0  # holds a whole zero frame once n is long
             mags, phasors = _analysis(x, frame_size)
             ref_mags, ref_phasors = _unblocked_analysis(x, frame_size)
+            assert len(mags) == max(2, (n - frame_size) // hop + 1)
             np.testing.assert_array_equal(mags, ref_mags)
             np.testing.assert_array_equal(phasors, ref_phasors)
             zero_bins += np.count_nonzero(mags == 0)
