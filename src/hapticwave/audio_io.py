@@ -12,6 +12,7 @@ import wave
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 from pathlib import Path
 from typing import ClassVar
 
@@ -31,11 +32,17 @@ _KAISER_BETA = 7.0
 
 @dataclass
 class AudioClip:
-    """Mono audio: samples in [-1, 1] at an arbitrary sample rate."""
+    """Mono audio: samples in [-1, 1] at any positive integer sample rate."""
 
     samples: np.ndarray
     sample_rate: int
     source_id: str | None = None
+
+    def __post_init__(self) -> None:
+        rate = self.sample_rate
+        if not isinstance(rate, Integral) or isinstance(rate, bool) or rate < 1:
+            raise AudioFormatError(
+                f"{clip_name(self)}: sample rate must be a positive integer, got {rate!r}")
 
     @property
     def duration(self) -> float:

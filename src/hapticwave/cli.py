@@ -113,16 +113,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_algos(text: str) -> tuple[str, ...]:
-    algos = tuple(a.strip() for a in text.split(",") if a.strip())
-    for i, a in enumerate(algos):
-        if a not in converters.CONVERTER_TAGS:
-            raise _CliValidationError(f"unknown algorithm tag: {a!r}")
-        if a in algos[:i]:
-            raise _CliValidationError(f"algorithm tag given twice: {a!r}")
-    if not algos:
-        raise _CliValidationError("no algorithms given")
-    return algos
+def _parse_list(text: str, choices: tuple, what: str) -> tuple:
+    """The choices named by text's comma-separated entries, stripped, skipping empty ones."""
+    by_name = {str(c): c for c in choices}
+    picked = []
+    for entry in filter(None, map(str.strip, text.split(","))):
+        if entry not in by_name:
+            raise _CliValidationError(f"unknown {what}: {entry!r}")
+        if by_name[entry] in picked:
+            raise _CliValidationError(f"{what} given twice: {entry!r}")
+        picked.append(by_name[entry])
+    if not picked:
+        raise _CliValidationError(f"no {what} given")
+    return tuple(picked)
+
+
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise _CliValidationError(f"{flag} must be >= {low}, got {value}")
 
 
 def _cmd_convert(args) -> int:
@@ -148,9 +156,8 @@ def _batch_one(task) -> tuple[str, bool] | None:
 
 def _cmd_batch(args) -> int:
     cfg = converters.load_converter_config(args.config, args.overrides)
-    algos = _parse_algos(args.algos)
-    if args.workers < 0:
-        raise _CliValidationError(f"--workers must be >= 0, got {args.workers}")
+    algos = _parse_list(args.algos, converters.CONVERTER_TAGS, "algorithm tag")
+    _require_at_least("--workers", args.workers, 0)
     manifest = curation.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -227,6 +234,9 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_curate(args) -> int:
+    _require_at_least("--per-class", args.per_class, 1)
+    _require_at_least("--k", args.k, 1)
+    _require_at_least("--seed", args.seed, 0)
     manifest = curation.load_manifest(args.manifest)
     vectors: dict[str, curation.FeatureVector] = {}
     failures = []
@@ -258,6 +268,7 @@ def _cmd_curate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    _require_at_least("--seed", args.seed, 0)
     clip = load_wav(args.input)
     save_wav(curation.augment(clip, seed=args.seed), args.out)
     return EXIT_OK
@@ -315,15 +326,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    durations = []
-    for part in args.durations.split(","):
-        try:
-            durations.append(int(part))
-        except ValueError:
-            raise _CliValidationError(f"bad duration: {part!r}") from None
-        if durations[-1] not in bench.BENCH_DURATIONS:
-            raise _CliValidationError(f"duration must be one of {bench.BENCH_DURATIONS}")
-    algos = _parse_algos(args.algos)
+    durations = _parse_list(args.durations, bench.BENCH_DURATIONS, "duration")
+    algos = _parse_list(args.algos, converters.CONVERTER_TAGS, "algorithm tag")
     clip_dir = Path(args.clips)
     if not clip_dir.is_dir():
         raise _CliValidationError(f"not a directory: {clip_dir}")

@@ -47,7 +47,7 @@ from .dsp import (
     nco_synthesize,
     pitch_shift,
 )
-from .domains import Entries, Interval, OneOf, _check_leaves, _leaf
+from .domains import Entries, Interval, OneOf, _check_leaves, _is_number, _leaf
 from .errors import DegenerateSignalError, NonFiniteSignalError, SchemaError, _not_utf8_error
 from .psychoacoustics import DEFAULT_PSYCHO_CONFIG, PsychoConfig
 
@@ -144,7 +144,7 @@ class ConverterConfig:
     target_segment_rms: float = _leaf(0.15, Interval(0.0, 1.0, "(]"))
 
     def __post_init__(self) -> None:
-        """Check every leaf against its declared domain, then the rules that join leaves."""
+        """Check every leaf's type and declared domain, then the rules that join leaves."""
         _check_leaves(self)
         if self.pitch.f_min_hz >= self.pitch.f_max_hz:
             raise SchemaError("pitch.f_min_hz must be below pitch.f_max_hz")
@@ -156,9 +156,6 @@ class ConverterConfig:
         if len(self.pitch.regression_coeffs) != psycho.N_BARK_BANDS + 1:
             raise SchemaError("pitch regression needs 24 band weights plus an intercept, got "
                               f"{len(self.pitch.regression_coeffs)} in pitch.regression_coeffs")
-        for key, arity in (("intensity_map", 2), ("roughness_map", 3)):
-            if len(getattr(self.plm, key)) != arity:
-                raise SchemaError(f"plm.{key} needs {arity} values")
         if not self.psycho.contour_freqs:
             raise SchemaError("psycho.contour_freqs must not be empty")
         if len(self.psycho.contour_gains_db) != len(self.psycho.contour_freqs):
@@ -171,23 +168,11 @@ class ConverterConfig:
 DEFAULT_CONFIG = ConverterConfig()
 
 
-def _is_number(value) -> bool:
-    # json.loads reads NaN and Infinity as floats
-    return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and bool(np.isfinite(value)))
-
-
-def _typed(current, value, dotted: str):
-    """value as the type of the default it replaces; SchemaError naming dotted on a mismatch."""
-    if isinstance(current, int):
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif isinstance(current, float):
-        ok = _is_number(value)
-    else:  # tuple, the only other leaf type in the tree
-        ok = isinstance(value, list) and all(map(_is_number, value))
-    if not ok:
-        raise SchemaError(f"config key {dotted} expects {type(current).__name__}, got {value!r}")
-    return tuple(map(float, value)) if isinstance(current, tuple) else type(current)(value)
+def _typed(current, value):
+    """value in current's type where JSON spells it otherwise; the config checks what is left."""
+    if isinstance(current, tuple) and isinstance(value, list) and all(map(_is_number, value)):
+        return tuple(map(float, value))
+    return float(value) if isinstance(current, float) and _is_number(value) else value
 
 
 def _merge_section(section, overrides: dict, prefix: str = ""):
@@ -204,7 +189,7 @@ def _merge_section(section, overrides: dict, prefix: str = ""):
                 raise SchemaError(f"config key {dotted} expects a section object, got {value!r}")
             kwargs[key] = _merge_section(current, value, f"{dotted}.")
         else:
-            kwargs[key] = _typed(current, value, dotted)
+            kwargs[key] = _typed(current, value)
     return replace(section, **kwargs)
 
 

@@ -3,13 +3,14 @@
 A leaf is declared as `name: type = _leaf(default, domain)`, where the domain
 is an Interval, a set of choices (OneOf), or Entries, a domain per entry of a
 tuple. _check_leaves walks a config tree once and raises SchemaError naming
-the first leaf outside its domain by dotted key, with the domain as str()
-writes it and the value.
+the first leaf without its default's type or outside its domain by dotted
+key, with the type or the domain as str() writes it, and the value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
+from math import isfinite
 
 from .errors import SchemaError
 
@@ -56,7 +57,7 @@ class OneOf:
 class Entries:
     """A tuple's per-entry domains: entry i lies in domains[i], or every entry in a lone one.
 
-    How many entries a tuple holds is a rule of its own (see ConverterConfig).
+    With one domain per entry, the tuple holds exactly that many entries.
     """
 
     domains: tuple
@@ -66,7 +67,8 @@ class Entries:
 
     def __contains__(self, values) -> bool:
         per_entry = self.domains * len(values) if len(self.domains) == 1 else self.domains
-        return all(x in domain for x, domain in zip(values, per_entry))
+        return len(values) == len(per_entry) and all(
+            x in domain for x, domain in zip(values, per_entry))
 
     def __str__(self) -> str:
         if len(self.domains) == 1:
@@ -79,11 +81,28 @@ def _leaf(default, domain):
     return field(default=default, metadata={"domain": domain})
 
 
+def _is_number(value) -> bool:
+    """An int that is not a bool, or a finite float (JSON may spell NaN and Infinity)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and isfinite(value))
+
+
+def _has_type_of(value, default) -> bool:
+    """A number for a float default, a tuple of numbers for a tuple, else default's exact type."""
+    if isinstance(default, float):
+        return _is_number(value)
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(map(_is_number, value))
+    return type(value) is type(default)
+
+
 def _check_leaves(node, prefix: str = "") -> None:
-    """Raise SchemaError for the first leaf under the dataclass node outside its declared domain."""
+    """Raise SchemaError for the first field under node without its default's type or domain."""
     for f in fields(node):
-        value = getattr(node, f.name)
+        value, key = getattr(node, f.name), f"{prefix}{f.name}"
+        if not _has_type_of(value, f.default):
+            raise SchemaError(f"config key {key} expects {type(f.default).__name__}, got {value!r}")
         if is_dataclass(value):
-            _check_leaves(value, f"{prefix}{f.name}.")
+            _check_leaves(value, f"{key}.")
         elif value not in f.metadata["domain"]:
-            raise SchemaError(f"{prefix}{f.name} must be in {f.metadata['domain']}, got {value!r}")
+            raise SchemaError(f"{key} must be in {f.metadata['domain']}, got {value!r}")

@@ -745,6 +745,10 @@ class TestMetrics:
         assert report.amp_loss <= 1e-6
         assert report.rmse <= 1e-6
 
+    def test_empty_signals_rejected(self):
+        with pytest.raises(ValueError, match="^empty signals$"):
+            reconstruction_metrics(np.zeros(0), np.zeros(0))
+
     def test_constant_offset(self):
         x = np.zeros(4000)
         report = reconstruction_metrics(x + 0.1, x)

@@ -155,6 +155,15 @@ class TestLoadSave:
             load_wav(path)
         assert str(err.value) == f"{path}: sample rate 0 Hz"
 
+    @pytest.mark.parametrize("rate", [0, -44100, 44100.0, True])
+    def test_clip_rate_must_be_a_positive_integer(self, rate):
+        # construct only: a clip at a tiny positive rate would convert to n * 8000 / rate samples
+        with pytest.raises(AudioFormatError) as err:
+            AudioClip(np.zeros(8), rate, "odd")
+        assert str(err.value) == \
+            f"clip odd: sample rate must be a positive integer, got {rate!r}"
+        assert AudioClip(np.zeros(8), np.int64(8000)).sample_rate == 8000
+
     def test_zero_length_rejected(self, tmp_path):
         path = tmp_path / "empty.wav"
         with wave.open(str(path), "wb") as wav:

@@ -146,6 +146,10 @@ class TestRunBench:
             run_bench(broken, algorithms=("hapticgen",))
         assert "dead-clip" in str(err.value)
 
+    def test_set_of_the_wrong_size_rejected(self, bench_clips):
+        with pytest.raises(ProtocolError, match="^1 s set has 3 clips, expected 250$"):
+            run_bench({1: bench_clips[:1] * 3}, algorithms=("hapticgen",))
+
     def test_unknown_algorithm(self, bench_clips):
         corpus = build_bench_corpus(bench_clips)
         with pytest.raises(ValueError):

@@ -8,14 +8,15 @@ import os
 import subprocess
 import sys
 import wave
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hapticwave
-from hapticwave.audio_io import AudioClip, load_wav, save_wav
-from hapticwave import cli
+from hapticwave.audio_io import CONVERTER_TAGS, AudioClip, load_wav, save_wav
+from hapticwave import bench, cli
 from hapticwave.cli import _batch_one, build_parser, run
 from hapticwave.converters import convert
 from hapticwave.curation import DatasetManifest, ManifestEntry, write_manifest
@@ -319,8 +320,8 @@ class TestBatch:
         assert written == ["manifest.csv", "out/keep.hapticgen.wav", "tone.wav"]
 
     @pytest.mark.parametrize("algos, message", [
-        ("", "no algorithms given"),
-        (" , ", "no algorithms given"),
+        ("", "no algorithm tag given"),
+        (" , ", "no algorithm tag given"),
         ("hapticgen,vortex", "unknown algorithm tag: 'vortex'"),
         ("hapticgen,hapticgen", "algorithm tag given twice: 'hapticgen'"),
         ("plm, fshift,plm", "algorithm tag given twice: 'plm'"),
@@ -452,6 +453,25 @@ def test_dead_worker_fails_its_clips_by_name(tmp_path, monkeypatch, capsys):
     assert [p.name for p in out_dir.iterdir() if p.name.endswith(".tmp")] == []
 
 
+class _BreaksAfterOneTask(_RecordingPool):
+    """A stand-in pool that, when it has more than one worker, breaks once it has taken a task."""
+
+    def submit(self, fn, task):
+        if self.started[-1] > 1 and hasattr(self, "taken"):
+            raise BrokenProcessPool("a child process terminated abruptly")
+        self.taken = True
+        return super().submit(fn, task)
+
+
+def test_task_submitted_into_a_broken_pool_is_rerun_alone(tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BreaksAfterOneTask)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(cli, "_batch_one", lambda task: (f"{task[1]} ran", False))
+    tasks = [(str(tmp_path / f"{c}.wav"), c, "hapticgen", None, str(tmp_path)) for c in "abc"]
+    assert cli._pool_results(tasks, 2) == [("a ran", False), ("b ran", False), ("c ran", False)]
+    assert _RecordingPool.started == [2, 1, 1]
+
+
 def _dies_writing(task):
     """A task that ends its worker process in mid-write, leaving save_wav's temporary file."""
     _, clip_id, algo, _, out_dir = task
@@ -473,20 +493,40 @@ def test_dead_worker_cleanup_reads_clip_ids_literally(tmp_path, monkeypatch):
     ("curate", "--k", "-2"),
     ("curate", "--per-class", "0"),
     ("curate", "--per-class", "-1"),
+    ("curate", "--seed", "-1"),
+    ("augment", "--seed", "-1"),
     ("batch", "--workers", "-3"),
 ])
 def test_integer_flag_out_of_range_is_validation_error(tmp_path, capsys, command, flag, value):
-    manifest = small_audio_set(tmp_path, n_classes=1, per_class=3)
+    # the input is a missing WAV, which a check made after reading would report instead
+    missing = tmp_path / "missing.wav"
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(DatasetManifest([ManifestEntry("c0", str(missing), 0, "tone", 1)]), manifest)
     out = tmp_path / "out"
-    if command == "curate":
-        args = {"--per-class": "2", "--k": "2", "--seed": "1", "--out": str(out), flag: value}
-    else:
-        args = {"--algos": "hapticgen", "--out-dir": str(out), flag: value}
-    argv = [command, "--manifest", str(manifest)] + [a for kv in args.items() for a in kv]
+    args = {
+        "curate": {"--manifest": manifest, "--per-class": 2, "--k": 2, "--seed": 1, "--out": out},
+        "augment": {"--in": missing, "--seed": 1, "--out": out},
+        "batch": {"--manifest": manifest, "--algos": "hapticgen", "--out-dir": out},
+    }[command]
+    argv = [command] + [str(a) for kv in {**args, flag: value}.items() for a in kv]
     assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert f"got {value}" in err and "unexpected" not in err
+    low = 0 if flag in ("--seed", "--workers") else 1
+    assert capsys.readouterr().err == f"error: {flag} must be >= {low}, got {value}\n"
     assert not out.exists()
+
+
+def test_unexpected_error_exits_2_without_a_traceback(monkeypatch, capsys):
+    def fails(args):
+        raise RuntimeError("out of luck")
+
+    monkeypatch.setitem(cli._COMMANDS, "features", fails)
+    assert run(["features", "--in", "x.wav", "--out", "x.json"]) == 2
+    assert capsys.readouterr().err == "unexpected error: out of luck\n"
+
+
+def test_comma_lists_strip_entries_and_skip_empty_ones():
+    assert cli._parse_list(" 5, ,1,", bench.BENCH_DURATIONS, "duration") == (5, 1)
+    assert cli._parse_list("pitch ,,plm", CONVERTER_TAGS, "algorithm tag") == ("pitch", "plm")
 
 
 class TestFeatures:
@@ -866,9 +906,10 @@ def test_fshift_pool_starts_with_scipy_signal_loaded(tmp_path):
 
 class TestBench:
     @pytest.mark.parametrize("durations, clips, algos, message", [
-        ("1,x", "dir", "hapticgen", "bad duration: 'x'"),
-        ("", "dir", "hapticgen", "bad duration: ''"),
-        ("1,3", "dir", "hapticgen", "duration must be one of (1, 2, 5, 10, 20)"),
+        ("1,x", "dir", "hapticgen", "unknown duration: 'x'"),
+        ("", "dir", "hapticgen", "no duration given"),
+        ("1,3", "dir", "hapticgen", "unknown duration: '3'"),
+        ("1, 2,1", "dir", "hapticgen", "duration given twice: '1'"),
         ("1", "file", "hapticgen", "not a directory: {path}"),
         ("1", "missing", "hapticgen", "not a directory: {path}"),
         ("1", "dir", "hapticgen,hapticgen", "algorithm tag given twice: 'hapticgen'"),

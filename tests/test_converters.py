@@ -26,6 +26,7 @@ from hapticwave.converters import (
     _kept_table,
     _pitch_window,
     _time_grid,
+    _typed,
     convert,
     convert_fshift,
     convert_hapticgen,
@@ -1013,10 +1014,42 @@ class TestConfig:
          "hapticgen.window_ms must be in [1, 10000], got 1000000000.0"),
         (["plm.frame_size=1048577"], "plm.frame_size must be in [1024, 1048576], got 1048577"),
         (["plm.frame_size=512"], "plm.frame_size must be in [1024, 1048576], got 512"),
+        # one domain per entry: the map holds exactly two
+        (["plm.intensity_map=[1]"],
+         "plm.intensity_map must be in [-1e+06, 1e+06] x [1e-06, 1e+06], got (1.0,)"),
     ])
     def test_out_of_range_value_rejected(self, overrides, message):
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}"):
             load_converter_config(overrides=overrides)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("psycho", "max_peaks", 10.5, "config key psycho.max_peaks expects int, got 10.5"),
+        ("fshift", "shifts", [-12.0], "config key fshift.shifts expects tuple, got [-12.0]"),
+        ("pitch", "window_ms", "10", "config key pitch.window_ms expects float, got '10'"),
+        ("plm", "frame_size", True, "config key plm.frame_size expects int, got True"),
+        ("plm", "roughness_map", (0.0, 1.0, 0.5, 1.0), "plm.roughness_map must be in "
+         "[-1e+06, 1e+06] x [-1e+06, 1e+06] x (0, 1], got (0.0, 1.0, 0.5, 1.0)"),
+    ])
+    def test_replaced_config_is_checked_at_construction(self, section, key, value, message):
+        node = replace(getattr(DEFAULT_CONFIG, section), **{key: value})
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            replace(DEFAULT_CONFIG, **{section: node})
+
+    def test_replaced_section_must_be_a_section(self):
+        with pytest.raises(SchemaError, match="^config key plm expects PlmConfig, got 3$"):
+            replace(DEFAULT_CONFIG, plm=3)
+
+    def test_number_in_a_float_leaf_is_accepted(self):
+        assert replace(DEFAULT_CONFIG, target_segment_rms=1) == \
+            load_converter_config(overrides=["target_segment_rms=1"])
+
+    def test_spelling_step_raises_nothing(self):
+        # _typed reads JSON's spellings as the default's type and leaves the rest to the config
+        assert _typed((0.0,), [1, 2.5]) == (1.0, 2.5)
+        assert type(_typed(0.5, 1)) is float
+        for current, value in [(4096, True), (4096, 4096.0), (0.5, "x"), (0.5, float("nan")),
+                               ((0.0,), [1, "x"]), ((0.0,), 5)]:
+            assert _typed(current, value) is value
 
     def test_window_bounds_are_inclusive(self):
         cfg = load_converter_config(overrides=["pitch.window_ms=10000", "hapticgen.window_ms=10000",

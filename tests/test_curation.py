@@ -90,6 +90,15 @@ class TestExtractFeatures:
             warnings.simplefilter("error")
             assert extract_features(AudioClip(x, sr)).tempo == 120.0
 
+    def test_no_lag_in_tempo_range_keeps_default_tempo(self):
+        # 10 s at 500 Hz gives 5 onset-flux values 1.024 s apart; 30-300 BPM then spans lags
+        # of 0.2 to 1.95 frames, a window that holds lag 1 alone, so no tempo is read from it
+        x = 0.5 * np.random.default_rng(500).standard_normal(5000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert extract_features(AudioClip(x, 500)).tempo == 120.0
+            assert _tempo_bpm(np.arange(5.0), 500 / 512) == 120.0
+
     def test_feature_tables_are_cached_and_read_only(self):
         freqs, pitch_classes = _feature_tables(SR)
         assert _feature_tables(SR)[1] is pitch_classes
