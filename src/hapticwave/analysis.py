@@ -11,12 +11,12 @@ each group shape once, and json's C encoder spells all numbers at once.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -165,10 +165,67 @@ class GroupStats:
     n_clips: int
 
 
+class _GroupArrays(Mapping):
+    """aggregate's groups, read-only: key -> GroupStats, over one array row per group.
+
+    Keys iterate in str order. The first read of a group builds every group's
+    GroupStats, which are kept; the report's writers read the arrays, not
+    them, so a report's output is fixed when aggregate returns.
+    """
+
+    def __init__(self, keys: list, means: np.ndarray, sds: np.ndarray,
+                 is_winner: np.ndarray, n_clips: np.ndarray) -> None:
+        self._keys = keys
+        self._arrays = (means, sds, is_winner, n_clips)
+        self._stats: dict | None = None
+
+    def _built(self) -> dict:
+        if self._stats is None:
+            self._stats = dict(zip(self._keys, _stats_rows(*self._arrays)))
+        return self._stats
+
+    def __getitem__(self, key) -> GroupStats:
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+    def _json_body(self) -> str:
+        """The "groups" object, as _stats_json_body writes these groups' GroupStats."""
+        if not self._keys:
+            return "{}"
+        means, sds, is_winner, n_clips = self._arrays
+        codes, winners = _winner_sets(is_winner)
+        forms = {c: _group_form(RATING_ALGORITHMS, RATING_ALGORITHMS, w)[2]
+                 for c, w in winners.items()}
+        lines = [f"{_json_str(str(key)).replace('%', '%%')}: {forms[c]}"
+                 for key, c in zip(self._keys, codes)]
+        n_algos = len(RATING_ALGORITHMS)
+        numbers = np.empty((len(codes), 2 * n_algos + 1), object)
+        numbers[:, :n_algos] = means[:, _SORTED_COLUMNS]
+        numbers[:, n_algos] = n_clips  # an int, so json spells it without ".0"
+        numbers[:, n_algos + 1:] = sds[:, _SORTED_COLUMNS]
+        return _fill(lines, numbers.ravel().tolist())
+
+    def _table_rows(self) -> list[str]:
+        means, sds, is_winner, _ = self._arrays
+        codes, winners = _winner_sets(is_winner)
+        names = {c: "/".join(w) for c, w in winners.items()}
+        pairs = np.stack([means, sds], axis=2).reshape(-1, 2 * len(RATING_ALGORITHMS)).tolist()
+        return [_TABLE_ROW % (str(key), *row, names[c])
+                for key, row, c in zip(self._keys, pairs, codes)]
+
+
 @dataclass
 class AggregateReport:
     level: str  # "category" | "class" | "clip"
-    groups: dict[str | int, GroupStats]
+    groups: Mapping[str | int, GroupStats]  # aggregate's _GroupArrays, or any GroupStats
     overall: GroupStats
     winner_counts: dict[str, int]  # clip-level winner tallies (ties count both)
     tie_count: int
@@ -178,21 +235,12 @@ class AggregateReport:
 
         json's indent encoder is pure Python, so it lays out each group shape
         once (_group_form), and the numbers of every group, spelled by json's C
-        encoder, go into those layouts with one %.
+        encoder, go into those layouts with one %. A report from aggregate
+        writes its groups from aggregate's arrays; groups given as GroupStats
+        are written from those.
         """
-        groups = {str(k): g for k, g in self.groups.items()}
-        forms, numbers = [], []
-        for key in sorted(groups):
-            g = groups[key]
-            mean_keys, sd_keys, form = _group_form(tuple(g.mean), tuple(g.sd), tuple(g.winners))
-            forms.append(f"{_json_str(key).replace('%', '%%')}: {form}")
-            numbers += map(g.mean.__getitem__, mean_keys)
-            numbers.append(g.n_clips)
-            numbers += map(g.sd.__getitem__, sd_keys)
-        body = "{}"
-        if forms:
-            body = ("{\n    " + ",\n    ".join(forms) + "\n  }") % tuple(
-                json.dumps(numbers)[1:-1].split(", "))
+        groups = self.groups
+        body = groups._json_body() if isinstance(groups, _GroupArrays) else _stats_json_body(groups)
         rest = {"level": self.level, "overall": asdict(self.overall),
                 "tie_count": self.tie_count, "winner_counts": self.winner_counts}
         return '{\n  "groups": ' + body + "," + json.dumps(rest, indent=2, sort_keys=True)[1:]
@@ -201,11 +249,34 @@ class AggregateReport:
         header = f"{'group':>12} " + " ".join(f"{a:>12}" for a in RATING_ALGORITHMS) + "   winner"
         groups = self.groups
         lines = [header]
-        lines += [_table_row(str(key), groups[key]) for key in sorted(groups, key=str)]
+        if isinstance(groups, _GroupArrays):
+            lines += groups._table_rows()
+        else:
+            lines += [_table_row(str(key), groups[key]) for key in sorted(groups, key=str)]
         lines.append(_table_row("overall", self.overall))
         counts = ", ".join(f"{a}={self.winner_counts[a]}" for a in RATING_ALGORITHMS)
         lines.append(f"clip-level winners: {counts}, ties={self.tie_count}")
         return "\n".join(lines)
+
+
+def _stats_json_body(groups: Mapping) -> str:
+    """The "groups" object of a report whose groups are any GroupStats, under any keys."""
+    groups = {str(k): g for k, g in groups.items()}
+    lines, numbers = [], []
+    for key in sorted(groups):
+        g = groups[key]
+        mean_keys, sd_keys, form = _group_form(tuple(g.mean), tuple(g.sd), tuple(g.winners))
+        lines.append(f"{_json_str(key).replace('%', '%%')}: {form}")
+        numbers += map(g.mean.__getitem__, mean_keys)
+        numbers.append(g.n_clips)
+        numbers += map(g.sd.__getitem__, sd_keys)
+    return _fill(lines, numbers) if lines else "{}"
+
+
+def _fill(lines: list[str], numbers: list) -> str:
+    """The "groups" object from its groups' lines, each number of which is a %s."""
+    return ("{\n    " + ",\n    ".join(lines) + "\n  }") % tuple(
+        json.dumps(numbers)[1:-1].split(", "))
 
 
 # A table row is the group, mean(SD) per algorithm and the winners, written by one
@@ -214,11 +285,21 @@ _TABLE_ROW = "%12s " + " ".join(["%7.2f(%4.1f)"] * len(RATING_ALGORITHMS)) + "  
 _by_algorithm = itemgetter(*RATING_ALGORITHMS)
 _mean_sd_pairs = itemgetter(*[i + k * len(RATING_ALGORITHMS)
                               for i in range(len(RATING_ALGORITHMS)) for k in (0, 1)])
+# the group arrays' columns in the sorted-key order json writes a group's means and SDs in
+_SORTED_COLUMNS = [RATING_ALGORITHMS.index(a) for a in sorted(RATING_ALGORITHMS)]
+# a winner mask row as one int: bit i is set when RATING_ALGORITHMS[i] wins
+_WINNER_BITS = 1 << np.arange(len(RATING_ALGORITHMS))
 
 
 def _table_row(key: str, g: GroupStats) -> str:
     means_then_sds = _by_algorithm(g.mean) + _by_algorithm(g.sd)
     return _TABLE_ROW % (key, *_mean_sd_pairs(means_then_sds), "/".join(g.winners))
+
+
+def _winner_sets(is_winner: np.ndarray) -> tuple[list[int], dict[int, tuple[str, ...]]]:
+    """A winner mask's rows as int codes, and the winner tuple of each code among them."""
+    codes = (is_winner @ _WINNER_BITS).tolist()
+    return codes, {c: tuple(compress(RATING_ALGORITHMS, c & _WINNER_BITS)) for c in set(codes)}
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -240,9 +321,10 @@ def _group_form(mean_keys: tuple, sd_keys: tuple, winners: tuple) -> tuple:
     return sorted(mean_keys), sorted(sd_keys), text.replace("%", "%%").replace(_SLOT_VALUE, ": %s")
 
 
-def _group_stats(matrix: np.ndarray, group: np.ndarray, n_groups: int) -> list[GroupStats]:
-    """GroupStats of each group of (clip, algorithm) matrix rows; row i is in group[i].
+def _group_arrays(matrix: np.ndarray, group: np.ndarray, n_groups: int) -> tuple:
+    """Means, SDs, winner mask and clip count of each group of (clip, algorithm) matrix rows.
 
+    Row i of matrix is in group[i]; each result has one row per group.
     bincount adds a group's rows in row order, as mean and std(ddof=1) over
     axis 0 do, so both come out bit for bit; a group of one clip has SD 0.
     """
@@ -255,7 +337,13 @@ def _group_stats(matrix: np.ndarray, group: np.ndarray, n_groups: int) -> list[G
     sq = np.bincount(cell, dev * dev, size).reshape(n_groups, n_algos)
     sds = np.sqrt(sq / np.maximum(n - 1, 1)[:, None])
     is_winner = means == means.max(axis=1, keepdims=True)
-    rows = zip(means.tolist(), sds.tolist(), is_winner.tolist(), n.tolist())
+    return means, sds, is_winner, n
+
+
+def _stats_rows(means: np.ndarray, sds: np.ndarray, is_winner: np.ndarray,
+                n_clips: np.ndarray) -> list[GroupStats]:
+    """One GroupStats per row of _group_arrays' results."""
+    rows = zip(means.tolist(), sds.tolist(), is_winner.tolist(), n_clips.tolist())
     return [GroupStats(mean=dict(zip(RATING_ALGORITHMS, m)), sd=dict(zip(RATING_ALGORITHMS, d)),
                        winners=tuple(compress(RATING_ALGORITHMS, w)), n_clips=k)
             for m, d, w, k in rows]
@@ -284,10 +372,10 @@ def aggregate(table: RatingsTable, manifest: DatasetManifest, level: str) -> Agg
     order = sorted(set(keys), key=str)
     index = {key: i for i, key in enumerate(order)}
     group = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
-    (overall,) = _group_stats(matrix, np.zeros_like(group), 1)
+    (overall,) = _stats_rows(*_group_arrays(matrix, np.zeros_like(group), 1))
     return AggregateReport(
         level=level,
-        groups=dict(zip(order, _group_stats(matrix, group, len(order)))),
+        groups=_GroupArrays(order, *_group_arrays(matrix, group, len(order))),
         overall=overall,
         winner_counts=winner_counts,
         tie_count=tie_count,

@@ -93,6 +93,10 @@ def load_wav(path: str | Path) -> AudioClip:
             raw = wav.readframes(n_frames + 1)
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: {exc}") from exc
+    except EOFError as exc:  # wave raises it, without a message, for a cut header
+        raise AudioFormatError(f"{path}: file ends inside a WAV header") from exc
+    except RuntimeError as exc:  # and this, without one, for a chunk past the RIFF chunk's end
+        raise AudioFormatError(f"{path}: a chunk runs past the end of the RIFF chunk") from exc
     if width != 2:
         raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
     if rate == 0:  # read unsigned, so no rate is negative

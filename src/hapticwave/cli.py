@@ -379,7 +379,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:  # vanishing odds, but never a traceback to stderr
-        print(f"unexpected error: {exc}", file=sys.stderr)
+        print(f"unexpected error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -184,11 +184,9 @@ def _merge_section(section, overrides: dict, prefix: str = ""):
         if key not in known:
             raise SchemaError(f"unknown config key {dotted}")
         current = getattr(section, key)
-        if is_dataclass(current):
-            if not isinstance(value, dict):
-                raise SchemaError(f"config key {dotted} expects a section object, got {value!r}")
+        if is_dataclass(current) and isinstance(value, dict):
             kwargs[key] = _merge_section(current, value, f"{dotted}.")
-        else:
+        else:  # the config's leaf check rejects a section given as anything but an object
             kwargs[key] = _typed(current, value)
     return replace(section, **kwargs)
 

@@ -411,6 +411,55 @@ class TestReportWriters:
         manifest = _random_ratings(path, seed, 120, (1, 9))
         self.assert_matches(aggregate(load_ratings(path), manifest, level))
 
+    @staticmethod
+    def assert_writers_agree(report):
+        """An aggregate report writes the bytes the GroupStats writer gives for its groups."""
+        json_text, table = report.to_json(), report.format_table()
+        assert report.groups._stats is None  # the writers read the arrays, not GroupStats
+        by_stats = AggregateReport(report.level, dict(report.groups), report.overall,
+                                   report.winner_counts, report.tie_count)
+        assert type(by_stats.groups) is dict
+        # compared as lines: a failing report shows the first line that differs, quickly
+        assert json_text.splitlines() == by_stats.to_json().splitlines()
+        assert table.splitlines() == by_stats.format_table().splitlines()
+        assert (report.to_json(), report.format_table()) == (json_text, table)
+
+    @pytest.mark.parametrize("level", ["category", "class", "clip"])
+    def test_array_writer_on_the_fixture(self, level):
+        path = ratings_fixture_path()
+        manifest = load_manifest(manifest_fixture_path())
+        report = aggregate(load_ratings(path), manifest, level)
+        self.assert_writers_agree(report)
+        expected = _reference_aggregate(_reference_load_ratings(path), manifest, level)
+        assert dict(report.groups) == expected.groups
+
+    @pytest.mark.parametrize("seed,n_clips,raters", [
+        (0, 1, (1, 1)), (1, 7, (1, 5)), (2, 60, (1, 5)), (3, 200, (2, 2)), (4, 40, (8, 12)),
+    ])
+    @pytest.mark.parametrize("level", ["category", "class", "clip"])
+    def test_array_writer_on_seeded_ratings(self, tmp_path, seed, n_clips, raters, level):
+        path = tmp_path / "r.csv"
+        manifest = _random_ratings(path, seed, n_clips, raters)
+        report = aggregate(load_ratings(path), manifest, level)
+        self.assert_writers_agree(report)
+        expected = _reference_aggregate(_reference_load_ratings(path), manifest, level)
+        assert dict(report.groups) == expected.groups
+
+    def test_aggregate_groups_read_as_a_dict(self):
+        manifest = load_manifest(manifest_fixture_path())
+        report = aggregate(load_ratings(ratings_fixture_path()), manifest, "class")
+        expected = _reference_aggregate(
+            _reference_load_ratings(ratings_fixture_path()), manifest, "class").groups
+        groups = report.groups
+        assert list(groups) == sorted(expected, key=str) == list(expected)
+        assert len(groups) == len(expected) == 50
+        assert list(groups.items()) == list(expected.items())
+        assert groups == expected and expected == groups
+        assert groups[10] is groups[10]  # built once, then kept
+        assert 10 in groups and "10" not in groups
+        with pytest.raises(TypeError):
+            groups[10] = expected[10]
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_synthetic_reports(self, seed):
         rng = np.random.default_rng(seed)

@@ -136,6 +136,24 @@ class TestLoadSave:
         with pytest.raises(FileNotFoundError):
             load_wav(tmp_path / "nope.wav")
 
+    def test_header_cut_short_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        save_wav(sine_clip(300.0, duration=0.1), path)
+        path.write_bytes(path.read_bytes()[:20])  # inside the fmt chunk
+        with pytest.raises(AudioFormatError) as err:
+            load_wav(path)
+        assert str(err.value) == f"{path}: file ends inside a WAV header"
+
+    def test_chunk_past_the_riff_end_rejected(self, tmp_path):
+        path = tmp_path / "list.wav"
+        save_wav(sine_clip(300.0, duration=0.1), path)
+        raw = path.read_bytes()  # RIFF header, fmt chunk, then the data chunk at byte 36
+        body = raw[8:36] + b"LIST" + struct.pack("<I", 1_000_000) + b"INFO" + raw[36:]
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(AudioFormatError) as err:
+            load_wav(path)
+        assert str(err.value) == f"{path}: a chunk runs past the end of the RIFF chunk"
+
     def test_non_pcm_rejected(self, tmp_path):
         # hand-rolled RIFF header with format tag 3 (IEEE float)
         path = tmp_path / "float.wav"

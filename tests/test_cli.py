@@ -524,6 +524,24 @@ def test_unexpected_error_exits_2_without_a_traceback(monkeypatch, capsys):
     assert capsys.readouterr().err == "unexpected error: out of luck\n"
 
 
+def test_unexpected_error_without_a_message_names_its_type(monkeypatch, capsys):
+    def fails(args):
+        raise RuntimeError()
+
+    monkeypatch.setitem(cli._COMMANDS, "features", fails)
+    assert run(["features", "--in", "x.wav", "--out", "x.json"]) == 2
+    assert capsys.readouterr().err == "unexpected error: RuntimeError\n"
+
+
+def test_truncated_wav_is_validation_error(tmp_path, capsys, tone_wav):
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(tone_wav.read_bytes()[:20])
+    out = tmp_path / "out.wav"
+    assert run(["convert", "--algo", "plm", "--in", str(cut), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cut}: file ends inside a WAV header\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.wav", "tone.wav"]
+
+
 def test_comma_lists_strip_entries_and_skip_empty_ones():
     assert cli._parse_list(" 5, ,1,", bench.BENCH_DURATIONS, "duration") == (5, 1)
     assert cli._parse_list("pitch ,,plm", CONVERTER_TAGS, "algorithm tag") == ("pitch", "plm")

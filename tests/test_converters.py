@@ -938,8 +938,9 @@ class TestConfig:
         (["plm.foo=1"], "unknown config key plm.foo"),
         (["size=1"], "unknown config key size"),
         (["plm.frame_size=true"], "config key plm.frame_size expects int, got True"),
-        (["hapticgen=3"], "config key hapticgen expects a section object, got 3"),
+        (["hapticgen=3"], "config key hapticgen expects HapticgenConfig, got 3"),
         (["plm.carrier_mix=2"], "plm.carrier_mix must be in [0, 1], got 2.0"),
+        (["plm=3"], "config key plm expects PlmConfig, got 3"),
     ])
     def test_errors_spell_keys_as_set_does(self, overrides, message):
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
