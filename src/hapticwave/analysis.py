@@ -198,8 +198,6 @@ class _GroupArrays(Mapping):
 
     def _json_body(self) -> str:
         """The "groups" object, as _stats_json_body writes these groups' GroupStats."""
-        if not self._keys:
-            return "{}"
         means, sds, is_winner, n_clips = self._arrays
         codes, winners = _winner_sets(is_winner)
         forms = {c: _group_form(RATING_ALGORITHMS, RATING_ALGORITHMS, w)[2]
@@ -270,11 +268,13 @@ def _stats_json_body(groups: Mapping) -> str:
         numbers += map(g.mean.__getitem__, mean_keys)
         numbers.append(g.n_clips)
         numbers += map(g.sd.__getitem__, sd_keys)
-    return _fill(lines, numbers) if lines else "{}"
+    return _fill(lines, numbers)
 
 
 def _fill(lines: list[str], numbers: list) -> str:
     """The "groups" object from its groups' lines, each number of which is a %s."""
+    if not lines:
+        return "{}"
     return ("{\n    " + ",\n    ".join(lines) + "\n  }") % tuple(
         json.dumps(numbers)[1:-1].split(", "))
 

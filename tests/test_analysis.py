@@ -445,6 +445,15 @@ class TestReportWriters:
         expected = _reference_aggregate(_reference_load_ratings(path), manifest, level)
         assert dict(report.groups) == expected.groups
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_array_writer_on_an_empty_table(self):
+        # reachable only through a hand-built table: load_ratings rejects a file without rows
+        table = RatingsTable([], np.array([], np.intp), [], np.array([]))
+        report = aggregate(table, DatasetManifest([]), "clip")
+        assert len(report.groups) == 0
+        self.assert_writers_agree(report)
+        assert '"groups": {}' in report.to_json()
+
     def test_aggregate_groups_read_as_a_dict(self):
         manifest = load_manifest(manifest_fixture_path())
         report = aggregate(load_ratings(ratings_fixture_path()), manifest, "class")
