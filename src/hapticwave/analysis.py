@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import CONVERTER_TAGS, VIBRATION_RATE, VibrationSignal
-from .curation import DatasetManifest, open_csv, read_columns
+from .curation import DatasetManifest, read_csv
 from .dsp import mel_filterbank, stft
 from .errors import SchemaError
 
@@ -103,18 +103,19 @@ def load_ratings(path: str | Path, column_map: Mapping[str, str] | None = None) 
         if names.count(name) > 1:
             shared = [c for c in RATINGS_HEADER if resolve[c] == name]
             raise SchemaError(f"column map reads column {name!r} of {path} as each of {shared}")
-    with open_csv(path) as reader:
-        header = next(reader, None) or []
-        position = {name: i for i, name in enumerate(header)}
-        missing = [name for name in names if name not in position]
+
+    def check_header(header: list[str] | None) -> None:
+        header = header or []
+        missing = [name for name in names if name not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
         for name in names:
             if header.count(name) > 1:
                 raise SchemaError(f"{path}: column {name!r} appears "
                                   f"{header.count(name)} times in the header")
-        columns = read_columns(path, reader, len(header))
-    clip_id, algorithm, rater_id, text = (columns[position[name]] for name in names)
+
+    header, columns = read_csv(path, check_header)
+    clip_id, algorithm, rater_id, text = (columns[header.index(name)] for name in names)
     n = len(text)
     if not n:
         raise SchemaError(f"{path}: no rating rows")

@@ -319,9 +319,9 @@ def _cmd_report(args) -> int:
     table = analysis.load_ratings(args.ratings, column_map=column_map)
     manifest = curation.load_manifest(args.manifest)
     report = analysis.aggregate(table, manifest, args.level)
-    print(report.format_table())
     if args.json_out:
         Path(args.json_out).write_text(report.to_json())
+    print(report.format_table())
     return EXIT_OK
 
 

@@ -8,12 +8,12 @@ proportional stratified sampling from the clusters.
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import NoReturn
 
 import numpy as np
 
@@ -372,54 +372,101 @@ class DatasetManifest:
         return sorted({e.class_id for e in self.entries})
 
 
-@contextmanager
-def open_csv(path: Path) -> Iterator:
-    """A csv.reader over path as UTF-8 text, after a byte-order mark if there is one.
+def read_csv(path: Path, check_header: Callable[[list[str] | None], None]
+             ) -> tuple[list[str], list[list[str]]]:
+    """path's header and its data rows as columns, read as UTF-8 after a byte-order mark.
 
-    A csv.Error inside the block (a field over csv.field_size_limit()
-    characters, among other malformed input) or a byte that is not UTF-8 is
-    a SchemaError naming the file.
+    check_header(header) runs on the first row (None for an empty file)
+    before any data row is read, and the columns are as many as the header's
+    fields. Blank lines are skipped; data row i (from 0) is reported as row
+    i + 2, as csv.DictReader numbered it, and a ragged row raises SchemaError.
+    A plain file (see _plain_lines) is split at "\n" and ","; any other goes
+    through csv.reader, which reads a plain file to the same rows.
+    """
+    lines = _plain_lines(path)
+    if lines is None:
+        return _read_csv_stream(path, check_header)
+    header = None if lines == [""] else lines[0].split(",") if lines[0] else []
+    check_header(header)
+    width = len(header)
+    rows = list(filter(None, islice(lines, 1, None)))
+    if set(map(str.count, rows, repeat(","))) - {width - 1}:
+        _raise_ragged(path, (row.count(",") + 1 for row in rows), width, 2)
+    fields = ",".join(rows).split(",") if rows else []
+    return header, [fields[i::width] for i in range(width)]
+
+
+def _plain_lines(path: Path) -> list[str] | None:
+    """path's lines if csv.reader would split each one at every ",", else None.
+
+    That holds when the file decodes as UTF-8 and, with each "\r\n" read as
+    "\n", holds no quote, CR or NUL and no line longer than
+    csv.field_size_limit(). A file that does not decode is left to
+    csv.reader, so that a fault in the lines before the bad byte is
+    reported first, as it is when the file is streamed.
+    """
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")  # not splitlines(), which breaks at \x0b, \x85 and more
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    return lines
+
+
+def _read_csv_stream(path: Path, check_header: Callable[[list[str] | None], None]
+                     ) -> tuple[list[str], list[list[str]]]:
+    """read_csv through csv.reader, streaming the file.
+
+    A csv.Error (a field over csv.field_size_limit() characters, among other
+    malformed input) or a byte that is not UTF-8 is a SchemaError naming the
+    file. Rows move to the columns in chunks, so few row lists are alive at
+    once: keeping one list per row until the end promotes them all to the
+    oldest GC generation, and full collections of a large heap then dominate
+    the parse.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            yield reader
+            header = next(reader, None)
+            check_header(header)
+            width = len(header)
+            fields: list[str] = []
+            rows = filter(None, reader)
+            row_no = 2
+            while chunk := list(islice(rows, 512)):
+                if set(map(len, chunk)) != {width}:
+                    _raise_ragged(path, map(len, chunk), width, row_no)
+                fields.extend(chain.from_iterable(chunk))
+                row_no += len(chunk)
         except csv.Error as exc:
             raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise _not_utf8_error(path, exc) from exc
+    return header, [fields[i::width] for i in range(width)]
 
 
-def read_columns(path: Path, reader, width: int) -> list[list[str]]:
-    """The remaining rows of a csv.reader as `width` columns; blank lines are skipped.
-
-    Data row i (from 0) is reported as row i + 2, as csv.DictReader numbered
-    it, and a ragged row raises SchemaError. Rows move to the columns in
-    chunks, so few row lists are alive at once: keeping one list per row
-    until the end promotes them all to the oldest GC generation, and full
-    collections of a large heap then dominate the parse.
-    """
-    fields: list[str] = []
-    rows = filter(None, reader)
-    row_no = 2
-    while chunk := list(islice(rows, 512)):
-        if set(map(len, chunk)) != {width}:
-            i, row = next((i, row) for i, row in enumerate(chunk) if len(row) != width)
-            raise SchemaError(f"{path}:{row_no + i}: expected {width} fields, got {len(row)}")
-        fields.extend(chain.from_iterable(chunk))
-        row_no += len(chunk)
-    return [fields[i::width] for i in range(width)]
+def _raise_ragged(path: Path, widths: Iterable[int], width: int, first_row: int) -> NoReturn:
+    """Raise SchemaError at the first of widths (rows numbered from first_row) that is not width."""
+    row_no, got = next((i, n) for i, n in enumerate(widths, first_row) if n != width)
+    raise SchemaError(f"{path}:{row_no}: expected {width} fields, got {got}")
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Read and validate a manifest CSV."""
     path = Path(path)
-    with open_csv(path) as reader:
-        header = next(reader, None)
+
+    def check_header(header: list[str] | None) -> None:
         if header != MANIFEST_HEADER:
             raise SchemaError(
                 f"{path}: expected header {','.join(MANIFEST_HEADER)}, got {header}")
-        columns = read_columns(path, reader, len(header))
+
+    _, columns = read_csv(path, check_header)
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     for row_no, (clip_id, clip_path, class_text, class_name, category_text) in enumerate(

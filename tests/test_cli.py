@@ -375,7 +375,8 @@ def test_output_path_through_a_file_is_validation_error(tmp_path, capsys, tone_w
         manifest = small_audio_set(tmp_path, n_classes=1, per_class=1)
         argv = ["--manifest", str(manifest), "--algos", "hapticgen", "--out-dir", str(afile)]
     assert run([command] + argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and str(afile) in err
     assert afile.read_text() == ""
 

@@ -399,6 +399,16 @@ class TestManifest:
         assert load_manifest(path) == manifest
         assert "café".encode() in path.read_bytes()  # UTF-8 whatever the locale
 
+    def test_round_trip_of_quoted_fields(self, tmp_path):
+        path = tmp_path / "m.csv"
+        manifest = DatasetManifest([
+            ManifestEntry("a", "audio/a,1.wav", 0, 'dog, "rex"\nbarking', 1),
+            ManifestEntry("b", "audio/b.wav", 1, "cat\r\n", 2),
+        ])
+        write_manifest(manifest, path)
+        assert b'"' in path.read_bytes()
+        assert load_manifest(path) == manifest
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "bom.csv"
         write_manifest(self._manifest(), path)
