@@ -13,7 +13,6 @@ import json
 import numpy as np
 import pytest
 
-from hapticwave import curation
 from hapticwave.analysis import load_ratings
 from hapticwave.audio_io import load_wav, save_wav
 from hapticwave.converters import load_converter_config
@@ -83,36 +82,3 @@ def test_every_mutant_loads_or_raises_a_typed_error(tmp_path, valid, loader, see
         except Exception as exc:  # noqa: BLE001 - the test collects what escapes
             escaped.append(f"mutant {i}: {type(exc).__name__}: {exc}")
     assert escaped == [], f"{loader.__name__} let untyped errors escape"
-
-
-def _outcome(loader, path):
-    try:
-        result = loader(path)
-    except HapticwaveError as exc:
-        return type(exc), str(exc)
-    if loader is load_manifest:
-        return result
-    return (list(result.clip_id), result.algorithm.tolist(), list(result.rater_id),
-            result.rating.tolist())
-
-
-@pytest.mark.parametrize("valid, loader, seed", [
-    (lambda: _head(ratings_fixture_path(), 33), load_ratings, 5),
-    (lambda: _head(manifest_fixture_path(), 9), load_manifest, 6),
-], ids=["ratings", "manifest"])
-def test_every_mutant_reads_as_the_csv_path_reads_it(tmp_path, monkeypatch, valid, loader, seed):
-    """Split or streamed through csv.reader, a mutant gives the same columns or the same error."""
-    path = tmp_path / "mutant"
-    differ = []
-    split_path = 0
-    for i, mutant in enumerate(_mutants(valid(), seed)):
-        path.write_bytes(mutant)
-        split_path += curation._plain_lines(path) is not None
-        split = _outcome(loader, path)
-        with monkeypatch.context() as patch:
-            patch.setattr(curation, "_plain_lines", lambda path: None)
-            streamed = _outcome(loader, path)
-        if split != streamed:
-            differ.append(f"mutant {i}: {split!r} != {streamed!r}")
-    assert differ == []
-    assert split_path > N_MUTANTS // 3  # the split path is exercised, not only the fallback

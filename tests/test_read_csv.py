@@ -17,6 +17,8 @@ from hapticwave.analysis import load_ratings
 from hapticwave.curation import load_manifest
 from hapticwave.fixtures import manifest_fixture_path, ratings_fixture_path
 
+from test_input_mutations import N_MUTANTS, _head, _mutants
+
 RATINGS = ["clip_id,algorithm,rater_id,rating", "c1,plm,r1,10", "c1,pitch,r1,20", "c2,plm,r1,30"]
 MANIFEST = ["clip_id,path,class_id,class_name,category_id", "c1,a/c1.wav,0,dog,1",
             "c2,a/c2.wav,1,cat,2", "c3,a/c3.wav,2,cow,3"]
@@ -188,6 +190,24 @@ def test_both_paths_give_the_header_and_columns(tmp_path, text):
     assert split == curation._read_csv_stream(path, seen.append)
     assert split[0] == ["a", "b"] and len(split[1]) == 2
     assert seen == [["a", "b"]] * 2
+
+
+@pytest.mark.parametrize("loader, fixture, n_lines, seed", [
+    (load_ratings, ratings_fixture_path, 33, 5), (load_manifest, manifest_fixture_path, 9, 6),
+], ids=["ratings", "manifest"])
+def test_every_mutant_reads_as_the_csv_path_reads_it(tmp_path, monkeypatch, loader, fixture,
+                                                     n_lines, seed):
+    path = tmp_path / "mutant.csv"
+    differ = []
+    split_path = 0
+    for i, mutant in enumerate(_mutants(_head(fixture(), n_lines), seed)):
+        path.write_bytes(mutant)
+        split_path += curation._plain_lines(path) is not None
+        split, streamed = read_both_ways(loader, path, monkeypatch)
+        if split != streamed:
+            differ.append(f"mutant {i}: {split!r} != {streamed!r}")
+    assert differ == []
+    assert split_path > N_MUTANTS // 3  # the split path is exercised, not only the fallback
 
 
 def _raising_reader(*args, **kwargs):
