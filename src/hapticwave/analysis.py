@@ -3,9 +3,10 @@
 Ratings arrive as one row per (clip, algorithm, rater); a clip's rating for an
 algorithm is the mean over its raters. Aggregation reports per-algorithm means
 and SDs at the category, class, or clip level, plus winners and clip-level
-winner tallies (ties are reported, never broken). The report's JSON is
-json.dumps(payload, indent=2, sort_keys=True) byte for byte: json lays out
-each group shape once, and json's C encoder spells all numbers at once.
+winner tallies (ties are reported, never broken). A report is written from
+aggregate's group arrays, and its JSON is json.dumps(payload, indent=2,
+sort_keys=True) byte for byte: json lays out the group of each winner set
+once, and json's C encoder spells all numbers at once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -198,11 +198,12 @@ class _GroupArrays(Mapping):
         return repr(self._built())
 
     def _json_body(self) -> str:
-        """The "groups" object, as _stats_json_body writes these groups' GroupStats."""
+        """The "groups" object, as json.dumps(indent=2, sort_keys=True) nests it in a report."""
+        if not self._keys:
+            return "{}"
         means, sds, is_winner, n_clips = self._arrays
         codes, winners = _winner_sets(is_winner)
-        forms = {c: _group_form(RATING_ALGORITHMS, RATING_ALGORITHMS, w)[2]
-                 for c, w in winners.items()}
+        forms = {c: _group_form(w) for c, w in winners.items()}
         lines = [f"{_json_str(str(key)).replace('%', '%%')}: {forms[c]}"
                  for key, c in zip(self._keys, codes)]
         n_algos = len(RATING_ALGORITHMS)
@@ -210,7 +211,8 @@ class _GroupArrays(Mapping):
         numbers[:, :n_algos] = means[:, _SORTED_COLUMNS]
         numbers[:, n_algos] = n_clips  # an int, so json spells it without ".0"
         numbers[:, n_algos + 1:] = sds[:, _SORTED_COLUMNS]
-        return _fill(lines, numbers.ravel().tolist())
+        spelled = json.dumps(numbers.ravel().tolist())[1:-1].split(", ")
+        return ("{\n    " + ",\n    ".join(lines) + "\n  }") % tuple(spelled)
 
     def _table_rows(self) -> list[str]:
         means, sds, is_winner, _ = self._arrays
@@ -224,7 +226,7 @@ class _GroupArrays(Mapping):
 @dataclass
 class AggregateReport:
     level: str  # "category" | "class" | "clip"
-    groups: Mapping[str | int, GroupStats]  # aggregate's _GroupArrays, or any GroupStats
+    groups: _GroupArrays  # key -> GroupStats, written from aggregate's arrays
     overall: GroupStats
     winner_counts: dict[str, int]  # clip-level winner tallies (ties count both)
     tie_count: int
@@ -232,69 +234,33 @@ class AggregateReport:
     def to_json(self) -> str:
         """The report as json.dumps(payload, indent=2, sort_keys=True) writes it, byte for byte.
 
-        json's indent encoder is pure Python, so it lays out each group shape
-        once (_group_form), and the numbers of every group, spelled by json's C
-        encoder, go into those layouts with one %. A report from aggregate
-        writes its groups from aggregate's arrays; groups given as GroupStats
-        are written from those.
+        json's indent encoder is pure Python, so it lays out the group of each
+        winner set once (_group_form), and the numbers of every group, read
+        from aggregate's arrays and spelled by json's C encoder, go into those
+        layouts with one %.
         """
-        groups = self.groups
-        body = groups._json_body() if isinstance(groups, _GroupArrays) else _stats_json_body(groups)
         rest = {"level": self.level, "overall": asdict(self.overall),
                 "tie_count": self.tie_count, "winner_counts": self.winner_counts}
-        return '{\n  "groups": ' + body + "," + json.dumps(rest, indent=2, sort_keys=True)[1:]
+        return ('{\n  "groups": ' + self.groups._json_body() + ","
+                + json.dumps(rest, indent=2, sort_keys=True)[1:])
 
     def format_table(self) -> str:
         header = f"{'group':>12} " + " ".join(f"{a:>12}" for a in RATING_ALGORITHMS) + "   winner"
-        groups = self.groups
-        lines = [header]
-        if isinstance(groups, _GroupArrays):
-            lines += groups._table_rows()
-        else:
-            lines += [_table_row(str(key), groups[key]) for key in sorted(groups, key=str)]
-        lines.append(_table_row("overall", self.overall))
+        o = self.overall
+        cells = [v for a in RATING_ALGORITHMS for v in (o.mean[a], o.sd[a])]
+        overall = _TABLE_ROW % ("overall", *cells, "/".join(o.winners))
         counts = ", ".join(f"{a}={self.winner_counts[a]}" for a in RATING_ALGORITHMS)
-        lines.append(f"clip-level winners: {counts}, ties={self.tie_count}")
-        return "\n".join(lines)
-
-
-def _stats_json_body(groups: Mapping) -> str:
-    """The "groups" object of a report whose groups are any GroupStats, under any keys."""
-    groups = {str(k): g for k, g in groups.items()}
-    lines, numbers = [], []
-    for key in sorted(groups):
-        g = groups[key]
-        mean_keys, sd_keys, form = _group_form(tuple(g.mean), tuple(g.sd), tuple(g.winners))
-        lines.append(f"{_json_str(key).replace('%', '%%')}: {form}")
-        numbers += map(g.mean.__getitem__, mean_keys)
-        numbers.append(g.n_clips)
-        numbers += map(g.sd.__getitem__, sd_keys)
-    return _fill(lines, numbers)
-
-
-def _fill(lines: list[str], numbers: list) -> str:
-    """The "groups" object from its groups' lines, each number of which is a %s."""
-    if not lines:
-        return "{}"
-    return ("{\n    " + ",\n    ".join(lines) + "\n  }") % tuple(
-        json.dumps(numbers)[1:-1].split(", "))
+        return "\n".join([header, *self.groups._table_rows(), overall,
+                          f"clip-level winners: {counts}, ties={self.tie_count}"])
 
 
 # A table row is the group, mean(SD) per algorithm and the winners, written by one
 # %-format; its arguments interleave the means and SDs in RATING_ALGORITHMS order.
 _TABLE_ROW = "%12s " + " ".join(["%7.2f(%4.1f)"] * len(RATING_ALGORITHMS)) + "   %s"
-_by_algorithm = itemgetter(*RATING_ALGORITHMS)
-_mean_sd_pairs = itemgetter(*[i + k * len(RATING_ALGORITHMS)
-                              for i in range(len(RATING_ALGORITHMS)) for k in (0, 1)])
 # the group arrays' columns in the sorted-key order json writes a group's means and SDs in
 _SORTED_COLUMNS = [RATING_ALGORITHMS.index(a) for a in sorted(RATING_ALGORITHMS)]
 # a winner mask row as one int: bit i is set when RATING_ALGORITHMS[i] wins
 _WINNER_BITS = 1 << np.arange(len(RATING_ALGORITHMS))
-
-
-def _table_row(key: str, g: GroupStats) -> str:
-    means_then_sds = _by_algorithm(g.mean) + _by_algorithm(g.sd)
-    return _TABLE_ROW % (key, *_mean_sd_pairs(means_then_sds), "/".join(g.winners))
 
 
 def _winner_sets(is_winner: np.ndarray) -> tuple[list[int], dict[int, tuple[str, ...]]]:
@@ -304,22 +270,19 @@ def _winner_sets(is_winner: np.ndarray) -> tuple[list[int], dict[int, tuple[str,
 
 
 _json_str = json.encoder.encode_basestring_ascii
-_SLOT = "\x00"  # stands in for a number while json lays out a group
-_SLOT_VALUE = ": " + _json_str(_SLOT)
 
 
-@lru_cache(maxsize=64)
-def _group_form(mean_keys: tuple, sd_keys: tuple, winners: tuple) -> tuple:
-    """A group shape's sorted mean and sd keys, and its text as nested in "groups".
+@lru_cache(maxsize=2 ** len(RATING_ALGORITHMS))  # every winner set fits
+def _group_form(winners: tuple) -> str:
+    """The text of a group with these winners as nested in "groups", a %s for each number.
 
-    The text has a %s for each number: the sorted means, n_clips, then the
-    sorted sds. Only a stand-in in value position becomes a %s, so a key or a
-    winner that spells the stand-in stays text.
+    The numbers are the means in sorted algorithm order, n_clips, then the
+    SDs in that order; no algorithm name holds a "%".
     """
-    skeleton = {"mean": dict.fromkeys(mean_keys, _SLOT), "n_clips": _SLOT,
-                "sd": dict.fromkeys(sd_keys, _SLOT), "winners": winners}
+    slots = dict.fromkeys(RATING_ALGORITHMS, "%s")
+    skeleton = {"mean": slots, "n_clips": "%s", "sd": slots, "winners": winners}
     text = json.dumps(skeleton, indent=2, sort_keys=True).replace("\n", "\n    ")
-    return sorted(mean_keys), sorted(sd_keys), text.replace("%", "%%").replace(_SLOT_VALUE, ": %s")
+    return text.replace('"%s"', "%s")
 
 
 def _group_arrays(matrix: np.ndarray, group: np.ndarray, n_groups: int) -> tuple:

@@ -316,6 +316,8 @@ def _cmd_report(args) -> int:
         except json.JSONDecodeError as exc:
             raise _CliValidationError(
                 f"column map given by --column-map is not JSON: {exc}") from None
+        if column_map is None:  # load_ratings reads None as no map
+            raise _CliValidationError("column map must be an object, got None")
     table = analysis.load_ratings(args.ratings, column_map=column_map)
     manifest = curation.load_manifest(args.manifest)
     report = analysis.aggregate(table, manifest, args.level)

@@ -837,6 +837,7 @@ class TestReport:
     @pytest.mark.parametrize("column_map,named", [
         ("5", "got 5"),
         ("[1]", "got [1]"),
+        ("null", "got None"),
         ('{"nope": "x"}', "'nope'"),
         ('{"rating": 3}', "'rating'"),
         ("oops", "--column-map"),
@@ -847,6 +848,14 @@ class TestReport:
                     "--level", "class", "--column-map", column_map]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: column map") and named in err
+
+    def test_empty_column_map_reads_no_map(self, capsys):
+        report = ["report", "--ratings", str(ratings_fixture_path()),
+                  "--manifest", str(manifest_fixture_path()), "--level", "class"]
+        assert run(report) == 0
+        plain = capsys.readouterr().out
+        assert run([*report, "--column-map", ""]) == 0
+        assert capsys.readouterr().out == plain
 
 
 _COLD_START = """
