@@ -315,13 +315,14 @@ def _stats_rows(means: np.ndarray, sds: np.ndarray, is_winner: np.ndarray,
 
 def aggregate(table: RatingsTable, manifest: DatasetManifest, level: str) -> AggregateReport:
     """Aggregate clip ratings at the category, class, or clip level."""
-    field = {"category": "category_id", "class": "class_id", "clip": "clip_id"}.get(level)
-    if field is None:
+    column = {"category": manifest.category_id, "class": manifest.class_id,
+              "clip": manifest.clip_id}.get(level)
+    if column is None:
         raise ValueError(f"unknown aggregation level: {level!r}")
-    by_id = manifest.by_id()
+    key_of = dict(zip(manifest.clip_id, column))
     clip_ids, matrix, counts = table.mean_matrix()
     for cid in clip_ids:
-        if cid not in by_id:
+        if cid not in key_of:
             raise SchemaError(f"clip_id {cid!r} from ratings is not in the manifest")
     unrated = np.argwhere(counts == 0)
     if len(unrated):
@@ -332,7 +333,7 @@ def aggregate(table: RatingsTable, manifest: DatasetManifest, level: str) -> Agg
     winner_counts = dict(zip(RATING_ALGORITHMS, is_winner.sum(axis=0).tolist()))
     tie_count = int(np.count_nonzero(is_winner.sum(axis=1) > 1))
 
-    keys = [getattr(by_id[cid], field) for cid in clip_ids]
+    keys = list(map(key_of.__getitem__, clip_ids))
     order = sorted(set(keys), key=str)
     index = {key: i for i, key in enumerate(order)}
     group = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))

@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import asdict
 from functools import cache
+from itertools import compress
 from pathlib import Path
 
 from . import analysis, bench, converters, curation
@@ -161,8 +162,8 @@ def _cmd_batch(args) -> int:
     manifest = curation.load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(e.path, e.clip_id, algo, cfg, str(out_dir))
-             for e in manifest.entries for algo in algos]
+    tasks = [(clip_path, clip_id, algo, cfg, str(out_dir))
+             for clip_id, clip_path in zip(manifest.clip_id, manifest.path) for algo in algos]
     # a fork pool starts every worker at once, so start no more than there are tasks
     workers = min(args.workers or os.cpu_count() or 1, len(tasks))
     if workers > 1 and "fshift" in algos:
@@ -240,28 +241,31 @@ def _cmd_curate(args) -> int:
     manifest = curation.load_manifest(args.manifest)
     vectors: dict[str, curation.FeatureVector] = {}
     failures = []
-    for e in manifest.entries:
+    for clip_id, clip_path in zip(manifest.clip_id, manifest.path):
         try:
-            vectors[e.clip_id] = curation.extract_features(load_wav(e.path))
+            vectors[clip_id] = curation.extract_features(load_wav(clip_path))
         except Exception as exc:  # name the clip, and report every failing clip
-            failures.append((f"{e.clip_id}: {exc}", isinstance(exc, _VALIDATION_ERRORS)))
+            failures.append((f"{clip_id}: {exc}", isinstance(exc, _VALIDATION_ERRORS)))
     if failures:
         return _report_failures(failures)
+    rows_of: dict[int, list[int]] = {}
+    for row, class_id in enumerate(manifest.class_id):
+        rows_of.setdefault(class_id, []).append(row)
     selected: list[str] = []
-    for class_id in manifest.class_ids():
-        members = [e for e in manifest.entries if e.class_id == class_id]
-        if args.per_class > len(members):
+    for class_id, rows in sorted(rows_of.items()):
+        if args.per_class > len(rows):
             raise _CliValidationError(
-                f"class {class_id} ({members[0].class_name}) has {len(members)} clips, "
+                f"class {class_id} ({manifest.class_name[rows[0]]}) has {len(rows)} clips, "
                 f"fewer than --per-class {args.per_class}")
-        ids = sorted(e.clip_id for e in members)
+        ids = sorted(manifest.clip_id[row] for row in rows)
         result = curation.kmeans([vectors[c].as_array() for c in ids],
                                  k=min(args.k, len(ids)), seed=args.seed)
         selected.extend(curation.stratified_sample(
             dict(zip(ids, result.labels.tolist())), args.per_class, seed=args.seed))
     keep = set(selected)
+    kept = [clip_id in keep for clip_id in manifest.clip_id]
     curated = curation.DatasetManifest(
-        [e for e in manifest.entries if e.clip_id in keep])
+        *(list(compress(getattr(manifest, name), kept)) for name in curation.MANIFEST_HEADER))
     curation.write_manifest(curated, args.out)
     print(f"selected {len(curated)} of {len(manifest)} clips")
     return EXIT_OK

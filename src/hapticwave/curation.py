@@ -350,26 +350,17 @@ MANIFEST_HEADER = ["clip_id", "path", "class_id", "class_name", "category_id"]
 
 
 @dataclass
-class ManifestEntry:
-    clip_id: str
-    path: str
-    class_id: int
-    class_name: str
-    category_id: int
-
-
-@dataclass
 class DatasetManifest:
-    entries: list[ManifestEntry]
+    """A manifest as its five columns, row i of each being the manifest's row i."""
+
+    clip_id: list[str]
+    path: list[str]
+    class_id: list[int]
+    class_name: list[str]
+    category_id: list[int]
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def by_id(self) -> dict[str, ManifestEntry]:
-        return {e.clip_id: e for e in self.entries}
-
-    def class_ids(self) -> list[int]:
-        return sorted({e.class_id for e in self.entries})
+        return len(self.clip_id)
 
 
 def read_csv(path: Path, check_header: Callable[[list[str] | None], None]
@@ -458,7 +449,11 @@ def _raise_ragged(path: Path, widths: Iterable[int], width: int, first_row: int)
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Read and validate a manifest CSV."""
+    """Read and validate a manifest CSV.
+
+    The checks run over whole columns; only a file that fails one is walked
+    row by row, to name the first bad row.
+    """
     path = Path(path)
 
     def check_header(header: list[str] | None) -> None:
@@ -466,27 +461,43 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             raise SchemaError(
                 f"{path}: expected header {','.join(MANIFEST_HEADER)}, got {header}")
 
-    _, columns = read_csv(path, check_header)
-    entries: list[ManifestEntry] = []
+    _, (clip_id, clip_path, class_text, class_name, category_text) = read_csv(path, check_header)
+    n = len(clip_id)
+    if not n:
+        raise SchemaError(f"{path}: empty manifest")
+    try:
+        class_id = list(map(int, class_text))
+        category_id = list(map(int, category_text))
+    except ValueError:
+        class_id = category_id = None
+    if (class_id is None or len(set(clip_id)) < n
+            or not 0 <= min(class_id) <= max(class_id) <= 49
+            or not 1 <= min(category_id) <= max(category_id) <= 5):
+        _raise_first_bad_manifest_row(path, clip_id, class_text, category_text)
+    return DatasetManifest(clip_id, clip_path, class_id, class_name, category_id)
+
+
+def _raise_first_bad_manifest_row(path: Path, clip_ids: list[str], class_texts: list[str],
+                                  category_texts: list[str]) -> None:
+    """Raise SchemaError at the first row with a repeated clip_id, a bad integer or one out of range.
+
+    A row's faults are checked in that order, class_id before category_id.
+    """
     seen: set[str] = set()
-    for row_no, (clip_id, clip_path, class_text, class_name, category_text) in enumerate(
-            zip(*columns), start=2):
+    for row_no, (clip_id, class_text, category_text) in enumerate(
+            zip(clip_ids, class_texts, category_texts), start=2):
         if clip_id in seen:
             raise SchemaError(f"{path}:{row_no}: duplicate clip_id {clip_id!r}")
         seen.add(clip_id)
-        try:
-            class_id = int(class_text)
-            category_id = int(category_text)
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{row_no}: {exc}") from exc
-        if not 0 <= class_id <= 49:
-            raise SchemaError(f"{path}:{row_no}: class_id {class_id} outside 0-49")
-        if not 1 <= category_id <= 5:
-            raise SchemaError(f"{path}:{row_no}: category_id {category_id} outside 1-5")
-        entries.append(ManifestEntry(clip_id, clip_path, class_id, class_name, category_id))
-    if not entries:
-        raise SchemaError(f"{path}: empty manifest")
-    return DatasetManifest(entries)
+        for name, text in (("class_id", class_text), ("category_id", category_text)):
+            try:
+                int(text)
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{row_no}: {name} {text!r} is not an integer") from exc
+        if not 0 <= int(class_text) <= 49:
+            raise SchemaError(f"{path}:{row_no}: class_id {int(class_text)} outside 0-49")
+        if not 1 <= int(category_text) <= 5:
+            raise SchemaError(f"{path}:{row_no}: category_id {int(category_text)} outside 1-5")
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
@@ -494,5 +505,4 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
-        for e in manifest.entries:
-            writer.writerow([e.clip_id, e.path, e.class_id, e.class_name, e.category_id])
+        writer.writerows(zip(*(getattr(manifest, name) for name in MANIFEST_HEADER)))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hapticwave.audio_io import AudioClip, save_wav
+from hapticwave.curation import MANIFEST_HEADER, DatasetManifest
 
 SR = 44100
 
@@ -49,6 +50,12 @@ def _harmonics(rng, n, sr, f0):
     for k in range(1, 6):
         out += np.sin(2.0 * np.pi * k * f0 * t + rng.uniform(0, 6.28)) / k
     return out
+
+
+def manifest_of(rows) -> DatasetManifest:
+    """A manifest built by hand from (clip_id, path, class_id, class_name, category_id) rows."""
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in MANIFEST_HEADER]
+    return DatasetManifest(*columns)
 
 
 def make_fixture_clips(count: int = 20, duration: float = 1.5, sr: int = SR) -> list[AudioClip]:

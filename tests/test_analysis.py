@@ -26,9 +26,11 @@ from hapticwave.analysis import (
 from hapticwave.audio_io import VibrationSignal
 from hapticwave.dsp import mel_filterbank
 from hapticwave.cli import run
-from hapticwave.curation import DatasetManifest, ManifestEntry, load_manifest
+from hapticwave.curation import DatasetManifest, load_manifest
 from hapticwave.errors import SchemaError
 from hapticwave.fixtures import manifest_fixture_path, ratings_fixture_path
+
+from conftest import manifest_of
 
 
 def write_ratings(path, rows):
@@ -39,12 +41,9 @@ def write_ratings(path, rows):
 
 
 def small_manifest(clip_ids, class_ids=None):
-    entries = []
-    for i, cid in enumerate(clip_ids):
-        class_id = class_ids[i] if class_ids else i % 50
-        entries.append(ManifestEntry(cid, f"audio/{cid}.wav", class_id,
-                                     f"class{class_id}", class_id // 10 + 1))
-    return DatasetManifest(entries)
+    class_ids = class_ids or [i % 50 for i in range(len(clip_ids))]
+    return manifest_of((cid, f"audio/{cid}.wav", class_id, f"class{class_id}", class_id // 10 + 1)
+                       for cid, class_id in zip(clip_ids, class_ids))
 
 
 def full_rating_rows(clip_id, values, raters=("r1", "r2")):
@@ -203,7 +202,7 @@ def _reference_stats(clip_matrix: np.ndarray) -> GroupStats:
 
 
 def _reference_aggregate(records, manifest: DatasetManifest, level: str) -> AggregateReport:
-    by_id = manifest.by_id()
+    row_of = {cid: i for i, cid in enumerate(manifest.clip_id)}
     clip_means = _reference_clip_means(records)
     clip_ids = sorted({r.clip_id for r in records})
     matrix = np.empty((len(clip_ids), len(RATING_ALGORITHMS)))
@@ -218,8 +217,8 @@ def _reference_aggregate(records, manifest: DatasetManifest, level: str) -> Aggr
         tie_count += len(winners) > 1
         for a in winners:
             winner_counts[a] += 1
-    key_of = {"category": lambda cid: by_id[cid].category_id,
-              "class": lambda cid: by_id[cid].class_id,
+    key_of = {"category": lambda cid: manifest.category_id[row_of[cid]],
+              "class": lambda cid: manifest.class_id[row_of[cid]],
               "clip": lambda cid: cid}[level]
     group_rows: dict = {}
     for i, cid in enumerate(clip_ids):
@@ -260,9 +259,8 @@ def _random_ratings(path: Path, seed: int, n_clips: int, raters: tuple[int, int]
             if rng.random() < 0.02:
                 writer.writerow([])  # a blank line, which no row number counts
     class_ids = rng.integers(0, 50, size=n_clips)
-    return DatasetManifest([
-        ManifestEntry(cid, f"audio/{cid}.wav", int(c), f"class{c}", int(c) // 10 + 1)
-        for cid, c in zip(clip_ids, class_ids)])
+    return manifest_of((cid, f"audio/{cid}.wav", int(c), f"class{c}", int(c) // 10 + 1)
+                       for cid, c in zip(clip_ids, class_ids))
 
 
 class TestAgainstRecordReference:
@@ -341,6 +339,19 @@ def test_fixture_report_golden(tmp_path, capsys, level):
     json_sha, stdout_sha = FIXTURE_REPORT_SHA256[level]
     assert hashlib.sha256(json_out.read_bytes()).hexdigest() == json_sha
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
+@pytest.mark.parametrize("level", ["category", "class", "clip"])
+def test_report_from_a_hand_built_manifest_is_byte_equal(level):
+    with open(manifest_fixture_path(), newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    by_hand = manifest_of((cid, path, int(class_id), name, int(category_id))
+                          for cid, path, class_id, name, category_id in reversed(rows))
+    table = load_ratings(ratings_fixture_path())
+    loaded = aggregate(table, load_manifest(manifest_fixture_path()), level)
+    built = aggregate(table, by_hand, level)
+    assert built.to_json() == loaded.to_json()
+    assert built.format_table() == loaded.format_table()
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +466,7 @@ class TestReportWriters:
     def test_array_writer_on_an_empty_table(self):
         # reachable only through a hand-built table: load_ratings rejects a file without rows
         table = RatingsTable([], np.array([], np.intp), [], np.array([]))
-        report = aggregate(table, DatasetManifest([]), "clip")
+        report = aggregate(table, manifest_of([]), "clip")
         assert len(report.groups) == 0
         self.assert_matches(report)
         assert '"groups": {}' in report.to_json()
@@ -693,11 +704,16 @@ class TestManifestRows:
         with pytest.raises(SchemaError, match="expected header"):
             load_manifest(path)
 
-    def test_bad_integer_names_row(self, tmp_path):
+    @pytest.mark.parametrize("bad_row,message", [
+        ("b,y.wav,one,cat,1", "class_id 'one' is not an integer"),
+        ("b,y.wav,1,cat,1.0", "category_id '1.0' is not an integer"),
+    ])
+    def test_bad_integer_names_row(self, tmp_path, bad_row, message):
         path = tmp_path / "m.csv"
-        path.write_text(self.HEADER + "a,x.wav,0,dog,1\nb,y.wav,one,cat,1\n")
-        with pytest.raises(SchemaError, match=r":3: invalid literal for int\(\)"):
+        path.write_text(self.HEADER + f"a,x.wav,0,dog,1\n{bad_row}\n")
+        with pytest.raises(SchemaError) as err:
             load_manifest(path)
+        assert str(err.value) == f"{path}:3: {message}"
 
 
 def vib(samples) -> VibrationSignal:

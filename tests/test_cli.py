@@ -19,11 +19,11 @@ from hapticwave.audio_io import CONVERTER_TAGS, AudioClip, load_wav, save_wav
 from hapticwave import bench, cli
 from hapticwave.cli import _batch_one, build_parser, run
 from hapticwave.converters import convert
-from hapticwave.curation import DatasetManifest, ManifestEntry, write_manifest
+from hapticwave.curation import write_manifest
 from hapticwave.fixtures import manifest_fixture_path, ratings_fixture_path
 from hapticwave.psychoacoustics import PsychoConfig
 
-from conftest import SR, sine_clip, write_pcm16_wav
+from conftest import SR, manifest_of, sine_clip, write_pcm16_wav
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def tone_wav(tmp_path):
 
 def small_audio_set(tmp_path, n_classes=2, per_class=6, sr=22050):
     """Tiny labeled WAV collection plus its manifest, for curate/batch."""
-    entries = []
+    rows = []
     audio_dir = tmp_path / "audio"
     audio_dir.mkdir(exist_ok=True)
     for class_id in range(n_classes):
@@ -47,10 +47,9 @@ def small_audio_set(tmp_path, n_classes=2, per_class=6, sr=22050):
             clip_id = f"{class_id:02d}-{k:02d}"
             path = audio_dir / f"{clip_id}.wav"
             save_wav(AudioClip(0.8 * x / np.max(np.abs(x)), sr), path)
-            entries.append(ManifestEntry(clip_id, str(path), class_id,
-                                         f"class{class_id}", class_id // 10 + 1))
+            rows.append((clip_id, str(path), class_id, f"class{class_id}", class_id // 10 + 1))
     manifest_path = tmp_path / "manifest.csv"
-    write_manifest(DatasetManifest(entries), manifest_path)
+    write_manifest(manifest_of(rows), manifest_path)
     return manifest_path
 
 
@@ -283,10 +282,10 @@ class TestBatch:
         save_wav(sine_clip(300.0), audio / "c0.wav")
         save_wav(AudioClip(np.zeros(SR), SR), audio / "c1.wav")
         save_wav(sine_clip(440.0), audio / "c2.wav")
-        entries = [ManifestEntry(f"c{i}", str(audio / f"c{i}.wav"), 0, "tone", 1)
+        entries = [(f"c{i}", str(audio / f"c{i}.wav"), 0, "tone", 1)
                    for i in range(4)]  # c3.wav is never written
         manifest = tmp_path / "manifest.csv"
-        write_manifest(DatasetManifest(entries), manifest)
+        write_manifest(manifest_of(entries), manifest)
         out_dir = tmp_path / "out"
         argv = ["batch", "--manifest", str(manifest), "--algos", "hapticgen",
                 "--out-dir", str(out_dir), "--workers", workers]
@@ -297,19 +296,19 @@ class TestBatch:
         assert err == ["error: c1 hapticgen: clip c1: degenerate signal: silent input",
                        f"error: c3 hapticgen: {audio / 'c3.wav'}: file does not exist"]
 
-        write_manifest(DatasetManifest(entries[2:]), manifest)
+        write_manifest(manifest_of(entries[2:]), manifest)
         assert run(argv) == 1  # only the missing file fails: a validation error
         assert capsys.readouterr().err.startswith("error: c3 hapticgen: ")
-        write_manifest(DatasetManifest(entries[:1]), manifest)
+        write_manifest(manifest_of(entries[:1]), manifest)
         assert run(argv) == 0
 
     @pytest.mark.parametrize("clip_id", ["../escaped", "sub/escaped", "", ".", ".."])
     def test_clip_id_that_is_not_a_file_name_fails_that_clip(self, tmp_path, capsys, clip_id):
         tone = tmp_path / "tone.wav"
         save_wav(sine_clip(300.0), tone)
-        entries = [ManifestEntry(cid, str(tone), 0, "tone", 1) for cid in ("keep", clip_id)]
+        entries = [(cid, str(tone), 0, "tone", 1) for cid in ("keep", clip_id)]
         manifest = tmp_path / "manifest.csv"
-        write_manifest(DatasetManifest(entries), manifest)
+        write_manifest(manifest_of(entries), manifest)
         (tmp_path / "out" / "sub").mkdir(parents=True)
         assert run(["batch", "--manifest", str(manifest), "--algos", "hapticgen",
                     "--out-dir", str(tmp_path / "out"), "--workers", "1"]) == 1
@@ -338,10 +337,10 @@ class TestBatch:
         tone = tmp_path / "tone.wav"
         save_wav(sine_clip(300.0), tone)
         norate = write_pcm16_wav(tmp_path / "norate.wav", [1000, -1000] * 4000, 0)
-        entries = [ManifestEntry("tone", str(tone), 0, "tone", 1),
-                   ManifestEntry("norate", str(norate), 0, "tone", 1)]
+        entries = [("tone", str(tone), 0, "tone", 1),
+                   ("norate", str(norate), 0, "tone", 1)]
         manifest = tmp_path / "manifest.csv"
-        write_manifest(DatasetManifest(entries), manifest)
+        write_manifest(manifest_of(entries), manifest)
         out_dir = tmp_path / "out"
         assert run(["batch", "--manifest", str(manifest), "--algos", "plm",
                     "--out-dir", str(out_dir), "--workers", "1"]) == 1
@@ -502,7 +501,7 @@ def test_integer_flag_out_of_range_is_validation_error(tmp_path, capsys, command
     # the input is a missing WAV, which a check made after reading would report instead
     missing = tmp_path / "missing.wav"
     manifest = tmp_path / "manifest.csv"
-    write_manifest(DatasetManifest([ManifestEntry("c0", str(missing), 0, "tone", 1)]), manifest)
+    write_manifest(manifest_of([("c0", str(missing), 0, "tone", 1)]), manifest)
     out = tmp_path / "out"
     args = {
         "curate": {"--manifest": manifest, "--per-class": 2, "--k": 2, "--seed": 1, "--out": out},

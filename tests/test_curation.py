@@ -12,7 +12,6 @@ from hapticwave.curation import (
     _MFCC_DCT,
     DatasetManifest,
     FeatureVector,
-    ManifestEntry,
     _feature_tables,
     _pitch_class_map,
     _tempo_bpm,
@@ -28,7 +27,7 @@ from hapticwave.dsp import frame_signal, hann_window, mel_filterbank
 from hapticwave.errors import NonFiniteSignalError, SchemaError
 from hapticwave.fixtures import manifest_fixture_path
 
-from conftest import SR, sine_clip
+from conftest import SR, manifest_of, sine_clip
 
 
 class TestExtractFeatures:
@@ -386,10 +385,10 @@ def test_mfcc_dct_basis_is_orthonormal_and_read_only():
 
 class TestManifest:
     def _manifest(self) -> DatasetManifest:
-        return DatasetManifest([
-            ManifestEntry("a", "audio/a.wav", 0, "dog", 1),
-            ManifestEntry("b", "audio/b.wav", 11, "sea waves", 2),
-            ManifestEntry("c", "audio/é.wav", 49, "café", 5),
+        return manifest_of([
+            ("a", "audio/a.wav", 0, "dog", 1),
+            ("b", "audio/b.wav", 11, "sea waves", 2),
+            ("c", "audio/é.wav", 49, "café", 5),
         ])
 
     def test_round_trip(self, tmp_path):
@@ -401,9 +400,9 @@ class TestManifest:
 
     def test_round_trip_of_quoted_fields(self, tmp_path):
         path = tmp_path / "m.csv"
-        manifest = DatasetManifest([
-            ManifestEntry("a", "audio/a,1.wav", 0, 'dog, "rex"\nbarking', 1),
-            ManifestEntry("b", "audio/b.wav", 1, "cat\r\n", 2),
+        manifest = manifest_of([
+            ("a", "audio/a,1.wav", 0, 'dog, "rex"\nbarking', 1),
+            ("b", "audio/b.wav", 1, "cat\r\n", 2),
         ])
         write_manifest(manifest, path)
         assert b'"' in path.read_bytes()
@@ -456,4 +455,4 @@ class TestManifest:
     def test_bundled_fixture_loads(self):
         manifest = load_manifest(manifest_fixture_path())
         assert len(manifest) == 1000
-        assert manifest.class_ids() == list(range(50))
+        assert sorted(set(manifest.class_id)) == list(range(50))

@@ -34,7 +34,7 @@ def outcome(loader, path):
     except Exception as exc:  # noqa: BLE001 - the outcome is compared, whatever it is
         return type(exc), str(exc)
     if loader is load_manifest:
-        return [vars(e) for e in result.entries]
+        return vars(result)
     return (list(result.clip_id), result.algorithm.tolist(), list(result.rater_id),
             result.rating.tolist())
 
